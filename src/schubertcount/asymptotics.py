@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .combinatorics import feasibility
+from .combinatorics import Infeasible, OutOfDomain, feasibility
 from .counts import EvenDegree, complex_count, incidence_complex, incidence_real, real_count, real_root_poly
 
 
@@ -57,7 +57,7 @@ def torus_scan(d: int, grid: int) -> TorusSample:
     if d % 2 == 0:
         raise EvenDegree(f"degree {d} is even")
     if grid < 64:
-        raise ValueError("grid must be at least 64")
+        raise OutOfDomain("grid must be at least 64")
     poly = real_root_poly(d, 2).poly
     m = feasibility(d, 2, "real").m
     terms = poly.sorted_terms()
@@ -115,7 +115,7 @@ def real_asymptote_table(ds: Sequence[int]) -> list[AsymptoteRow]:
     for d in ds:
         report = real_count(d, 2)
         if not report.feasible:
-            raise ValueError(f"(d={d}, k=2) is infeasible in the real regime")
+            raise Infeasible(f"(d={d}, k=2) is infeasible in the real regime")
         exact_log = math.log(report.value)
         prediction = (d**3 / 12.0) * math.log(d)
         if prediction == 0.0:
@@ -139,7 +139,7 @@ def complex_asymptote_table(ds: Sequence[int], k: int, slack: float = 1.7) -> li
     for d in ds:
         report = complex_count(d, k)
         if not report.feasible:
-            raise ValueError(f"(d={d}, k={k}) is infeasible in the complex regime")
+            raise Infeasible(f"(d={d}, k={k}) is infeasible in the complex regime")
         exact_log = math.log(report.value)
         prediction = (d ** (k - 1) / math.factorial(k - 1)) * math.log(d)
         if prediction == 0.0:
@@ -160,7 +160,7 @@ def incidence_asymptote_table(ns: Sequence[int]) -> dict[str, list[AsymptoteRow]
     real_rows = []
     for n in ns:
         if n < 1:
-            raise ValueError("n must be >= 1")
+            raise OutOfDomain("n must be >= 1")
         cval = incidence_complex(n)
         rval = incidence_real(n)
         cpred = 2 * n * math.log(20.0)

@@ -1,4 +1,4 @@
-"""Command-line front end: JSON/CSV emission and the result cache.
+"""Command-line front end: a table of commands and one emitter.
 
 Commands: count, incidence, cubic-ci, schur, lambda, scan, asymptote,
 feasibility.  Counts and other big integers are always emitted as decimal
@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 import time
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
-from . import __version__, kernels
+from . import __version__
 from .asymptotics import (
     complex_asymptote_table,
     incidence_asymptote_table,
@@ -30,9 +30,8 @@ from .asymptotics import (
     torus_scan,
 )
 from .cache import ResultCache, cache_key
-from .combinatorics import InvalidLength, NotInRectangle, Partition, catalan, feasibility
+from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, feasibility
 from .counts import (
-    EvenDegree,
     catalan_substitution,
     complex_count,
     complex_root_poly,
@@ -43,7 +42,6 @@ from .counts import (
     real_root_poly,
 )
 from .schur import (
-    NotEvenOrOdd,
     numeric_schur_coefficient,
     real_schur_coefficient,
     real_schur_polynomial,
@@ -59,284 +57,136 @@ INTERNAL_EXIT = 1
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; the contract is 64
         self.print_usage(sys.stderr)
-        raise SystemExit_(USAGE_EXIT, f"{self.prog}: error: {message}")
+        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-class SystemExit_(Exception):
-    def __init__(self, code: int, message: Optional[str] = None):
-        super().__init__(message or "")
-        self.code = code
-        self.message = message
-
-
-def _parse_int_list(text: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise SystemExit_(USAGE_EXIT, f"error: not a comma-separated integer list: {text!r}")
+        raise OutOfDomain(f"not a comma-separated integer list: {text!r}") from None
 
 
-def _parse_partition(text: str) -> Partition:
+def _partition(text: str) -> Partition:
     try:
-        return Partition(tuple(_parse_int_list(text)))
+        return Partition(tuple(_int_list(text)))
     except ValueError as exc:
-        raise SystemExit_(USAGE_EXIT, f"error: bad partition {text!r}: {exc}")
+        raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from None
 
 
-def build_parser() -> _Parser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=["json", "csv"], default="json")
-    shared.add_argument("--cache-dir", default=None)
-    shared.add_argument("--no-cache", action="store_true")
-    shared.add_argument("--grid", type=int, default=None)
-    shared.add_argument("--dump-poly", action="store_true")
-    shared.add_argument("--threads", type=int, default=1)
-
-    parser = _Parser(prog="schubertcount", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-
-    p = sub.add_parser("count", parents=[shared], help="complex or real plane count")
-    p.add_argument("--regime", required=True, choices=["complex", "real"])
-    p.add_argument("-d", type=int, required=True, help="hypersurface degree")
-    p.add_argument("-k", type=int, required=True, help="rank parameter (half-rank in the real regime)")
-
-    p = sub.add_parser("incidence", parents=[shared], help="3-planes meeting 2n large subspaces along lines")
-    p.add_argument("--regime", required=True, choices=["complex", "real"])
-    p.add_argument("-n", type=int, required=True)
-
-    p = sub.add_parser("cubic-ci", parents=[shared], help="real 3-planes on an intersection of r cubics")
-    p.add_argument("-r", type=int, required=True)
-
-    p = sub.add_parser("schur", parents=[shared], help="print a (real) Schur polynomial")
-    p.add_argument("--regime", default="complex", choices=["complex", "real"])
-    p.add_argument("--alpha", required=True, help="comma-separated partition")
-
-    p = sub.add_parser("lambda", parents=[shared], help="Schur coefficient of a degree-d root polynomial")
-    p.add_argument("--regime", required=True, choices=["complex", "real"])
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="comma-separated partition")
-    p.add_argument("--numeric", action="store_true", help="also run the quadrature oracle")
-
-    p = sub.add_parser("scan", parents=[shared], help="torus grid scan of F_d")
-    p.add_argument("-d", type=int, required=True)
-
-    p = sub.add_parser("asymptote", parents=[shared], help="log-scale asymptote tables")
-    p.add_argument("--family", required=True, choices=["real", "complex", "incidence"])
-    p.add_argument("--ds", default=None, help="comma-separated degrees (real/complex family)")
-    p.add_argument("--ns", default=None, help="comma-separated n values (incidence family)")
-    p.add_argument("-k", type=int, default=4, help="rank for the complex family")
-
-    p = sub.add_parser("feasibility", parents=[shared], help="dimension-condition check")
-    p.add_argument("--regime", required=True, choices=["complex", "real"])
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--d-max", type=int, default=None, help="tabulate degrees d..d-max")
-
-    return parser
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def _resolve_cache(args) -> Optional[ResultCache]:
-    if args.no_cache:
-        return None
-    directory = args.cache_dir or os.environ.get("SCHUBERT_CACHE")
-    return ResultCache(directory) if directory else None
+def _arg(*flags, **options) -> tuple:
+    return flags, options
 
 
-def _emit_body(args, command: str, params: dict, compute, cacheable: bool = True) -> int:
-    """Compute (or fetch) a JSON body, append runtime fields, print, return code.
-
-    `compute` returns (body_dict, exit_code); only exit-code-0 bodies are
-    cached.  The body is serialized once; a cache hit re-emits those bytes.
-    """
-    start = time.perf_counter()
-    cache = _resolve_cache(args) if cacheable else None
-    key = cache_key(command, params, __version__)
-    body_str = cache.lookup(key) if cache else None
-    cached = body_str is not None
-    code = 0
-    if body_str is None:
-        body, code = compute()
-        body_str = json.dumps(body)
-        if cache and code == 0:
-            cache.store(key, body_str, __version__)
-    obj = json.loads(body_str)
-    obj["cached"] = cached
-    obj["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
-    print(json.dumps(obj))
-    return code
+REGIME = _arg("--regime", required=True, choices=["complex", "real"])
+D = _arg("-d", type=int, required=True, help="hypersurface degree")
+K = _arg("-k", type=int, required=True, help="rank parameter (half-rank in the real regime)")
+ALPHA = _arg("--alpha", type=_partition, required=True, help="comma-separated partition")
 
 
-def _require_json(args, command: str) -> None:
-    if args.format == "csv":
-        raise SystemExit_(USAGE_EXIT, f"error: CSV output is only available for tables, not `{command}`")
+def _count(args) -> tuple[dict, int]:
+    if args.regime == "complex":
+        report, root = complex_count(args.d, args.k), complex_root_poly
+    else:
+        report, root = real_count(args.d, args.k), real_root_poly
+    body = {"regime": args.regime, "d": args.d, "k": args.k, "m": report.m}
+    if report.feasible:
+        body["value"] = str(report.value)
+    body["feasible"] = report.feasible
+    o = report.orientability
+    body["orientable_grassmannian"] = o.grassmannian if o else None
+    body["sym_power_orientable"] = o.sym_power if o else None
+    body["euler_number_defined"] = o.euler_defined if o else None
+    if args.dump_poly and report.feasible:
+        body["poly"] = root(args.d, args.k).poly.to_text()
+    return body, (0 if report.feasible else INFEASIBLE_EXIT)
 
 
-def _cmd_count(args) -> int:
-    _require_json(args, "count")
-    if args.regime == "real" and args.d % 2 == 0:
-        raise EvenDegree(
-            f"degree {args.d} is even: the signed real count is excluded "
-            "(it vanishes or is defined only modulo 2)"
-        )
-
-    def compute():
-        report = complex_count(args.d, args.k) if args.regime == "complex" else real_count(args.d, args.k)
-        body = {
-            "command": "count",
-            "engine_version": __version__,
-            "regime": args.regime,
-            "d": args.d,
-            "k": args.k,
-            "m": report.m,
-        }
-        if report.feasible:
-            body["value"] = str(report.value)
-        body["feasible"] = report.feasible
-        o = report.orientability
-        body["orientable_grassmannian"] = o.grassmannian if o else None
-        body["sym_power_orientable"] = o.sym_power if o else None
-        body["euler_number_defined"] = o.euler_defined if o else None
-        if args.dump_poly and report.feasible:
-            poly = complex_root_poly(args.d, args.k) if args.regime == "complex" else real_root_poly(args.d, args.k)
-            body["poly"] = poly.poly.to_text()
-        return body, (0 if report.feasible else INFEASIBLE_EXIT)
-
-    params = {"regime": args.regime, "d": args.d, "k": args.k, "dump_poly": args.dump_poly}
-    return _emit_body(args, "count", params, compute)
+def _incidence(args) -> tuple[dict, int]:
+    value = incidence_complex(args.n) if args.regime == "complex" else incidence_real(args.n)
+    body = {"regime": args.regime, "n": args.n, "value": str(value)}
+    if args.regime == "real":
+        body["catalan"] = str(catalan(args.n))
+    return body, 0
 
 
-def _cmd_incidence(args) -> int:
-    _require_json(args, "incidence")
-    if args.n < 1:
-        raise SystemExit_(USAGE_EXIT, "error: n must be >= 1")
-
-    def compute():
-        value = incidence_complex(args.n) if args.regime == "complex" else incidence_real(args.n)
-        body = {
-            "command": "incidence",
-            "engine_version": __version__,
-            "regime": args.regime,
-            "n": args.n,
-            "value": str(value),
-        }
-        if args.regime == "real":
-            body["catalan"] = str(catalan(args.n))
-        return body, 0
-
-    params = {"regime": args.regime, "n": args.n}
-    return _emit_body(args, "incidence", params, compute)
+def _cubic_ci(args) -> tuple[dict, int]:
+    report = cubic_ci_real(args.r)
+    body = {
+        "regime": "real",
+        "degrees": [3] * args.r,
+        "k": 2,
+        "m": report.m,
+        "value": str(report.value),
+        "catalan_substitution": str(catalan_substitution(args.r)),
+        "feasible": True,
+    }
+    return body, 0
 
 
-def _cmd_cubic_ci(args) -> int:
-    _require_json(args, "cubic-ci")
-    if args.r < 0:
-        raise SystemExit_(USAGE_EXIT, "error: r must be >= 0")
-
-    def compute():
-        report = cubic_ci_real(args.r)
-        body = {
-            "command": "cubic-ci",
-            "engine_version": __version__,
-            "regime": "real",
-            "degrees": [3] * args.r,
-            "k": 2,
-            "m": report.m,
-            "value": str(report.value),
-            "catalan_substitution": str(catalan_substitution(args.r)),
-            "feasible": True,
-        }
-        return body, 0
-
-    return _emit_body(args, "cubic-ci", {"r": args.r}, compute)
+def _schur(args) -> tuple[dict, int]:
+    alpha = args.alpha
+    if args.regime == "complex":
+        k = len(alpha)
+        poly = schur_polynomial(alpha, k)
+    else:
+        k = len(alpha) // 2
+        poly = real_schur_polynomial(alpha, k)
+    body = {
+        "regime": args.regime,
+        "alpha": list(alpha.parts),
+        "k": k,
+        "degree": poly.degree(),
+        "poly": poly.poly.to_text(),
+    }
+    return body, 0
 
 
-def _cmd_schur(args) -> int:
-    _require_json(args, "schur")
-    alpha = _parse_partition(args.alpha)
-
-    def compute():
-        if args.regime == "complex":
-            k = len(alpha)
-            poly = schur_polynomial(alpha, k)
-        else:
-            if len(alpha) % 2:
-                raise SystemExit_(USAGE_EXIT, "error: real regime needs a 2k-partition")
-            k = len(alpha) // 2
-            poly = real_schur_polynomial(alpha, k)
-        body = {
-            "command": "schur",
-            "engine_version": __version__,
-            "regime": args.regime,
-            "alpha": list(alpha.parts),
-            "k": k,
-            "degree": poly.degree(),
-            "poly": poly.poly.to_text(),
-        }
-        return body, 0
-
-    params = {"regime": args.regime, "alpha": ",".join(map(str, alpha.parts))}
-    return _emit_body(args, "schur", params, compute)
+def _lambda(args) -> tuple[dict, int]:
+    if args.regime == "complex":
+        root = complex_root_poly(args.d, args.k)
+        coeff = schur_coefficient(root, args.alpha)
+    else:
+        root = real_root_poly(args.d, args.k)
+        coeff = real_schur_coefficient(root, args.alpha)
+    body = {
+        "regime": args.regime,
+        "d": args.d,
+        "k": args.k,
+        "alpha": list(args.alpha.parts),
+        "value": str(coeff.value),
+        "sign_certain": coeff.sign_certain,
+    }
+    if args.numeric:
+        num = numeric_schur_coefficient(root, args.alpha, grid=args.grid, threads=args.threads)
+        err = min(abs(num - coeff.value), abs(num + coeff.value))
+        body["numeric"] = [num.real, num.imag]
+        body["numeric_backend"] = "numpy"
+        body["numeric_matches"] = bool(err <= 1e-6 * max(1.0, abs(coeff.value)))
+    return body, 0
 
 
-def _cmd_lambda(args) -> int:
-    _require_json(args, "lambda")
-    alpha = _parse_partition(args.alpha)
-    if args.regime == "real" and args.d % 2 == 0:
-        raise EvenDegree(f"degree {args.d} is even: no real root polynomial")
-
-    def compute():
-        if args.regime == "complex":
-            root = complex_root_poly(args.d, args.k)
-            coeff = schur_coefficient(root, alpha)
-        else:
-            root = real_root_poly(args.d, args.k)
-            coeff = real_schur_coefficient(root, alpha)
-        body = {
-            "command": "lambda",
-            "engine_version": __version__,
-            "regime": args.regime,
-            "d": args.d,
-            "k": args.k,
-            "alpha": list(alpha.parts),
-            "value": str(coeff.value),
-            "sign_certain": coeff.sign_certain,
-        }
-        if args.numeric:
-            num = numeric_schur_coefficient(root, alpha, grid=args.grid, threads=args.threads)
-            err = min(abs(num - coeff.value), abs(num + coeff.value))
-            body["numeric"] = [num.real, num.imag]
-            body["numeric_backend"] = kernels.backend()
-            body["numeric_matches"] = bool(err <= 1e-6 * max(1.0, abs(coeff.value)))
-        return body, 0
-
-    params = {"regime": args.regime, "d": args.d, "k": args.k, "alpha": ",".join(map(str, alpha.parts))}
-    # numeric floats depend on the kernel backend; keep those runs out of the cache
-    return _emit_body(args, "lambda", params, compute, cacheable=not args.numeric)
-
-
-def _cmd_scan(args) -> int:
-    _require_json(args, "scan")
-    grid = args.grid or 360
-
-    def compute():
-        sample = torus_scan(args.d, grid)
-        body = {
-            "command": "scan",
-            "engine_version": __version__,
-            "d": args.d,
-            "grid": grid,
-            "backend": kernels.backend(),
-            "min_modulus": sample.min_modulus,
-            "max_modulus": sample.max_modulus,
-            "sign_constant": sample.sign_constant,
-            "argmax_count": len(sample.argmax_angles),
-            "argmax_angles": [list(pair) for pair in sample.argmax_angles[:8]],
-        }
-        return body, 0
-
-    params = {"d": args.d, "grid": grid, "backend": kernels.backend()}
-    return _emit_body(args, "scan", params, compute)
+def _scan(args) -> tuple[dict, int]:
+    sample = torus_scan(args.d, args.grid)
+    # the kernels have one (numpy) implementation; the field stays so that bodies keep their shape
+    body = {
+        "d": args.d,
+        "grid": args.grid,
+        "backend": "numpy",
+        "min_modulus": sample.min_modulus,
+        "max_modulus": sample.max_modulus,
+        "sign_constant": sample.sign_constant,
+        "argmax_count": len(sample.argmax_angles),
+        "argmax_angles": [list(pair) for pair in sample.argmax_angles[:8]],
+    }
+    return body, 0
 
 
 def _rows_to_dicts(rows) -> list[dict]:
@@ -353,48 +203,25 @@ def _rows_to_dicts(rows) -> list[dict]:
     ]
 
 
-def _cmd_asymptote(args) -> int:
-    if args.family in ("real", "complex"):
-        if not args.ds:
-            raise SystemExit_(USAGE_EXIT, "error: --ds is required for this family")
-        ds = _parse_int_list(args.ds)
-        rows = real_asymptote_table(ds) if args.family == "real" else complex_asymptote_table(ds, args.k)
-        tables = {args.family: _rows_to_dicts(rows)}
+def _asymptote(args) -> tuple[dict, int]:
+    flag = "ns" if args.family == "incidence" else "ds"
+    text = getattr(args, flag)
+    if not text:
+        raise OutOfDomain(f"--{flag} is required for the {args.family} family")
+    values = _int_list(text)
+    if args.family == "incidence":
+        tables = incidence_asymptote_table(values)
+    elif args.family == "real":
+        tables = {"real": real_asymptote_table(values)}
     else:
-        if not args.ns:
-            raise SystemExit_(USAGE_EXIT, "error: --ns is required for the incidence family")
-        ns = _parse_int_list(args.ns)
-        both = incidence_asymptote_table(ns)
-        tables = {name: _rows_to_dicts(rows) for name, rows in both.items()}
-
-    if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["family", "parameter", "exact_log", "exact_log10", "prediction", "ratio", "degenerate"])
-        for name, rows in tables.items():
-            for r in rows:
-                writer.writerow([name, r["parameter"], r["exact_log"], r["exact_log10"],
-                                 r["prediction"], "" if r["ratio"] is None else r["ratio"], r["degenerate"]])
-        sys.stdout.write(out.getvalue())
-        return 0
-
-    def compute():
-        body = {
-            "command": "asymptote",
-            "engine_version": __version__,
-            "family": args.family,
-            "tables": tables,
-        }
-        return body, 0
-
-    params = {"family": args.family, "ds": args.ds or "", "ns": args.ns or "", "k": args.k}
-    return _emit_body(args, "asymptote", params, compute)
+        tables = {"complex": complex_asymptote_table(values, args.k)}
+    return {"family": args.family, "tables": {name: _rows_to_dicts(rows) for name, rows in tables.items()}}, 0
 
 
-def _cmd_feasibility(args) -> int:
-    d_values = [args.d] if args.d_max is None else list(range(args.d, args.d_max + 1))
+def _feasibility(args) -> tuple[dict, int]:
+    last = args.d if args.d_max is None else args.d_max
     rows = []
-    for d in d_values:
+    for d in range(args.d, last + 1):
         f = feasibility(d, args.k, args.regime)
         rows.append(
             {
@@ -406,64 +233,158 @@ def _cmd_feasibility(args) -> int:
                 "odd_degree": f.odd_degree,
             }
         )
-
-    if args.format == "csv":
-        if args.d_max is None:
-            raise SystemExit_(USAGE_EXIT, "error: CSV feasibility output needs --d-max (tables only)")
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["regime", "d", "k", "feasible", "m", "odd_degree"])
-        for r in rows:
-            writer.writerow([r["regime"], r["d"], r["k"], r["feasible"],
-                             "" if r["m"] is None else r["m"], r["odd_degree"]])
-        sys.stdout.write(out.getvalue())
-        return 0
-
-    body = {"command": "feasibility", "engine_version": __version__}
     if args.d_max is None:
-        body.update(rows[0])
-        print(json.dumps(body))
-        return 0 if rows[0]["feasible"] else INFEASIBLE_EXIT
-    body["rows"] = rows
-    print(json.dumps(body))
-    return 0
+        return rows[0], (0 if rows[0]["feasible"] else INFEASIBLE_EXIT)
+    return {"rows": rows}, 0
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "incidence": _cmd_incidence,
-    "cubic-ci": _cmd_cubic_ci,
-    "schur": _cmd_schur,
-    "lambda": _cmd_lambda,
-    "scan": _cmd_scan,
-    "asymptote": _cmd_asymptote,
-    "feasibility": _cmd_feasibility,
+def _feasibility_rows(body: dict) -> list[dict]:
+    if "rows" not in body:
+        raise OutOfDomain("CSV feasibility output needs --d-max (tables only)")
+    return body["rows"]
+
+
+@dataclass(frozen=True)
+class Command:
+    """One CLI command: its own flags, its cache parameters and its body.
+
+    `compute(args)` returns the body, without `command` and
+    `engine_version`, and the exit code.  `cache` names the arguments that
+    key the result cache; `uncached_if` names a flag that keeps a run out of
+    the cache.  A command with a `csv_header` can print its table rows,
+    `csv_rows(body)`, as CSV.
+    """
+
+    help: str
+    arguments: tuple
+    compute: Callable[[argparse.Namespace], tuple[dict, int]]
+    cache: tuple
+    uncached_if: Optional[str] = None
+    csv_header: tuple = ()
+    csv_rows: Optional[Callable[[dict], list]] = None
+
+
+COMMANDS = {
+    "count": Command(
+        "complex or real plane count",
+        (REGIME, D, K, _arg("--dump-poly", action="store_true", help="include the root polynomial")),
+        _count, cache=("regime", "d", "k", "dump_poly"),
+    ),
+    "incidence": Command(
+        "3-planes meeting 2n large subspaces along lines",
+        (REGIME, _arg("-n", type=int, required=True)),
+        _incidence, cache=("regime", "n"),
+    ),
+    "cubic-ci": Command(
+        "real 3-planes on an intersection of r cubics",
+        (_arg("-r", type=int, required=True),),
+        _cubic_ci, cache=("r",),
+    ),
+    "schur": Command(
+        "print a (real) Schur polynomial",
+        (_arg("--regime", default="complex", choices=["complex", "real"]), ALPHA),
+        _schur, cache=("regime", "alpha"),
+    ),
+    # --numeric reruns the quadrature oracle, whose purpose is to recompute: never served from the cache
+    "lambda": Command(
+        "Schur coefficient of a degree-d root polynomial",
+        (REGIME, D, K, ALPHA,
+         _arg("--numeric", action="store_true", help="also run the quadrature oracle"),
+         _arg("--grid", type=int, default=None, help="quadrature nodes per axis"),
+         _arg("--threads", type=_positive_int, default=1, help="quadrature worker threads")),
+        _lambda, cache=("regime", "d", "k", "alpha"), uncached_if="numeric",
+    ),
+    "scan": Command(
+        "torus grid scan of F_d",
+        (D, _arg("--grid", type=int, default=360, help="grid points per torus axis")),
+        _scan, cache=("d", "grid"),
+    ),
+    "asymptote": Command(
+        "log-scale asymptote tables",
+        (_arg("--family", required=True, choices=["real", "complex", "incidence"]),
+         _arg("--ds", default="", help="comma-separated degrees (real/complex family)"),
+         _arg("--ns", default="", help="comma-separated n values (incidence family)"),
+         _arg("-k", type=int, default=4, help="rank for the complex family")),
+        _asymptote, cache=("family", "ds", "ns", "k"),
+        csv_header=("family", "parameter", "exact_log", "exact_log10", "prediction", "ratio", "degenerate"),
+        csv_rows=lambda body: [dict(r, family=name) for name, rows in body["tables"].items() for r in rows],
+    ),
+    "feasibility": Command(
+        "dimension-condition check",
+        (REGIME, D, K, _arg("--d-max", type=int, default=None, help="tabulate degrees d..d-max")),
+        _feasibility, cache=("regime", "d", "k", "d_max"),
+        csv_header=("regime", "d", "k", "feasible", "m", "odd_degree"), csv_rows=_feasibility_rows,
+    ),
 }
+
+
+def build_parser() -> _Parser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=["json", "csv"], default="json")
+    common.add_argument("--cache-dir", default=None)
+    common.add_argument("--no-cache", action="store_true")
+
+    parser = _Parser(prog="schubertcount", description=__doc__)
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True, parser_class=_Parser)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flags, options in command.arguments:
+            p.add_argument(*flags, **options)
+    return parser
+
+
+def _cache_text(value):
+    return ",".join(map(str, value.parts)) if isinstance(value, Partition) else value
+
+
+def _emit(command: Command, args) -> int:
+    """Fetch or compute a body, print it as JSON or CSV, return the exit code.
+
+    The body is serialized once, with `command` and `engine_version` first;
+    only exit-code-0 bodies are stored, and a hit re-emits the stored bytes.
+    A failed cache write costs a warning, never the result.
+    """
+    if args.format == "csv" and not command.csv_header:
+        raise OutOfDomain(f"CSV output is only available for tables, not `{args.command}`")
+    start = time.perf_counter()
+    directory = args.cache_dir or os.environ.get("SCHUBERT_CACHE")
+    use_cache = directory and not args.no_cache and not (command.uncached_if and getattr(args, command.uncached_if))
+    cache = ResultCache(directory) if use_cache else None
+    key = cache_key(args.command, {n: _cache_text(getattr(args, n)) for n in command.cache}, __version__)
+    text = cache.lookup(key) if cache else None
+    cached, code = text is not None, 0
+    if text is None:
+        body, code = command.compute(args)
+        text = json.dumps({"command": args.command, "engine_version": __version__, **body})
+        if cache and code == 0:
+            try:
+                cache.store(key, text, __version__)
+            except OSError as exc:
+                print(f"warning: result not cached: {exc}", file=sys.stderr)
+    body = json.loads(text)
+    if args.format == "csv":
+        rows = command.csv_rows(body)
+        writer = csv.writer(sys.stdout)
+        writer.writerow(command.csv_header)
+        writer.writerows([["" if row[c] is None else row[c] for c in command.csv_header] for row in rows])
+        return code
+    body["cached"] = cached
+    body["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
+    print(json.dumps(body))
+    return code
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
-    except SystemExit as exc:  # --help and friends
+        return _emit(COMMANDS[args.command], args)
+    except SystemExit as exc:  # from argparse: --help exits 0, a usage error USAGE_EXIT
         return exc.code or 0
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return USAGE_EXIT
-    try:
-        return _HANDLERS[args.command](args)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
-    except EvenDegree as exc:
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return INFEASIBLE_EXIT
-    except (InvalidLength, NotInRectangle, NotEvenOrOdd) as exc:
+    except OutOfDomain as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except Exception as exc:  # pragma: no cover - internal failures

@@ -11,11 +11,19 @@ from math import comb
 from typing import Iterator, Optional, Tuple
 
 
-class InvalidLength(ValueError):
+class OutOfDomain(ValueError):
+    """A parameter lies outside the domain of a count or diagnostic."""
+
+
+class Infeasible(ValueError):
+    """The parameters are valid but admit no count (dimension or parity)."""
+
+
+class InvalidLength(OutOfDomain):
     """Sequence has the wrong length for the requested operation."""
 
 
-class NotInRectangle(ValueError):
+class NotInRectangle(OutOfDomain):
     """Partition sticks out of the k x m rectangle."""
 
 
@@ -132,9 +140,9 @@ def compositions(d: int, k: int) -> list[Composition]:
     polynomial products consume it and must be reproducible bit-for-bit.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise OutOfDomain("k must be positive")
     if d < 0:
-        raise ValueError("d must be non-negative")
+        raise OutOfDomain("d must be non-negative")
     out: list[Tuple[int, ...]] = []
 
     def rec(prefix: Tuple[int, ...], rem: int, slots: int) -> None:
@@ -183,7 +191,7 @@ def catalan(n: int) -> int:
 def feasibility(d: int, k: int, regime: str) -> Feasibility:
     """Check the zero-dimensionality condition and recover m when it holds."""
     if d < 1 or k < 1:
-        raise ValueError("need d >= 1 and k >= 1")
+        raise OutOfDomain("need d >= 1 and k >= 1")
     if regime == "complex":
         total = comb(d + k - 1, k - 1)
         divisor = k
@@ -193,6 +201,6 @@ def feasibility(d: int, k: int, regime: str) -> Feasibility:
         divisor = 2 * k
         odd = d % 2 == 1
     else:
-        raise ValueError(f"unknown regime {regime!r}")
+        raise OutOfDomain(f"unknown regime {regime!r}")
     m = total // divisor if total % divisor == 0 else None
     return Feasibility(d, k, regime, m, odd)

@@ -14,13 +14,12 @@ up to sign.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Optional, Tuple, Union
 
-from .combinatorics import Partition, catalan, compositions, feasibility
+from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility
 from .polynomial import SparsePoly, exact_sqrt, product_of_linear_forms
 from .schur import (
     RootPolynomial,
@@ -30,7 +29,7 @@ from .schur import (
 )
 
 
-class EvenDegree(ValueError):
+class EvenDegree(Infeasible):
     """Real signed counts require odd degree; even degree is rejected."""
 
 
@@ -59,7 +58,6 @@ class CountReport:
     value: Optional[int]
     feasible: bool
     orientability: Optional[Orientability]
-    elapsed: float
 
 
 def grassmannian_orientable(k: int, m: int) -> bool:
@@ -94,7 +92,7 @@ def complex_root_poly(d: int, k: int) -> RootPolynomial:
     """Root polynomial of the top Chern class of Sym^d: the product of
     (l_1 z_1 + ... + l_k z_k) over all compositions l of d into k parts."""
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise OutOfDomain("d must be >= 1")
     rows = [c.parts for c in compositions(d, k)]
     return RootPolynomial(product_of_linear_forms(rows, k), "complex")
 
@@ -102,14 +100,13 @@ def complex_root_poly(d: int, k: int) -> RootPolynomial:
 def complex_count(d: int, k: int) -> CountReport:
     """Exact number of projective (k-1)-planes on a generic degree-d
     hypersurface, when the dimension condition holds."""
-    start = time.perf_counter()
     feas = feasibility(d, k, "complex")
     orient = _orientability(d, k, feas.m)
     if not feas.feasible:
-        return CountReport("complex", d, k, None, None, False, orient, time.perf_counter() - start)
+        return CountReport("complex", d, k, None, None, False, orient)
     target = Partition.constant(feas.m, k)
     value = schur_coefficient(complex_root_poly(d, k), target).value
-    return CountReport("complex", d, k, feas.m, value, True, orient, time.perf_counter() - start)
+    return CountReport("complex", d, k, feas.m, value, True, orient)
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +119,7 @@ def real_square_poly(d: int, k: int) -> SparsePoly:
     Even d is rejected: it produces vanishing factors.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise OutOfDomain("d must be >= 1")
     if d % 2 == 0:
         raise EvenDegree(f"degree {d} is even; the squared product vanishes")
     rows = []
@@ -155,7 +152,7 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
     sign; the square-root route is the arbiter and the test suite checks it.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise OutOfDomain("d must be >= 1")
     if d % 2 == 0:
         raise EvenDegree(f"degree {d} is even")
     result = SparsePoly.one(2)
@@ -176,40 +173,34 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
 def real_count(d: int, k: int) -> CountReport:
     """Absolute signed count of real (2k-1)-planes on a generic real
     hypersurface of odd degree d, via the Euler class of Sym^d."""
-    start = time.perf_counter()
     if d % 2 == 0:
         raise EvenDegree(f"degree {d} is even; the signed count is not defined")
     feas = feasibility(d, k, "real")
     orient = _orientability(d, 2 * k, feas.m)
     if not feas.feasible:
-        return CountReport("real", d, k, None, None, False, orient, time.perf_counter() - start)
+        return CountReport("real", d, k, None, None, False, orient)
     target = Partition.constant(feas.m, 2 * k)
     lam = real_schur_coefficient(real_root_poly(d, k), target)
-    return CountReport(
-        "real", d, k, feas.m, abs(lam.value), True, orient, time.perf_counter() - start
-    )
+    return CountReport("real", d, k, feas.m, abs(lam.value), True, orient)
 
 
 def cubic_ci_real(r: int) -> CountReport:
     """Absolute signed count of real 3-planes on an intersection of r generic
     real cubics (m = 5r); r=0 degenerates to the empty intersection."""
-    start = time.perf_counter()
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise OutOfDomain("r must be >= 0")
     m = 5 * r
     f3 = real_root_poly(3, 2)
     power = RootPolynomial(f3.poly**r, "real")
     lam = real_schur_coefficient(power, Partition.constant(m, 4))
     orient = _orientability(3, 4, m) if r else None
-    return CountReport(
-        "real", (3,) * r, 2, m, abs(lam.value), True, orient, time.perf_counter() - start
-    )
+    return CountReport("real", (3,) * r, 2, m, abs(lam.value), True, orient)
 
 
 def catalan_substitution(r: int) -> int:
     """Evaluate 9^r (25 - 4t)^r with t^j replaced by the j-th Catalan number."""
     if r < 0:
-        raise ValueError("r must be >= 0")
+        raise OutOfDomain("r must be >= 0")
     total = 0
     for j in range(r + 1):
         total += comb(r, j) * 25 ** (r - j) * (-4) ** j * catalan(j)
@@ -220,7 +211,7 @@ def incidence_real(n: int) -> int:
     """Absolute signed count of real 3-planes meeting 2n generic
     (2n-1)-planes along lines; equals the n-th Catalan number."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise OutOfDomain("n must be >= 1")
     base = SparsePoly(2, {(2, 0): 1, (0, 2): 1})
     f = RootPolynomial(base ** (2 * n), "real")
     lam = real_schur_coefficient(f, Partition.constant(2 * n, 4))
@@ -232,7 +223,7 @@ def incidence_complex(n: int) -> int:
     lines: the 2n-th power of the (2,2) Schubert class against the
     fundamental class."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise OutOfDomain("n must be >= 1")
     s22 = schur_polynomial(Partition((2, 2, 0, 0)), 4)
     f = RootPolynomial(s22.poly ** (2 * n), "complex")
     return schur_coefficient(f, Partition.constant(2 * n, 4)).value

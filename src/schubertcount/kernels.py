@@ -1,4 +1,4 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels, written in numpy.
 
 Two kernels live here, both floating-point:
 
@@ -9,39 +9,16 @@ Two kernels live here, both floating-point:
 * ``torus_grid_eval`` - evaluation of a two-variable Laurent polynomial
   f(x) / (x1 x2)^shift on the full torus grid.
 
-The backend is resolved once at import time: numba is used when it imports
-cleanly, unless the environment variable SCHUBERT_PURE_NUMPY is set to a
-non-empty value, which forces the numpy implementations.  Both paths compute
-the same sums up to floating-point rounding; `backend()` reports which one
-is active.  The exact integer arithmetic elsewhere in the package never goes
-through this module.
+The exact integer arithmetic elsewhere in the package never goes through
+this module.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = bool(os.environ.get("SCHUBERT_PURE_NUMPY"))
-NUMBA_IMPORT_ERROR = None
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-    except Exception as exc:  # pragma: no cover - depends on environment
-        NUMBA_IMPORT_ERROR = exc
-        _FORCE_NUMPY = True
 
-
-def backend() -> str:
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numpy" if _FORCE_NUMPY else "numba"
-
-
-# -- pure numpy implementations (always available) ---------------------------
-
-
-def quadrature_slab_numpy(fvals, z0, zgrid, gammas, perms, signs, spower):
+def quadrature_slab(fvals, z0, zgrid, gammas, perms, signs, spower):
     """Sum f(z)*V_a(z)*conj(V_b(z)) over one slab of the torus grid.
 
     fvals: flattened values of f on the slab, axes (z_2, ..., z_k) in
@@ -75,7 +52,7 @@ def quadrature_slab_numpy(fvals, z0, zgrid, gammas, perms, signs, spower):
     return complex(np.sum(fv * va * np.conj(vb)))
 
 
-def torus_grid_eval_numpy(exps, coeffs, shift, grid):
+def torus_grid_eval(exps, coeffs, shift, grid):
     """Values of sum_r coeffs[r] * x1^(e1-shift) * x2^(e2-shift) on the torus grid."""
     th = 2.0 * np.pi * np.arange(grid) / grid
     f1 = np.asarray(exps)[:, 0] - shift
@@ -87,146 +64,3 @@ def torus_grid_eval_numpy(exps, coeffs, shift, grid):
     p1 = np.exp(1j * np.outer(u1, th))
     p2 = np.exp(1j * np.outer(u2, th))
     return p1.T @ (c @ p2)
-
-
-# -- numba implementations ----------------------------------------------------
-
-if not _FORCE_NUMPY:
-
-    @njit(cache=True)
-    def _quadrature_slab_jit(fvals, z0, zgrid, gammas, perms, signs, spower):
-        k = gammas.shape[0]
-        g = zgrid.shape[0]
-        gmax = 0
-        for i in range(k):
-            if gammas[i] > gmax:
-                gmax = gammas[i]
-        # power tables: pw[t, e] = zgrid[t]^e and p0[e] = z0^e
-        pw = np.empty((g, gmax + 1), np.complex128)
-        for t in range(g):
-            acc = 1.0 + 0.0j
-            z = zgrid[t]
-            for e in range(gmax + 1):
-                pw[t, e] = acc
-                acc = acc * z
-        p0 = np.empty(gmax + 1, np.complex128)
-        acc = 1.0 + 0.0j
-        for e in range(gmax + 1):
-            p0[e] = acc
-            acc = acc * z0
-        nperm = perms.shape[0]
-        tidx = np.zeros(k, np.int64)
-        zval = np.empty(k, np.complex128)
-        zpow = np.empty(k, np.complex128)
-        mat = np.empty((k, k), np.complex128)
-        zval[0] = z0
-        for j in range(k):
-            mat[0, j] = p0[gammas[j]]
-        total = 0.0 + 0.0j
-        n = fvals.shape[0]
-        for flat in range(n):
-            for j in range(1, k):
-                zval[j] = zgrid[tidx[j]]
-            for j in range(k):
-                if spower == 2:
-                    zpow[j] = zval[j] * zval[j]
-                else:
-                    zpow[j] = zval[j]
-            va = 1.0 + 0.0j
-            for i in range(k):
-                for j in range(i + 1, k):
-                    va = va * (zpow[i] - zpow[j])
-            # alternant matrix rows for the grid variables (row 0 is fixed)
-            for i in range(1, k):
-                ti = tidx[i]
-                for j in range(k):
-                    mat[i, j] = pw[ti, gammas[j]]
-            # V_b = det(mat): unrolled for the small ranks, Leibniz otherwise
-            if k == 1:
-                vb = mat[0, 0]
-            elif k == 2:
-                vb = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-            elif k == 3:
-                vb = (
-                    mat[0, 0] * (mat[1, 1] * mat[2, 2] - mat[1, 2] * mat[2, 1])
-                    - mat[0, 1] * (mat[1, 0] * mat[2, 2] - mat[1, 2] * mat[2, 0])
-                    + mat[0, 2] * (mat[1, 0] * mat[2, 1] - mat[1, 1] * mat[2, 0])
-                )
-            elif k == 4:
-                p01 = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-                p02 = mat[0, 0] * mat[1, 2] - mat[0, 2] * mat[1, 0]
-                p03 = mat[0, 0] * mat[1, 3] - mat[0, 3] * mat[1, 0]
-                p12 = mat[0, 1] * mat[1, 2] - mat[0, 2] * mat[1, 1]
-                p13 = mat[0, 1] * mat[1, 3] - mat[0, 3] * mat[1, 1]
-                p23 = mat[0, 2] * mat[1, 3] - mat[0, 3] * mat[1, 2]
-                q01 = mat[2, 0] * mat[3, 1] - mat[2, 1] * mat[3, 0]
-                q02 = mat[2, 0] * mat[3, 2] - mat[2, 2] * mat[3, 0]
-                q03 = mat[2, 0] * mat[3, 3] - mat[2, 3] * mat[3, 0]
-                q12 = mat[2, 1] * mat[3, 2] - mat[2, 2] * mat[3, 1]
-                q13 = mat[2, 1] * mat[3, 3] - mat[2, 3] * mat[3, 1]
-                q23 = mat[2, 2] * mat[3, 3] - mat[2, 3] * mat[3, 2]
-                vb = p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01
-            else:
-                vb = 0.0 + 0.0j
-                for p in range(nperm):
-                    prod = signs[p] + 0.0j
-                    for i in range(k):
-                        prod = prod * mat[perms[p, i], i]
-                    vb = vb + prod
-            total = total + fvals[flat] * va * np.conj(vb)
-            # odometer increment over the grid axes (last axis fastest)
-            j = k - 1
-            while j >= 1:
-                tidx[j] += 1
-                if tidx[j] < g:
-                    break
-                tidx[j] = 0
-                j -= 1
-        return total
-
-    @njit(cache=True)
-    def _torus_grid_eval_jit(exps, coeffs, shift, grid):
-        n = exps.shape[0]
-        out = np.zeros((grid, grid), np.complex128)
-        step = 2.0 * np.pi / grid
-        v1 = np.empty(grid, np.complex128)
-        v2 = np.empty(grid, np.complex128)
-        for r in range(n):
-            f1 = exps[r, 0] - shift
-            f2 = exps[r, 1] - shift
-            c = coeffs[r]
-            for t in range(grid):
-                v1[t] = np.exp(1j * step * t * f1)
-                v2[t] = np.exp(1j * step * t * f2)
-            for t1 in range(grid):
-                cv = c * v1[t1]
-                for t2 in range(grid):
-                    out[t1, t2] += cv * v2[t2]
-        return out
-
-    def quadrature_slab_numba(fvals, z0, zgrid, gammas, perms, signs, spower):
-        return complex(
-            _quadrature_slab_jit(
-                np.ascontiguousarray(fvals, np.complex128),
-                complex(z0),
-                np.ascontiguousarray(zgrid, np.complex128),
-                np.ascontiguousarray(gammas, np.int64),
-                np.ascontiguousarray(perms, np.int64),
-                np.ascontiguousarray(signs, np.float64),
-                int(spower),
-            )
-        )
-
-    def torus_grid_eval_numba(exps, coeffs, shift, grid):
-        return _torus_grid_eval_jit(
-            np.ascontiguousarray(exps, np.int64),
-            np.ascontiguousarray(coeffs, np.float64),
-            int(shift),
-            int(grid),
-        )
-
-    quadrature_slab = quadrature_slab_numba
-    torus_grid_eval = torus_grid_eval_numba
-else:
-    quadrature_slab = quadrature_slab_numpy
-    torus_grid_eval = torus_grid_eval_numpy

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .combinatorics import InvalidLength, NotInRectangle, Partition, classify_partition
+from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition
 from . import kernels
 from .polynomial import SparsePoly, exact_div
 
@@ -32,7 +32,7 @@ class DegenerateAlternant(ValueError):
     """Alternant exponents are not strictly decreasing; the sum vanishes."""
 
 
-class NotEvenOrOdd(ValueError):
+class NotEvenOrOdd(OutOfDomain):
     """2k-partition is neither even nor odd; no real Schur class exists."""
 
 
@@ -325,7 +325,7 @@ def numeric_schur_coefficient(
     default grid is 2*deg(f)+1, the generic exactness threshold for
     trigonometric polynomials of that degree.  Evaluation of f on the grid
     goes through an FFT per slab of the first axis; the per-slab combines
-    run in the kernel backend and may be spread over `threads` workers, with
+    run in `kernels.quadrature_slab` and may be spread over `threads` workers, with
     partial sums always reduced in slab order so the result is deterministic.
     """
     if not isinstance(f, RootPolynomial):
@@ -336,7 +336,7 @@ def numeric_schur_coefficient(
     if grid is None:
         grid = max(2 * f.poly.degree() + 1, sharp)
     if grid < sharp:
-        raise ValueError(f"grid {grid} below the exactness threshold {sharp}")
+        raise OutOfDomain(f"grid {grid} below the exactness threshold {sharp}")
     g = int(grid)
 
     maxe = f.poly.max_exponents()
@@ -363,15 +363,7 @@ def numeric_schur_coefficient(
         reduced = np.tensordot(z0**e0, cube, axes=(0, 0))
         folded = _fold_to_grid(reduced, g)
         fvals = np.fft.ifftn(folded) * g ** (k - 1)
-        return kernels.quadrature_slab(
-            np.ascontiguousarray(fvals.ravel(), np.complex128),
-            complex(z0),
-            zgrid.astype(np.complex128),
-            gammas,
-            perms,
-            signs,
-            spower,
-        )
+        return kernels.quadrature_slab(fvals.ravel(), complex(z0), zgrid, gammas, perms, signs, spower)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -111,7 +112,7 @@ def test_lambda_command(capsys):
     assert body["value"] == "-189"
     assert body["sign_certain"] is False
     assert body["numeric_matches"] is True
-    assert body["numeric_backend"] in ("numba", "numpy")
+    assert body["numeric_backend"] == "numpy"
 
 
 def test_scan_command(capsys):
@@ -204,3 +205,76 @@ def test_big_values_are_decimal_strings(capsys):
     body = run_json(capsys, ["count", "--regime", "real", "-d", "5", "-k", "2"])
     assert body["value"] == "37655727525"
     assert int(body["value"]) == 37655727525
+
+
+# stdout of the README CLI examples: their bodies are a contract that refactors keep
+README_BODIES = json.loads((Path(__file__).parent / "data" / "readme_bodies.json").read_text())
+
+
+def _assert_same_json(got, want, where="body"):
+    if isinstance(want, float):
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-9), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            _assert_same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_json(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("example", README_BODIES, ids=[e["args"] for e in README_BODIES])
+def test_readme_example_bodies_unchanged(capsys, example):
+    code, out, err = run(capsys, example["args"].split() + ["--no-cache"])
+    assert code == 0, err
+    if "csv" in example["args"].split():
+        assert out == example["stdout"]
+    else:
+        _assert_same_json(_strip_runtime(json.loads(out)), _strip_runtime(json.loads(example["stdout"])))
+
+
+@pytest.mark.parametrize("argv,expect_code", [
+    ("count --regime complex -d 0 -k 2", 64),
+    ("count --regime complex -d 3 -k 0", 64),
+    ("count --regime real -d 3 -k 0", 64),
+    ("feasibility --regime real -d 0 -k 2", 64),
+    ("scan -d 3 --grid 10", 64),
+    ("lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric --grid 3", 64),
+    ("lambda --regime complex -d 3 -k 0 --alpha 2,2", 64),
+    ("lambda --regime complex -d 0 -k 2 --alpha 2,2", 64),
+    ("asymptote --family incidence --ns 0", 64),
+    ("asymptote --family complex --ds 4 -k 4", 2),
+    ("lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric --threads 0", 64),
+    ("lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric --threads -1", 64),
+])
+def test_bad_input_exit_codes(capsys, argv, expect_code):
+    code, out, err = run(capsys, argv.split() + ["--no-cache"])
+    assert code == expect_code, err
+    assert out == ""
+    assert "internal error" not in err
+
+
+def test_cache_write_failure_keeps_the_result(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    code, out, err = run(capsys, ["count", "--regime", "complex", "-d", "3", "-k", "2",
+                                  "--cache-dir", str(not_a_dir)])
+    assert code == 0
+    assert json.loads(out)["value"] == "27"
+    assert "warning" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "count --regime complex -d 3 -k 2 --grid 64",
+    "count --regime complex -d 3 -k 2 --threads 1",
+    "scan -d 3 --dump-poly",
+    "scan -d 3 --threads 1",
+    "incidence --regime real -n 2 --grid 64",
+])
+def test_flags_only_on_commands_that_read_them(capsys, argv):
+    code, out, err = run(capsys, argv.split())
+    assert code == 64
+    assert "unrecognized arguments" in err

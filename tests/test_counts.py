@@ -34,8 +34,16 @@ def test_complex_root_poly():
     assert all(sum(e) == 20 for e in f.terms)
 
 
+# complex lines on a generic degree-d hypersurface in P^{(d+3)/2}: OEIS A027363
+# (Grunberg-Moree, Exp. Math. 2008)
+PUBLISHED_COMPLEX_LINES = {3: 27, 5: 2875, 7: 698005, 9: 305093061, 11: 210480374951}
+# signed counts of real lines, d!! (Okonek-Teleman; Finashin-Kharlamov)
+PUBLISHED_REAL_LINES = {1: 1, 3: 3, 5: 15, 7: 105, 9: 945, 11: 10395}
+
+
 def test_complex_count():
-    assert complex_count(3, 2).value == 27
+    for d, lines in PUBLISHED_COMPLEX_LINES.items():
+        assert complex_count(d, 2).value == lines, d
     report = complex_count(3, 4)
     assert report.value == 321489 and report.m == 5 and report.feasible
     report = complex_count(2, 2)
@@ -91,12 +99,9 @@ def test_real_count():
 
 
 def test_real_lines_double_factorial():
-    for d in (1, 3, 5, 7):
-        n = (d + 1) // 2
-        expected = 1
-        for j in range(1, 2 * n, 2):
-            expected *= j
-        assert real_count(d, 1).value == expected, d
+    for d, lines in PUBLISHED_REAL_LINES.items():
+        assert lines == math.prod(range(d, 0, -2)), d
+        assert real_count(d, 1).value == lines, d
 
 
 def test_cubic_ci_and_catalan_substitution():

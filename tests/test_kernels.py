@@ -1,6 +1,5 @@
-import os
-import subprocess
-import sys
+import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from schubertcount import kernels
 
 def _slab_case(k, g, seed=0):
     rng = np.random.default_rng(seed)
-    import itertools
     perms = []
     signs = []
     for perm in itertools.permutations(range(k)):
@@ -32,23 +30,49 @@ def _slab_case(k, g, seed=0):
     )
 
 
+def _pointwise_slab(fvals, z0, zgrid, gammas, perms, signs, spower):
+    """The slab sum node by node, in plain Python complex arithmetic."""
+    k = len(gammas)
+    total = 0j
+    for flat, idx in enumerate(itertools.product(range(len(zgrid)), repeat=k - 1)):
+        z = [complex(z0)] + [complex(zgrid[t]) for t in idx]
+        va = 1 + 0j
+        for i in range(k):
+            for j in range(i + 1, k):
+                va *= z[i] ** spower - z[j] ** spower
+        vb = 0j
+        for sign, perm in zip(signs, perms):
+            term = complex(sign)
+            for i in range(k):
+                term *= z[perm[i]] ** int(gammas[i])
+            vb += term
+        total += complex(fvals[flat]) * va * vb.conjugate()
+    return total
+
+
 @pytest.mark.parametrize("k,g", [(2, 17), (3, 9), (4, 6)])
 @pytest.mark.parametrize("spower", [1, 2])
-def test_quadrature_slab_backends_agree(k, g, spower):
+def test_quadrature_slab_against_pointwise(k, g, spower):
     args = _slab_case(k, g, seed=k * 10 + spower)
-    ref = kernels.quadrature_slab_numpy(*args, spower)
+    ref = _pointwise_slab(*args, spower)
     out = kernels.quadrature_slab(*args, spower)
-    scale = max(1.0, abs(ref))
-    assert abs(out - ref) <= 1e-9 * scale
+    assert abs(out - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
-def test_torus_grid_eval_backends_agree():
+def test_torus_grid_eval_random_against_pointwise():
     rng = np.random.default_rng(5)
     exps = rng.integers(0, 12, size=(9, 2)).astype(np.int64)
     coeffs = rng.normal(size=9)
-    ref = kernels.torus_grid_eval_numpy(exps, coeffs, 4, 64)
-    out = kernels.torus_grid_eval(exps, coeffs, 4, 64)
-    assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+    g, shift = 64, 4
+    vals = kernels.torus_grid_eval(exps, coeffs, shift, g)
+    step = 2 * cmath.pi / g
+    ref = np.array([
+        [sum(c * cmath.exp(1j * step * ((e1 - shift) * t1 + (e2 - shift) * t2))
+             for (e1, e2), c in zip(exps.tolist(), coeffs.tolist()))
+         for t2 in range(g)]
+        for t1 in range(g)
+    ])
+    assert np.max(np.abs(vals - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_torus_grid_eval_against_pointwise():
@@ -65,16 +89,3 @@ def test_torus_grid_eval_against_pointwise():
         for (e1, e2), c in zip(exps, coeffs)
     )
     assert abs(vals[t1, t2] - direct) < 1e-10 * abs(direct)
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, SCHUBERT_PURE_NUMPY="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from schubertcount import kernels; print(kernels.backend())"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backend_reports_a_known_name():
-    assert kernels.backend() in ("numba", "numpy")
