@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .combinatorics import Infeasible, OutOfDomain, feasibility
-from .counts import EvenDegree, complex_count, incidence_complex, incidence_real, real_count, real_root_poly
+from .counts import complex_count, incidence_complex, incidence_real, real_count, real_root_poly, require_odd_degree
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class TorusSample:
 
     sign_constant says the real part never changes sign over the grid while
     the imaginary part stays below 1e-8 of the maximum modulus (the global
-    sign itself is a convention of the square-root normalization).
+    sign itself is a convention of the root polynomial's normalization).
     """
 
     d: int
@@ -54,8 +54,7 @@ def torus_scan(d: int, grid: int) -> TorusSample:
     The maximum sits on the curves theta1 - theta2 = +-pi/2; grids divisible
     by 4 hit those curves exactly.
     """
-    if d % 2 == 0:
-        raise EvenDegree(f"degree {d} is even")
+    require_odd_degree(d)
     if grid < 64:
         raise OutOfDomain("grid must be at least 64")
     poly = real_root_poly(d, 2).poly
@@ -86,8 +85,7 @@ def closed_form_max(d: int) -> int:
     factorials d!! (d-2)!! ...; pairs are unordered.  The grid scan of
     `torus_scan` is the oracle for this formula.
     """
-    if d % 2 == 0:
-        raise EvenDegree(f"degree {d} is even")
+    require_odd_degree(d)
     c = 1
     j = d
     while j >= 1:
@@ -131,9 +129,9 @@ def complex_asymptote_table(ds: Sequence[int], k: int, slack: float = 1.7) -> li
     The prediction is an asymptotic upper bound; at desk-scale degrees the
     exact log overshoots it by a bounded factor, so each row is checked
     against prediction * (1 + slack).  The default slack 1.7 covers the
-    computed range (ratio 2.57 at d=3, k=4, decreasing in d); violations
-    raise.  The conjectural asymptotic equality is reported via the ratio
-    column, never asserted.
+    computed range (ratio 2.57 at d=3, k=4, decreasing in d); a violation
+    raises OutOfDomain.  The conjectural asymptotic equality is reported via
+    the ratio column, never asserted.
     """
     rows = []
     for d in ds:
@@ -146,7 +144,7 @@ def complex_asymptote_table(ds: Sequence[int], k: int, slack: float = 1.7) -> li
             rows.append(AsymptoteRow(d, exact_log, prediction, None, degenerate=True))
             continue
         if exact_log > prediction * (1.0 + slack):
-            raise ValueError(
+            raise OutOfDomain(
                 f"log count {exact_log:.3f} exceeds bound {prediction:.3f}*(1+{slack}) at d={d}"
             )
         rows.append(AsymptoteRow(d, exact_log, prediction, exact_log / prediction))

@@ -38,6 +38,7 @@ from .counts import (
     cubic_ci_real,
     incidence_complex,
     incidence_real,
+    linear_factors,
     real_count,
     real_root_poly,
 )
@@ -150,12 +151,11 @@ def _schur(args) -> tuple[dict, int]:
 
 
 def _lambda(args) -> tuple[dict, int]:
+    factors = linear_factors(args.regime, args.d, args.k)
     if args.regime == "complex":
-        root = complex_root_poly(args.d, args.k)
-        coeff = schur_coefficient(root, args.alpha)
+        coeff, root = schur_coefficient(factors, args.alpha), complex_root_poly
     else:
-        root = real_root_poly(args.d, args.k)
-        coeff = real_schur_coefficient(root, args.alpha)
+        coeff, root = real_schur_coefficient(factors, args.alpha), real_root_poly
     body = {
         "regime": args.regime,
         "d": args.d,
@@ -165,7 +165,7 @@ def _lambda(args) -> tuple[dict, int]:
         "sign_certain": coeff.sign_certain,
     }
     if args.numeric:
-        num = numeric_schur_coefficient(root, args.alpha, grid=args.grid, threads=args.threads)
+        num = numeric_schur_coefficient(root(args.d, args.k), args.alpha, grid=args.grid, threads=args.threads)
         err = min(abs(num - coeff.value), abs(num + coeff.value))
         body["numeric"] = [num.real, num.imag]
         body["numeric_backend"] = "numpy"
@@ -220,6 +220,8 @@ def _asymptote(args) -> tuple[dict, int]:
 
 def _feasibility(args) -> tuple[dict, int]:
     last = args.d if args.d_max is None else args.d_max
+    if last < args.d:
+        raise OutOfDomain(f"--d-max {last} is below -d {args.d}")
     rows = []
     for d in range(args.d, last + 1):
         f = feasibility(d, args.k, args.regime)

@@ -2,14 +2,14 @@
 Euler classes, cubic complete intersections, and Catalan-type incidence
 problems, plus the orientability predicates guarding them.
 
-Complex counts extract one Schur coefficient of the top-Chern root
-polynomial, the product of all degree-d composition linear forms.  Real
-counts go through the squared real root product: the signed product over
-compositions into 2k parts is a perfect square, its exact square root is the
-real root polynomial, and the count is the absolute value of one real Schur
-coefficient.  All values are exact integers; real values are reported as
-absolute values because the underlying orientation conventions only pin them
-up to sign.
+Every count is one Schur coefficient of a product of small factors, read
+by `schur` from the factors without expanding the product.  Complex counts
+use the top-Chern root polynomial, the product of all degree-d composition
+linear forms.  Real counts use the real root polynomial, the product of one
+difference form from each pair {r, -r}; the exact square root of the signed
+product of all difference forms (`real_square_poly`) is its cross-check.
+All values are exact integers; real values are reported as absolute values
+because the underlying orientation conventions only pin them up to sign.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import comb
 from typing import Optional, Tuple, Union
 
 from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility
-from .polynomial import SparsePoly, exact_sqrt, product_of_linear_forms
+from .polynomial import SparsePoly, product_of_linear_forms
 from .schur import (
     RootPolynomial,
     real_schur_coefficient,
@@ -87,14 +87,46 @@ def _orientability(d: int, rank: int, m: Optional[int]) -> Optional[Orientabilit
     )
 
 
-@lru_cache(maxsize=None)
-def complex_root_poly(d: int, k: int) -> RootPolynomial:
-    """Root polynomial of the top Chern class of Sym^d: the product of
-    (l_1 z_1 + ... + l_k z_k) over all compositions l of d into k parts."""
+def require_odd_degree(d: int) -> None:
+    """Real signed counts need a degree d >= 1 (OutOfDomain otherwise) that
+    is odd (EvenDegree otherwise: even degree gives vanishing factors)."""
     if d < 1:
         raise OutOfDomain("d must be >= 1")
-    rows = [c.parts for c in compositions(d, k)]
-    return RootPolynomial(product_of_linear_forms(rows, k), "complex")
+    if d % 2 == 0:
+        raise EvenDegree(f"degree {d} is even; real signed counts need odd degree")
+
+
+@lru_cache(maxsize=None)
+def linear_factor_rows(regime: str, d: int, k: int) -> Tuple[Tuple[int, ...], ...]:
+    """Coefficient rows of the linear factors of the degree-d root polynomial.
+
+    Complex: the forms l_1 z_1 + ... + l_k z_k over all compositions l of d
+    into k parts.  Real: the difference forms (l_1 - l_2) x_1 + ... +
+    (l_{2k-1} - l_{2k}) x_k over compositions of d into 2k parts come in
+    pairs {r, -r}, because swapping every l_{2i-1} with l_{2i} negates a form
+    and, for odd d, fixes no composition.  One form of each pair is kept, the
+    one whose first nonzero coefficient is positive; their product is the
+    exact square root of `real_square_poly`, sign included.
+    """
+    if regime == "complex":
+        if d < 1:
+            raise OutOfDomain("d must be >= 1")
+        return tuple(c.parts for c in compositions(d, k))
+    require_odd_degree(d)
+    forms = (tuple(c[2 * i] - c[2 * i + 1] for i in range(k)) for c in compositions(d, 2 * k))
+    return tuple(r for r in forms if next(x for x in r if x) > 0)
+
+
+def linear_factors(regime: str, d: int, k: int) -> list[SparsePoly]:
+    """The linear factors of the degree-d root polynomial, as polynomials."""
+    return [SparsePoly.linear_form(row) for row in linear_factor_rows(regime, d, k)]
+
+
+@lru_cache(maxsize=None)
+def complex_root_poly(d: int, k: int) -> RootPolynomial:
+    """Root polynomial of the top Chern class of Sym^d, expanded (for
+    --dump-poly and the quadrature oracle; counts use its factors)."""
+    return RootPolynomial(product_of_linear_forms(linear_factor_rows("complex", d, k), k), "complex")
 
 
 def complex_count(d: int, k: int) -> CountReport:
@@ -105,23 +137,20 @@ def complex_count(d: int, k: int) -> CountReport:
     if not feas.feasible:
         return CountReport("complex", d, k, None, None, False, orient)
     target = Partition.constant(feas.m, k)
-    value = schur_coefficient(complex_root_poly(d, k), target).value
+    value = schur_coefficient(linear_factors("complex", d, k), target).value
     return CountReport("complex", d, k, feas.m, value, True, orient)
 
 
 @lru_cache(maxsize=None)
 def real_square_poly(d: int, k: int) -> SparsePoly:
-    """The signed square of the real root polynomial, rank 2k.
+    """The signed square of the real root polynomial, rank 2k (an oracle).
 
     Product over all compositions of d into 2k parts of the difference
     forms ((l_1 - lbar_1) x_1 + ... + (l_k - lbar_k) x_k), times (-1)^(N/2)
     with N the number of factors, which makes the result a perfect square.
     Even d is rejected: it produces vanishing factors.
     """
-    if d < 1:
-        raise OutOfDomain("d must be >= 1")
-    if d % 2 == 0:
-        raise EvenDegree(f"degree {d} is even; the squared product vanishes")
+    require_odd_degree(d)
     rows = []
     for comp in compositions(d, 2 * k):
         rows.append(tuple(comp[2 * i] - comp[2 * i + 1] for i in range(k)))
@@ -133,10 +162,10 @@ def real_square_poly(d: int, k: int) -> SparsePoly:
 
 @lru_cache(maxsize=None)
 def real_root_poly(d: int, k: int) -> RootPolynomial:
-    """Real root polynomial of the Euler class of Sym^d, rank 2k: the exact
-    square root of `real_square_poly`, normalized to a positive leading
-    coefficient (the sign is a convention; counts use absolute values)."""
-    return RootPolynomial(exact_sqrt(real_square_poly(d, k)), "real")
+    """Real root polynomial of the Euler class of Sym^d, rank 2k, expanded
+    from its linear factors.  Its leading coefficient is positive (a
+    convention; counts use absolute values)."""
+    return RootPolynomial(product_of_linear_forms(linear_factor_rows("real", d, k), k), "real")
 
 
 @lru_cache(maxsize=None)
@@ -149,12 +178,9 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
 
     Runs over unordered pairs {l1, l2}; the x1 x2 prefactor accumulates to
     exponent (d+1)(d+3)/8.  Must equal real_root_poly(d, 2) up to a global
-    sign; the square-root route is the arbiter and the test suite checks it.
+    sign; the test suite checks it.
     """
-    if d < 1:
-        raise OutOfDomain("d must be >= 1")
-    if d % 2 == 0:
-        raise EvenDegree(f"degree {d} is even")
+    require_odd_degree(d)
     result = SparsePoly.one(2)
     for i in range((d - 1) // 2 + 1):
         s = d - 2 * i
@@ -173,26 +199,24 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
 def real_count(d: int, k: int) -> CountReport:
     """Absolute signed count of real (2k-1)-planes on a generic real
     hypersurface of odd degree d, via the Euler class of Sym^d."""
-    if d % 2 == 0:
-        raise EvenDegree(f"degree {d} is even; the signed count is not defined")
     feas = feasibility(d, k, "real")
+    require_odd_degree(d)
     orient = _orientability(d, 2 * k, feas.m)
     if not feas.feasible:
         return CountReport("real", d, k, None, None, False, orient)
     target = Partition.constant(feas.m, 2 * k)
-    lam = real_schur_coefficient(real_root_poly(d, k), target)
+    lam = real_schur_coefficient(linear_factors("real", d, k), target)
     return CountReport("real", d, k, feas.m, abs(lam.value), True, orient)
 
 
 def cubic_ci_real(r: int) -> CountReport:
     """Absolute signed count of real 3-planes on an intersection of r generic
-    real cubics (m = 5r); r=0 degenerates to the empty intersection."""
+    real cubics (m = 5r), from the 10 linear factors of the cubic's real root
+    polynomial taken r times; r=0 degenerates to the empty intersection."""
     if r < 0:
         raise OutOfDomain("r must be >= 0")
     m = 5 * r
-    f3 = real_root_poly(3, 2)
-    power = RootPolynomial(f3.poly**r, "real")
-    lam = real_schur_coefficient(power, Partition.constant(m, 4))
+    lam = real_schur_coefficient(linear_factors("real", 3, 2) * r, Partition.constant(m, 4))
     orient = _orientability(3, 4, m) if r else None
     return CountReport("real", (3,) * r, 2, m, abs(lam.value), True, orient)
 
@@ -212,10 +236,8 @@ def incidence_real(n: int) -> int:
     (2n-1)-planes along lines; equals the n-th Catalan number."""
     if n < 1:
         raise OutOfDomain("n must be >= 1")
-    base = SparsePoly(2, {(2, 0): 1, (0, 2): 1})
-    f = RootPolynomial(base ** (2 * n), "real")
-    lam = real_schur_coefficient(f, Partition.constant(2 * n, 4))
-    return abs(lam.value)
+    factors = [SparsePoly(2, {(2, 0): 1, (0, 2): 1})] * (2 * n)
+    return abs(real_schur_coefficient(factors, Partition.constant(2 * n, 4)).value)
 
 
 def incidence_complex(n: int) -> int:
@@ -224,6 +246,5 @@ def incidence_complex(n: int) -> int:
     fundamental class."""
     if n < 1:
         raise OutOfDomain("n must be >= 1")
-    s22 = schur_polynomial(Partition((2, 2, 0, 0)), 4)
-    f = RootPolynomial(s22.poly ** (2 * n), "complex")
-    return schur_coefficient(f, Partition.constant(2 * n, 4)).value
+    factors = [schur_polynomial(Partition((2, 2, 0, 0)), 4).poly] * (2 * n)
+    return schur_coefficient(factors, Partition.constant(2 * n, 4)).value

@@ -200,8 +200,6 @@ class SparsePoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return SparsePoly.zero(self.nvars)
-        if len(a) * len(b) >= _PACKED_MUL_THRESHOLD and self.nvars > 1:
-            return _mul_packed(self, other)
         acc: Dict[ExponentVector, int] = {}
         get = acc.get
         items_b = list(b.items())
@@ -289,35 +287,6 @@ class SparsePoly:
         if len(text) > 60:
             text = text[:57] + "..."
         return f"SparsePoly({self.nvars}, {text})"
-
-
-# Above this many coefficient pairs, __mul__ packs exponent tuples into
-# single integers so the inner loop hashes machine ints instead of tuples.
-_PACKED_MUL_THRESHOLD = 1 << 20
-
-
-def _mul_packed(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Large-product path of __mul__; exact, same result as the tuple path."""
-    k = f.nvars
-    base = f.degree() + g.degree() + 1
-    fa = [(sum(c * base**i for i, c in enumerate(e)), v) for e, v in f.terms.items()]
-    ga = [(sum(c * base**i for i, c in enumerate(e)), v) for e, v in g.terms.items()]
-    acc: Dict[int, int] = {}
-    get = acc.get
-    for ke, kc in fa:
-        for le, lc in ga:
-            key = ke + le
-            acc[key] = get(key, 0) + kc * lc
-    out: Dict[ExponentVector, int] = {}
-    for key, c in acc.items():
-        if not c:
-            continue
-        e = []
-        for _ in range(k):
-            key, r = divmod(key, base)
-            e.append(r)
-        out[tuple(e)] = c
-    return SparsePoly._raw(k, out)
 
 
 def product_of_linear_forms(rows: Sequence[Sequence[int]], nvars: int) -> SparsePoly:

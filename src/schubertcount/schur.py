@@ -5,10 +5,13 @@ Coefficient extraction is exact: the torus integral behind a Schur
 coefficient equals one coefficient of f multiplied by the plain (complex
 case) or squared-variable (real case) Vandermonde alternant, because the
 product is antisymmetric and its coefficients at permuted exponents agree up
-to sign.  A floating trapezoidal quadrature of the same integral is kept as
-an independent oracle: on a uniform torus grid the rule is exact for
-trigonometric polynomials once the grid passes the bandwidth threshold, so
-the two routes must agree to rounding.
+to sign.  f may be given as a list of its factors: the coefficient is then
+read from a product of the factors pruned to the monomials that can still
+reach the target, and f itself is never expanded.  A floating trapezoidal
+quadrature of the same integral is kept as an independent oracle: on a
+uniform torus grid the rule is exact for trigonometric polynomials once the
+grid passes the bandwidth threshold, so the two routes must agree to
+rounding.
 """
 
 from __future__ import annotations
@@ -17,15 +20,17 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
+from operator import add, le, sub
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition
 from . import kernels
-from .polynomial import SparsePoly, exact_div
+from .polynomial import ArityMismatch, SparsePoly, exact_div
 
-Polylike = Union["RootPolynomial", SparsePoly]
+# a root polynomial, or a list of its factors
+Factorable = Union["RootPolynomial", SparsePoly, Sequence[SparsePoly]]
 
 
 class DegenerateAlternant(ValueError):
@@ -152,39 +157,27 @@ class SchurCoefficient:
     sign_certain: bool
 
 
-def _as_complex_root(f: Polylike) -> RootPolynomial:
-    if isinstance(f, RootPolynomial):
-        if f.regime != "complex":
-            raise ValueError("expected a complex-regime root polynomial")
-        return f
-    return RootPolynomial(f, "complex")
-
-
-def _as_real_root(f: Polylike) -> RootPolynomial:
-    if isinstance(f, RootPolynomial):
-        if f.regime != "real":
-            raise NotEulerPontryagin("expected a real-regime root polynomial")
-        return f
-    return RootPolynomial(f, "real")
+def _alternant_exponents(regime: str, alpha: Partition, k: Optional[int] = None):
+    """Alternant exponents ga and target gb: delta and alpha + delta (complex),
+    or 2*delta and beta + 2*delta with beta the half-length profile of an
+    even or odd 2k-partition alpha (real); alpha must fit k variables if given."""
+    if regime == "complex":
+        kk, parts, scale = len(alpha), alpha.parts, 1
+    else:
+        parity = classify_partition(alpha)
+        if not (parity.is_even or parity.is_odd):
+            raise NotEvenOrOdd(f"{alpha.parts} is neither an even nor an odd partition")
+        kk, parts, scale = len(alpha) // 2, alpha.parts[0::2], 2
+    if k is not None and kk != k:
+        raise InvalidLength(f"partition of length {len(alpha)} against {k} variables ({regime} regime)")
+    ga = tuple(scale * x for x in delta(kk))
+    return ga, tuple(a + b for a, b in zip(parts, ga))
 
 
 def schur_polynomial(alpha: Partition, k: int) -> RootPolynomial:
     """Schur polynomial as the bialternant quotient V_{alpha+delta} / V_delta."""
-    if len(alpha) != k:
-        raise InvalidLength(f"partition length {len(alpha)} != k={k}")
-    d = delta(k)
-    num = vandermonde(tuple(a + b for a, b in zip(alpha, d)), k)
-    den = vandermonde(d, k)
-    return RootPolynomial(exact_div(num, den), "complex")
-
-
-def _real_profile(alpha: Partition) -> Tuple[int, Tuple[int, ...]]:
-    """Half-length profile beta of an even/odd 2k-partition alpha = beta(2)."""
-    parity = classify_partition(alpha)
-    if not (parity.is_even or parity.is_odd):
-        raise NotEvenOrOdd(f"{alpha.parts} is neither an even nor an odd partition")
-    k = len(alpha) // 2
-    return k, alpha.parts[0::2]
+    ga, gb = _alternant_exponents("complex", alpha, k)
+    return RootPolynomial(exact_div(vandermonde(gb, k), vandermonde(ga, k)), "complex")
 
 
 def real_schur_polynomial(alpha: Partition, k: int) -> RootPolynomial:
@@ -193,56 +186,87 @@ def real_schur_polynomial(alpha: Partition, k: int) -> RootPolynomial:
     Computed as the squared-variable bialternant quotient
     V_{beta+2delta} / V_{2delta} with beta the half-length profile of alpha.
     """
-    kk, beta = _real_profile(alpha)
-    if kk != k:
-        raise InvalidLength(f"partition length {len(alpha)} != 2k with k={k}")
-    d2 = tuple(2 * x for x in delta(k))
-    num = vandermonde(tuple(a + b for a, b in zip(beta, d2)), k)
-    den = vandermonde(d2, k)
-    return RootPolynomial(exact_div(num, den), "real")
+    ga, gb = _alternant_exponents("real", alpha, k)
+    return RootPolynomial(exact_div(vandermonde(gb, k), vandermonde(ga, k)), "real")
 
 
-def _alternant_coefficient(f: SparsePoly, target: Tuple[int, ...], van: SparsePoly) -> int:
-    """Coefficient of x^target in f * van, without expanding the product."""
-    total = 0
-    coeff = f.terms.get
+def _alternant_coefficient(factors: Sequence[SparsePoly], target: Tuple[int, ...], van: SparsePoly) -> int:
+    """Coefficient of x^target in prod(factors) * van, without expanding the product.
+
+    It is the sum, over the terms c*x^e of van, of c times the coefficient of
+    x^(target - e) in the product.  The factors are multiplied in one at a
+    time, keeping a monomial only while it stays inside the box of the
+    shifted targets target - e and can still reach the box with the factors
+    that remain.
+    """
+    k = len(target)
+    if any(f.nvars != k for f in factors):
+        raise ArityMismatch(f"factors must have {k} variables")
+    shifted = {}
     for e, c in van.terms.items():
-        shifted = tuple(t - x for t, x in zip(target, e))
-        if any(x < 0 for x in shifted):
-            continue
-        total += c * coeff(shifted, 0)
-    return total
+        s = tuple(map(sub, target, e))
+        if min(s, default=0) >= 0:
+            shifted[s] = c
+    if not shifted:
+        return 0
+    lo = [min(col) for col in zip(*shifted)]
+    hi = tuple(max(col) for col in zip(*shifted))
+    # lows[j]: the least exponents from which factors[j+1:] can still reach lo
+    lows, most = [], [0] * k
+    for f in reversed(factors):
+        lows.append(tuple(map(sub, lo, most)))
+        for i, col in enumerate(zip(*f.terms)):
+            most[i] += max(col)
+    states = {(0,) * k: 1}
+    for f, low in zip(factors, reversed(lows)):
+        terms = list(f.terms.items())
+        acc: dict = {}
+        get = acc.get
+        for e, c in states.items():
+            for fe, fc in terms:
+                m = tuple(map(add, e, fe))
+                acc[m] = get(m, 0) + c * fc
+        states = {m: c for m, c in acc.items() if c and all(map(le, low, m)) and all(map(le, m, hi))}
+    return sum(c * states.get(s, 0) for s, c in shifted.items())
 
 
-def schur_coefficient(f: Polylike, alpha: Partition) -> SchurCoefficient:
-    """Exact Schur coefficient: the coefficient of z^{alpha+delta} in f*V_delta."""
-    root = _as_complex_root(f)
-    k = root.variables
-    if len(alpha) != k:
-        raise InvalidLength(f"partition length {len(alpha)} != {k} variables")
-    d = delta(k)
-    target = tuple(a + b for a, b in zip(alpha, d))
-    value = _alternant_coefficient(root.poly, target, vandermonde(d, k))
-    return SchurCoefficient(alpha, value, sign_certain=True)
+def _as_factors(f: Factorable, regime: str) -> Tuple[Sequence[SparsePoly], Optional[int]]:
+    """The factors of f and their number of variables (None for no factors).
+    A factor list is taken as it is, since its product is never built; a
+    single polynomial must be a root polynomial of the regime."""
+    if isinstance(f, (list, tuple)):
+        return f, (f[0].nvars if f else None)
+    if not isinstance(f, RootPolynomial):
+        f = RootPolynomial(f, regime)
+    elif f.regime != regime:
+        error = NotEulerPontryagin if regime == "real" else ValueError
+        raise error(f"expected a {regime}-regime root polynomial")
+    return [f.poly], f.variables
 
 
-def real_schur_coefficient(f: Polylike, alpha: Partition) -> SchurCoefficient:
+def _coefficient(f: Factorable, alpha: Partition, regime: str) -> int:
+    factors, k = _as_factors(f, regime)
+    ga, gb = _alternant_exponents(regime, alpha, k)
+    return _alternant_coefficient(factors, gb, vandermonde(ga, len(ga)))
+
+
+def schur_coefficient(f: Factorable, alpha: Partition) -> SchurCoefficient:
+    """Exact Schur coefficient: the coefficient of z^{alpha+delta} in f*V_delta.
+
+    f is a complex root polynomial or a list of factors of one.
+    """
+    return SchurCoefficient(alpha, _coefficient(f, alpha, "complex"), sign_certain=True)
+
+
+def real_schur_coefficient(f: Factorable, alpha: Partition) -> SchurCoefficient:
     """Real Schur coefficient of an even or odd 2k-partition, up to sign.
 
     Equals the coefficient of x^{beta+2delta} in f*V_{2delta}, with beta the
-    half-length profile of alpha.  sign_certain is False: orientation
-    conventions leave the global sign open, and consumers use |value|.
+    half-length profile of alpha; f is a real root polynomial or a list of
+    factors of one.  sign_certain is False: orientation conventions leave
+    the global sign open, and consumers use |value|.
     """
-    root = _as_real_root(f)
-    k, beta = _real_profile(alpha)
-    if k != root.variables:
-        raise InvalidLength(
-            f"2k-partition of length {len(alpha)} against {root.variables} variables"
-        )
-    d2 = tuple(2 * x for x in delta(k))
-    target = tuple(a + b for a, b in zip(beta, d2))
-    value = _alternant_coefficient(root.poly, target, vandermonde(d2, k))
-    return SchurCoefficient(alpha, value, sign_certain=False)
+    return SchurCoefficient(alpha, _coefficient(f, alpha, "real"), sign_certain=False)
 
 
 def duality_pairing(alpha: Partition, beta: Partition, m: int, k: int) -> int:
@@ -254,8 +278,8 @@ def duality_pairing(alpha: Partition, beta: Partition, m: int, k: int) -> int:
         raise InvalidLength("both partitions must have length k")
     if (k and alpha[0] > m) or (k and beta[0] > m):
         raise NotInRectangle(f"partitions must fit in the {k}x{m} rectangle")
-    product = schur_polynomial(alpha, k).poly * schur_polynomial(beta, k).poly
-    return schur_coefficient(product, Partition.constant(m, k)).value
+    factors = [schur_polynomial(alpha, k).poly, schur_polynomial(beta, k).poly]
+    return schur_coefficient(factors, Partition.constant(m, k)).value
 
 
 # -- numeric quadrature oracle -------------------------------------------------
@@ -270,29 +294,9 @@ def quadrature_threshold(f: RootPolynomial, alpha: Partition) -> int:
     endpoints in absolute value, only the zero frequency survives the
     periodic sum.
     """
-    ga, gb, _ = _quadrature_exponents(f, alpha)
+    ga, gb = _alternant_exponents(f.regime, alpha, f.variables)
     emax = max(f.poly.max_exponents(), default=0)
     return max(gb[0], emax + ga[0] - gb[-1]) + 1
-
-
-def _quadrature_exponents(f: RootPolynomial, alpha: Partition):
-    k = f.variables
-    if f.regime == "complex":
-        if len(alpha) != k:
-            raise InvalidLength(f"partition length {len(alpha)} != {k} variables")
-        ga = delta(k)
-        gb = tuple(a + b for a, b in zip(alpha, ga))
-        spower = 1
-    else:
-        kk, beta = _real_profile(alpha)
-        if kk != k:
-            raise InvalidLength(
-                f"2k-partition of length {len(alpha)} against {k} variables"
-            )
-        ga = tuple(2 * x for x in delta(k))
-        gb = tuple(a + b for a, b in zip(beta, ga))
-        spower = 2
-    return ga, gb, spower
 
 
 def _fold_to_grid(arr: np.ndarray, grid: int) -> np.ndarray:
@@ -330,7 +334,8 @@ def numeric_schur_coefficient(
     """
     if not isinstance(f, RootPolynomial):
         raise TypeError("numeric_schur_coefficient expects a RootPolynomial")
-    ga, gb, spower = _quadrature_exponents(f, alpha)
+    _, gb = _alternant_exponents(f.regime, alpha, f.variables)
+    spower = 1 if f.regime == "complex" else 2
     k = f.variables
     sharp = quadrature_threshold(f, alpha)
     if grid is None:

@@ -249,6 +249,13 @@ def test_readme_example_bodies_unchanged(capsys, example):
     ("asymptote --family complex --ds 4 -k 4", 2),
     ("lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric --threads 0", 64),
     ("lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric --threads -1", 64),
+    ("count --regime real -d 0 -k 2", 64),
+    ("scan -d 0", 64),
+    ("asymptote --family real --ds 0", 64),
+    ("feasibility --regime real -d 5 -k 2 --d-max 3", 64),
+    ("asymptote --family complex --ds 3 -k 5", 64),
+    ("count --regime real -d 4 -k 2", 2),
+    ("scan -d 4", 2),
 ])
 def test_bad_input_exit_codes(capsys, argv, expect_code):
     code, out, err = run(capsys, argv.split() + ["--no-cache"])

@@ -1,7 +1,9 @@
+import json
 import math
 
 import pytest
 
+from schubertcount import cli, counts, polynomial
 from schubertcount.combinatorics import catalan
 from schubertcount.counts import (
     EvenDegree,
@@ -19,7 +21,7 @@ from schubertcount.counts import (
     real_square_poly,
     sym_power_orientable,
 )
-from schubertcount.polynomial import SparsePoly
+from schubertcount.polynomial import SparsePoly, exact_sqrt
 from schubertcount.schur import in_euler_pontryagin
 
 # 9 x^3 y^3 (4(x^2+y^2)^2 - 25 x^2 y^2), the degree-3 real root polynomial
@@ -48,6 +50,7 @@ def test_complex_count():
     assert report.value == 321489 and report.m == 5 and report.feasible
     report = complex_count(2, 2)
     assert not report.feasible and report.value is None and report.m is None
+    assert complex_count(6, 4).value == 509790561507026458604600562562407674699832025446617186304
 
 
 def test_real_square_poly():
@@ -71,6 +74,36 @@ def test_real_root_poly_degree_and_ring():
         root = real_root_poly(d, k)
         assert root.poly.degree() == math.comb(d + 2 * k - 1, 2 * k - 1) // 2, (d, k)
         assert in_euler_pontryagin(root.poly)
+
+
+REAL_LADDER = ((1, 1), (3, 1), (5, 1), (1, 2), (3, 2), (5, 2), (7, 2), (9, 2), (1, 3), (3, 3), (5, 3))
+
+
+@pytest.mark.parametrize("d,k", REAL_LADDER)
+def test_real_root_poly_is_the_square_root(d, k):
+    # one difference form from each pair {r, -r} multiplies out to the square root, sign included
+    assert real_root_poly(d, k).poly == exact_sqrt(real_square_poly(d, k))
+
+
+def test_counts_never_expand_the_product(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a count built a full product, a power or a square root")
+
+    for module in (polynomial, counts, cli):
+        for name in ("product_of_linear_forms", "exact_sqrt", "complex_root_poly", "real_root_poly",
+                     "real_square_poly"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(SparsePoly, "__mul__", refuse)
+    monkeypatch.setattr(SparsePoly, "__pow__", refuse)
+    assert complex_count(5, 4).value == 64127725294951805931404297113125
+    assert real_count(5, 3).value == 731282707860990814833962787125573040618750
+    assert cubic_ci_real(4).value == catalan_substitution(4)
+    assert incidence_real(8) == catalan(8)
+    assert incidence_complex(8) == 2325250316950
+    code = cli.main(["lambda", "--regime", "real", "-d", "3", "-k", "2", "--alpha", "5,5,5,5", "--no-cache"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "-189"
 
 
 def test_factored_real_root_poly():

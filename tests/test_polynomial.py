@@ -10,7 +10,6 @@ from schubertcount.polynomial import (
     NotDivisible,
     SparsePoly,
     TorusPoint,
-    _mul_packed,
     exact_div,
     exact_sqrt,
     product_of_linear_forms,
@@ -150,15 +149,6 @@ def test_ring_axioms_random():
         assert f * g == g * f
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
-
-
-def test_packed_mul_matches_tuple_path():
-    rng = random.Random(23)
-    for _ in range(20):
-        k = rng.randint(2, 4)
-        f = random_poly(rng, k, 12, 6)
-        g = random_poly(rng, k, 12, 6)
-        assert _mul_packed(f, g) == f * g
 
 
 def test_eval_torus():

@@ -2,11 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import partitions_of, random_poly, symmetrize
 from schubertcount.combinatorics import InvalidLength, NotInRectangle, Partition
 from schubertcount.counts import complex_root_poly, real_root_poly
-from schubertcount.polynomial import SparsePoly
+from schubertcount.polynomial import ArityMismatch, SparsePoly
 from schubertcount.schur import (
     DegenerateAlternant,
     NotEulerPontryagin,
@@ -81,6 +82,8 @@ def test_schur_coefficient_examples():
     lam = schur_coefficient(complex_root_poly(3, 4), Partition((5, 5, 5, 5)))
     assert lam.value == 321489
     assert lam.sign_certain
+    with pytest.raises(ArityMismatch):
+        schur_coefficient([SparsePoly.one(2), SparsePoly.one(3)], Partition((1, 1)))
 
 
 def test_orthonormality():
@@ -252,3 +255,45 @@ def test_numeric_threads_deterministic():
 def test_delta():
     assert delta(4) == (3, 2, 1, 0)
     assert delta(1) == (0,)
+
+
+@st.composite
+def factors_and_partition(draw, regime):
+    """Random short lists of small factors in 1-3 variables, and a partition
+    of the regime: length k (complex) or an even or odd 2k-partition (real)."""
+    k = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 3)] * k)
+    factor = st.dictionaries(exponent, st.integers(-4, 4), min_size=1, max_size=4)
+    factors = [SparsePoly(k, terms) for terms in draw(st.lists(factor, max_size=5))]
+    parts = sorted(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)), reverse=True)
+    if regime == "complex":
+        return factors, Partition(tuple(parts))
+    parity = draw(st.integers(0, 1))
+    return factors, Partition(tuple(x for p in parts for x in (2 * p + parity,) * 2))
+
+
+def _expanded_coefficient(factors, alpha, regime):
+    """The reference: expand the product, multiply by the alternant, read one coefficient."""
+    if regime == "complex":
+        k, parts, ga = len(alpha), alpha.parts, delta(len(alpha))
+    else:
+        k = len(alpha) // 2
+        parts, ga = alpha.parts[0::2], tuple(2 * x for x in delta(k))
+    product = SparsePoly.one(k)
+    for f in factors:
+        product = product * f
+    return (product * vandermonde(ga, k)).coefficient_at(tuple(a + b for a, b in zip(parts, ga)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors_and_partition("complex"))
+def test_engine_matches_expansion_complex(case):
+    factors, alpha = case
+    assert schur_coefficient(factors, alpha).value == _expanded_coefficient(factors, alpha, "complex")
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors_and_partition("real"))
+def test_engine_matches_expansion_real(case):
+    factors, alpha = case
+    assert real_schur_coefficient(factors, alpha).value == _expanded_coefficient(factors, alpha, "real")
