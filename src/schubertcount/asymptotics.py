@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import kernels
 from .combinatorics import Infeasible, OutOfDomain, feasibility
 from .counts import complex_count, incidence_complex, incidence_real, real_count, real_root_poly, require_odd_degree
 
@@ -57,23 +54,13 @@ def torus_scan(d: int, grid: int) -> TorusSample:
     require_odd_degree(d)
     if grid < 64:
         raise OutOfDomain("grid must be at least 64")
-    poly = real_root_poly(d, 2).poly
+    from . import kernels  # numpy is loaded on the float paths only
+
+    terms = real_root_poly(d, 2).poly.sorted_terms()
     m = feasibility(d, 2, "real").m
-    terms = poly.sorted_terms()
-    exps = np.array([e for e, _ in terms], np.int64).reshape(len(terms), 2)
-    coeffs = np.array([float(c) for _, c in terms], np.float64)
-    values = kernels.torus_grid_eval(exps, coeffs, m, grid)
-    modulus = np.abs(values)
-    max_mod = float(modulus.max())
-    min_mod = float(modulus.min())
-    re = values.real
-    sign_constant = bool(
-        (np.all(re > 0.0) or np.all(re < 0.0))
-        and np.abs(values.imag).max() <= 1e-8 * max_mod
-    )
+    min_mod, max_mod, sign_constant, hits = kernels.torus_extrema(terms, m, grid)
     step = 2.0 * math.pi / grid
-    hits = np.argwhere(modulus >= max_mod * (1.0 - 1e-9))
-    argmax = tuple((float(i * step), float(j * step)) for i, j in hits)
+    argmax = tuple((i * step, j * step) for i, j in hits)
     return TorusSample(d, grid, min_mod, max_mod, sign_constant, argmax)
 
 
@@ -130,14 +117,16 @@ def complex_asymptote_table(ds: Sequence[int], k: int, slack: float = 1.7) -> li
     exact log overshoots it by a bounded factor, so each row is checked
     against prediction * (1 + slack).  The default slack 1.7 covers the
     computed range (ratio 2.57 at d=3, k=4, decreasing in d); a violation
-    raises OutOfDomain.  The conjectural asymptotic equality is reported via
-    the ratio column, never asserted.
+    raises OutOfDomain, as does a count of 0 (no log).  The conjectural
+    asymptotic equality is reported via the ratio column, never asserted.
     """
     rows = []
     for d in ds:
         report = complex_count(d, k)
         if not report.feasible:
             raise Infeasible(f"(d={d}, k={k}) is infeasible in the complex regime")
+        if report.value == 0:
+            raise OutOfDomain(f"the complex count at (d={d}, k={k}) is 0, so its log is undefined")
         exact_log = math.log(report.value)
         prediction = (d ** (k - 1) / math.factorial(k - 1)) * math.log(d)
         if prediction == 0.0:

@@ -1,9 +1,9 @@
 """File-backed result cache: one JSON file per entry, atomic writes.
 
 The cache key is a pure function of the request (command, sorted parameters,
-engine version), so a hit is byte-identical to a recomputation.  Entries are
-written to a temporary file and renamed into place, so concurrent writers
-never corrupt each other; unreadable entries are treated as misses.
+engine version, body schema), so a hit is byte-identical to a recomputation.
+Entries are written to a temporary file and renamed into place, so concurrent
+writers never corrupt each other; unreadable entries are treated as misses.
 """
 
 from __future__ import annotations
@@ -16,8 +16,14 @@ import time
 from typing import Optional
 
 
+# version of the shape of the cached bodies: bump it when a body gains, loses or
+# renames a field, so that entries in the old shape are never served
+BODY_SCHEMA = 1
+
+
 def cache_key(command: str, params: dict, engine_version: str) -> str:
-    parts = [command] + [f"{k}={params[k]}" for k in sorted(params)] + [f"v={engine_version}"]
+    parts = [command] + [f"{k}={params[k]}" for k in sorted(params)]
+    parts += [f"v={engine_version}", f"schema={BODY_SCHEMA}"]
     return " ".join(parts)
 
 

@@ -75,10 +75,17 @@ def _partition(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+def usable_cores() -> int:
+    """The CPUs this process may run on (its affinity set where the OS reports one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _thread_count(text: str) -> int:
+    value, cores = int(text), usable_cores()
+    if not 1 <= value <= cores:
+        raise argparse.ArgumentTypeError(f"must be between 1 and the {cores} available cores, got {value}")
     return value
 
 
@@ -293,7 +300,7 @@ COMMANDS = {
         (REGIME, D, K, ALPHA,
          _arg("--numeric", action="store_true", help="also run the quadrature oracle"),
          _arg("--grid", type=int, default=None, help="quadrature nodes per axis"),
-         _arg("--threads", type=_positive_int, default=1, help="quadrature worker threads")),
+         _arg("--threads", type=_thread_count, default=1, help="quadrature worker threads")),
         _lambda, cache=("regime", "d", "k", "alpha"), uncached_if="numeric",
     ),
     "scan": Command(

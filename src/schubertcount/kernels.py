@@ -1,4 +1,4 @@
-"""Hot numeric kernels, written in numpy.
+"""Hot numeric kernels, written in numpy; the only module that imports it.
 
 Two kernels live here, both floating-point:
 
@@ -9,11 +9,17 @@ Two kernels live here, both floating-point:
 * ``torus_grid_eval`` - evaluation of a two-variable Laurent polynomial
   f(x) / (x1 x2)^shift on the full torus grid.
 
-The exact integer arithmetic elsewhere in the package never goes through
-this module.
+``torus_quadrature`` and ``torus_extrema`` set up their arrays and reduce
+their results.  The exact integer arithmetic elsewhere in the package never
+goes through this module, and imports it only on the float paths
+(`schur.numeric_schur_coefficient` and `asymptotics.torus_scan`), so exact
+commands never load numpy.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from math import factorial
 
 import numpy as np
 
@@ -64,3 +70,85 @@ def torus_grid_eval(exps, coeffs, shift, grid):
     p1 = np.exp(1j * np.outer(u1, th))
     p2 = np.exp(1j * np.outer(u2, th))
     return p1.T @ (c @ p2)
+
+
+def _fold_to_grid(arr: np.ndarray, grid: int) -> np.ndarray:
+    """Reduce every axis length to `grid` by summing entries with equal
+    exponent residues (z^e on the grid only sees e mod grid)."""
+    for axis in range(arr.ndim):
+        n = arr.shape[axis]
+        if n == grid:
+            continue
+        arr = np.moveaxis(arr, axis, 0)
+        blocks = -(-n // grid)
+        if blocks * grid != n:
+            pad = [(0, blocks * grid - n)] + [(0, 0)] * (arr.ndim - 1)
+            arr = np.pad(arr, pad)
+        arr = arr.reshape((blocks, grid) + arr.shape[1:]).sum(axis=0)
+        arr = np.moveaxis(arr, 0, axis)
+    return arr
+
+
+def torus_quadrature(terms, max_exponents, gb, perm_data, spower, grid, threads):
+    """Trapezoidal rule, on a grid^k torus lattice, for the integral of
+    f(z) * V_a(z) * conj(V_b(z)) / k!, with f = sum c z^e over `terms`.
+
+    V_b is the alternant of the exponents `gb` over the (permutation, sign)
+    pairs `perm_data`.  f is evaluated through an FFT per slab of the first
+    axis; the slabs run in `quadrature_slab`, on `threads` workers if more
+    than one, and are reduced in slab order so the result is deterministic.
+    """
+    k = len(gb)
+    g = int(grid)
+    cube = np.zeros(tuple(x + 1 for x in max_exponents), np.complex128)
+    for e, c in terms.items():
+        cube[e] = float(c)
+
+    perms = np.array([p for p, _ in perm_data], np.int64).reshape(len(perm_data), k)
+    signs = np.array([s for _, s in perm_data], np.float64)
+    gammas = np.array(gb, np.int64)
+    zgrid = np.exp(2j * np.pi * np.arange(g) / g)
+
+    if k == 1:
+        vals = np.fft.ifft(_fold_to_grid(cube, g)) * g
+        total = complex(np.sum(vals * np.conj(zgrid ** int(gb[0]))))
+        return total / g
+
+    e0 = np.arange(cube.shape[0])
+
+    def slab(t0: int) -> complex:
+        z0 = zgrid[t0]
+        reduced = np.tensordot(z0**e0, cube, axes=(0, 0))
+        folded = _fold_to_grid(reduced, g)
+        fvals = np.fft.ifftn(folded) * g ** (k - 1)
+        return quadrature_slab(fvals.ravel(), complex(z0), zgrid, gammas, perms, signs, spower)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            partials = list(pool.map(slab, range(g)))
+    else:
+        partials = [slab(t0) for t0 in range(g)]
+    total = sum(partials, start=0j)
+    return total / (factorial(k) * g**k)
+
+
+def torus_extrema(terms, shift, grid):
+    """Extrema of |f(x) / (x1 x2)^shift| over the grid x grid torus lattice,
+    f = sum c x^e over the two-variable `terms` (exponents, coefficient).
+
+    Returns the least and greatest modulus, whether the real part keeps one
+    sign while the imaginary part stays below 1e-8 of the greatest modulus,
+    and the grid nodes (i, j) where the modulus is within 1e-9 of its maximum.
+    """
+    exps = np.array([e for e, _ in terms], np.int64).reshape(len(terms), 2)
+    coeffs = np.array([float(c) for _, c in terms], np.float64)
+    values = torus_grid_eval(exps, coeffs, shift, grid)
+    modulus = np.abs(values)
+    max_mod = float(modulus.max())
+    re = values.real
+    sign_constant = bool(
+        (np.all(re > 0.0) or np.all(re < 0.0))
+        and np.abs(values.imag).max() <= 1e-8 * max_mod
+    )
+    hits = np.argwhere(modulus >= max_mod * (1.0 - 1e-9))
+    return float(modulus.min()), max_mod, sign_constant, [(int(i), int(j)) for i, j in hits]

@@ -17,16 +17,12 @@ rounding.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 from operator import add, le, sub
 from typing import Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition
-from . import kernels
 from .polynomial import ArityMismatch, SparsePoly, exact_div
 
 # a root polynomial, or a list of its factors
@@ -299,23 +295,6 @@ def quadrature_threshold(f: RootPolynomial, alpha: Partition) -> int:
     return max(gb[0], emax + ga[0] - gb[-1]) + 1
 
 
-def _fold_to_grid(arr: np.ndarray, grid: int) -> np.ndarray:
-    """Reduce every axis length to `grid` by summing entries with equal
-    exponent residues (z^e on the grid only sees e mod grid)."""
-    for axis in range(arr.ndim):
-        n = arr.shape[axis]
-        if n == grid:
-            continue
-        arr = np.moveaxis(arr, axis, 0)
-        blocks = -(-n // grid)
-        if blocks * grid != n:
-            pad = [(0, blocks * grid - n)] + [(0, 0)] * (arr.ndim - 1)
-            arr = np.pad(arr, pad)
-        arr = arr.reshape((blocks, grid) + arr.shape[1:]).sum(axis=0)
-        arr = np.moveaxis(arr, 0, axis)
-    return arr
-
-
 def numeric_schur_coefficient(
     f: RootPolynomial,
     alpha: Partition,
@@ -336,44 +315,12 @@ def numeric_schur_coefficient(
         raise TypeError("numeric_schur_coefficient expects a RootPolynomial")
     _, gb = _alternant_exponents(f.regime, alpha, f.variables)
     spower = 1 if f.regime == "complex" else 2
-    k = f.variables
     sharp = quadrature_threshold(f, alpha)
     if grid is None:
         grid = max(2 * f.poly.degree() + 1, sharp)
     if grid < sharp:
         raise OutOfDomain(f"grid {grid} below the exactness threshold {sharp}")
-    g = int(grid)
+    from . import kernels  # numpy is loaded on the float paths only
 
-    maxe = f.poly.max_exponents()
-    cube = np.zeros(tuple(x + 1 for x in maxe), np.complex128)
-    for e, c in f.poly.terms.items():
-        cube[e] = float(c)
-
-    perm_data = _perm_data(k)
-    perms = np.array([p for p, _ in perm_data], np.int64).reshape(len(perm_data), k)
-    signs = np.array([s for _, s in perm_data], np.float64)
-    gammas = np.array(gb, np.int64)
-    zgrid = np.exp(2j * np.pi * np.arange(g) / g)
-
-    if k == 1:
-        vals = np.fft.ifft(_fold_to_grid(cube, g)) * g
-        total = complex(np.sum(vals * np.conj(zgrid ** int(gb[0]))))
-        return total / g
-
-    n0 = cube.shape[0]
-    e0 = np.arange(n0)
-
-    def slab(t0: int) -> complex:
-        z0 = zgrid[t0]
-        reduced = np.tensordot(z0**e0, cube, axes=(0, 0))
-        folded = _fold_to_grid(reduced, g)
-        fvals = np.fft.ifftn(folded) * g ** (k - 1)
-        return kernels.quadrature_slab(fvals.ravel(), complex(z0), zgrid, gammas, perms, signs, spower)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(slab, range(g)))
-    else:
-        partials = [slab(t0) for t0 in range(g)]
-    total = sum(partials, start=0j)
-    return total / (factorial(k) * g**k)
+    perm_data = _perm_data(f.variables)
+    return kernels.torus_quadrature(f.poly.terms, f.poly.max_exponents(), gb, perm_data, spower, grid, threads)

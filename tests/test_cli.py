@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from schubertcount.cli import main
+from schubertcount import __version__
+from schubertcount import cache
+from schubertcount.cache import ResultCache, cache_key
+from schubertcount.cli import main, usable_cores
 
 
 def run(capsys, argv):
@@ -201,6 +204,21 @@ def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     assert body["cached"] is True
 
 
+def test_cache_entry_of_another_body_schema_misses(tmp_path, capsys, monkeypatch):
+    argv = ["count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir", str(tmp_path)]
+    params = {"regime": "complex", "d": 3, "k": 2, "dump_poly": False}
+    current = cache_key("count", params, __version__)
+    with monkeypatch.context() as patch:
+        patch.setattr(cache, "BODY_SCHEMA", cache.BODY_SCHEMA + 1)
+        stale = cache_key("count", params, __version__)
+    assert stale != current
+    ResultCache(str(tmp_path)).store(stale, '{"value": "stale"}', __version__)
+    body = run_json(capsys, argv)
+    assert body["cached"] is False
+    assert body["value"] == "27"
+    assert run_json(capsys, argv)["cached"] is True
+
+
 def test_big_values_are_decimal_strings(capsys):
     body = run_json(capsys, ["count", "--regime", "real", "-d", "5", "-k", "2"])
     assert body["value"] == "37655727525"
@@ -256,6 +274,9 @@ def test_readme_example_bodies_unchanged(capsys, example):
     ("asymptote --family complex --ds 3 -k 5", 64),
     ("count --regime real -d 4 -k 2", 2),
     ("scan -d 4", 2),
+    ("asymptote --family complex --ds 2 -k 3", 64),
+    pytest.param(f"lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric --threads {usable_cores() + 1}",
+                 64, id="lambda --numeric --threads above the core count"),
 ])
 def test_bad_input_exit_codes(capsys, argv, expect_code):
     code, out, err = run(capsys, argv.split() + ["--no-cache"])
