@@ -173,7 +173,8 @@ def _lambda(args) -> tuple[dict, int]:
     }
     if args.numeric:
         num = numeric_schur_coefficient(root(args.d, args.k), args.alpha, grid=args.grid, threads=args.threads)
-        err = min(abs(num - coeff.value), abs(num + coeff.value))
+        signs = (1,) if coeff.sign_certain else (1, -1)
+        err = min(abs(num - s * coeff.value) for s in signs)
         body["numeric"] = [num.real, num.imag]
         body["numeric_backend"] = "numpy"
         body["numeric_matches"] = bool(err <= 1e-6 * max(1.0, abs(coeff.value)))

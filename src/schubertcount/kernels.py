@@ -5,7 +5,8 @@ Two kernels live here, both floating-point:
 * ``quadrature_slab`` - the inner sum of the torus quadrature oracle: for one
   fixed first coordinate z0 it accumulates f(z) * V_a(z) * conj(V_b(z)) over
   the remaining grid axes, where V_a is a Vandermonde product (plain or in
-  squared variables) and V_b a generalized Vandermonde alternant.
+  squared variables) and V_b a generalized Vandermonde alternant.  The part
+  of V_a * conj(V_b) free of z0 is built once, by ``alternant_table``.
 * ``torus_grid_eval`` - evaluation of a two-variable Laurent polynomial
   f(x) / (x1 x2)^shift on the full torus grid.
 
@@ -24,38 +25,48 @@ from math import factorial
 import numpy as np
 
 
-def quadrature_slab(fvals, z0, zgrid, gammas, perms, signs, spower):
+def quadrature_slab(fvals, z0, zgrid, table, gammas, spower):
     """Sum f(z)*V_a(z)*conj(V_b(z)) over one slab of the torus grid.
 
     fvals: flattened values of f on the slab, axes (z_2, ..., z_k) in
     row-major order, g nodes per axis.  z0 is the fixed first coordinate.
-    V_a = prod_{i<j} (z_i^spower - z_j^spower); V_b is the alternant with
-    exponent sequence `gammas` summed over the permutations `perms` with
-    the matching `signs`.
+    `table` is `alternant_table` of the same grid, `gammas` and `spower`;
+    the slab applies what depends on z0: f times the factors
+    (z0^spower - z_j^spower) of V_a, and conj(z0^gammas) on the rows.
     """
-    k = int(len(gammas))
-    g = int(len(zgrid))
-    if k == 1:
-        return complex(fvals[0] * np.conj(z0 ** int(gammas[0])))
-    shape = (g,) * (k - 1)
-    fv = np.asarray(fvals).reshape(shape)
-    zs: list = [np.complex128(z0)]
-    for j in range(1, k):
-        sh = [1] * (k - 1)
-        sh[j - 1] = g
-        zs.append(np.asarray(zgrid).reshape(sh))
-    zp = [z ** int(spower) for z in zs]
-    va = np.ones(shape, np.complex128)
-    for i in range(k):
-        for j in range(i + 1, k):
-            va = va * (zp[i] - zp[j])
-    vb = np.zeros(shape, np.complex128)
-    for sign, perm in zip(signs, perms):
+    g = len(zgrid)
+    dims = len(gammas) - 1
+    gap = complex(z0) ** spower - np.asarray(zgrid) ** spower
+    a = np.asarray(fvals).reshape((g,) * dims)
+    for j in range(dims):
+        a = a * gap.reshape([g if i == j else 1 for i in range(dims)])
+    return complex(np.conj(complex(z0) ** np.asarray(gammas)) @ (table @ a.ravel()))
+
+
+def alternant_table(zgrid, gammas, perm_data, spower):
+    """The z0-free part of V_a * conj(V_b) on one slab: k rows of g^(k-1) nodes.
+
+    V_a = prod_{i<j} (z_i^spower - z_j^spower) is prod_{j>=2} (z0^s - z_j^s)
+    times B, the same product over z_2, ..., z_k.  V_b, the alternant of the
+    exponents `gammas` over the (permutation, sign) pairs `perm_data`, is
+    sum_i z0^gammas[i] * C_i(z_2, ..., z_k), with C_i the sum of the terms
+    whose permutation puts z0 at place i.  Row i is conj(C_i) * B.
+    """
+    k = len(gammas)
+    g = len(zgrid)
+    axes = [np.asarray(zgrid).reshape([g if i == j else 1 for i in range(k - 1)]) for j in range(k - 1)]
+    table = np.zeros((k,) + (g,) * (k - 1), np.complex128)
+    for perm, sign in perm_data:
         term = np.complex128(sign)
         for i in range(k):
-            term = term * zs[int(perm[i])] ** int(gammas[i])
-        vb = vb + term
-    return complex(np.sum(fv * va * np.conj(vb)))
+            if perm[i] != 0:
+                term = term * axes[perm[i] - 1] ** int(gammas[i])
+        table[list(perm).index(0)] += term
+    np.conjugate(table, out=table)
+    for i in range(k - 1):
+        for j in range(i + 1, k - 1):
+            table *= axes[i] ** spower - axes[j] ** spower
+    return table.reshape(k, -1)
 
 
 def torus_grid_eval(exps, coeffs, shift, grid):
@@ -72,21 +83,11 @@ def torus_grid_eval(exps, coeffs, shift, grid):
     return p1.T @ (c @ p2)
 
 
-def _fold_to_grid(arr: np.ndarray, grid: int) -> np.ndarray:
-    """Reduce every axis length to `grid` by summing entries with equal
-    exponent residues (z^e on the grid only sees e mod grid)."""
-    for axis in range(arr.ndim):
-        n = arr.shape[axis]
-        if n == grid:
-            continue
-        arr = np.moveaxis(arr, axis, 0)
-        blocks = -(-n // grid)
-        if blocks * grid != n:
-            pad = [(0, blocks * grid - n)] + [(0, 0)] * (arr.ndim - 1)
-            arr = np.pad(arr, pad)
-        arr = arr.reshape((blocks, grid) + arr.shape[1:]).sum(axis=0)
-        arr = np.moveaxis(arr, 0, axis)
-    return arr
+def _powers(grid, exps):
+    """z^e at the nodes z = exp(2 pi i t / grid), rows t, columns e; the angle
+    is reduced exactly, (t * e) mod grid, so exponents past the grid wrap."""
+    steps = np.outer(np.arange(grid), np.asarray(exps, np.int64)) % grid
+    return np.exp(2j * np.pi * steps / grid)
 
 
 def torus_quadrature(terms, max_exponents, gb, perm_data, spower, grid, threads):
@@ -94,34 +95,31 @@ def torus_quadrature(terms, max_exponents, gb, perm_data, spower, grid, threads)
     f(z) * V_a(z) * conj(V_b(z)) / k!, with f = sum c z^e over `terms`.
 
     V_b is the alternant of the exponents `gb` over the (permutation, sign)
-    pairs `perm_data`.  f is evaluated through an FFT per slab of the first
-    axis; the slabs run in `quadrature_slab`, on `threads` workers if more
-    than one, and are reduced in slab order so the result is deterministic.
+    pairs `perm_data`.  `alternant_table` is built once (k * grid^(k-1)
+    complex values, 14.5 MB at k=4, grid 61).  On each slab of the first
+    axis, f comes from one table of powers z^e per axis: the coefficient
+    cube is contracted with the row of z0, then with each remaining axis.
+    The slabs run in `quadrature_slab`, on `threads` workers if more than
+    one, and are reduced in slab order so the result is deterministic.
     """
     k = len(gb)
     g = int(grid)
     cube = np.zeros(tuple(x + 1 for x in max_exponents), np.complex128)
     for e, c in terms.items():
         cube[e] = float(c)
-
-    perms = np.array([p for p, _ in perm_data], np.int64).reshape(len(perm_data), k)
-    signs = np.array([s for _, s in perm_data], np.float64)
-    gammas = np.array(gb, np.int64)
-    zgrid = np.exp(2j * np.pi * np.arange(g) / g)
+    powers = [_powers(g, range(n)) for n in cube.shape]
 
     if k == 1:
-        vals = np.fft.ifft(_fold_to_grid(cube, g)) * g
-        total = complex(np.sum(vals * np.conj(zgrid ** int(gb[0]))))
-        return total / g
+        return complex(np.conj(_powers(g, gb))[:, 0] @ (powers[0] @ cube)) / g
 
-    e0 = np.arange(cube.shape[0])
+    zgrid = np.exp(2j * np.pi * np.arange(g) / g)
+    table = alternant_table(zgrid, gb, perm_data, spower)
 
     def slab(t0: int) -> complex:
-        z0 = zgrid[t0]
-        reduced = np.tensordot(z0**e0, cube, axes=(0, 0))
-        folded = _fold_to_grid(reduced, g)
-        fvals = np.fft.ifftn(folded) * g ** (k - 1)
-        return quadrature_slab(fvals.ravel(), complex(z0), zgrid, gammas, perms, signs, spower)
+        fvals = np.tensordot(powers[0][t0], cube, axes=(0, 0))
+        for p in powers[1:]:
+            fvals = np.tensordot(fvals, p, axes=(0, 1))
+        return quadrature_slab(fvals.ravel(), zgrid[t0], zgrid, table, gb, spower)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

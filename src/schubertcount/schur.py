@@ -306,10 +306,10 @@ def numeric_schur_coefficient(
     Runs grid^k nodes; the rule is exact for the polynomial integrand (up to
     floating rounding) whenever grid reaches `quadrature_threshold`.  The
     default grid is 2*deg(f)+1, the generic exactness threshold for
-    trigonometric polynomials of that degree.  Evaluation of f on the grid
-    goes through an FFT per slab of the first axis; the per-slab combines
-    run in `kernels.quadrature_slab` and may be spread over `threads` workers, with
-    partial sums always reduced in slab order so the result is deterministic.
+    trigonometric polynomials of that degree.  f is evaluated from tables of
+    powers, and `kernels.quadrature_slab` weighs each slab of the first axis
+    against the z0-free part of the alternant, built once, on `threads`
+    workers; slabs are reduced in slab order, so the result is deterministic.
     """
     if not isinstance(f, RootPolynomial):
         raise TypeError("numeric_schur_coefficient expects a RootPolynomial")

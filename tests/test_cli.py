@@ -118,6 +118,22 @@ def test_lambda_command(capsys):
     assert body["numeric_backend"] == "numpy"
 
 
+def test_numeric_match_keeps_a_certain_sign(capsys, monkeypatch):
+    # an oracle that returns the negated value matches only where the sign is uncertain
+    from schubertcount import cli
+    oracle = cli.numeric_schur_coefficient
+    monkeypatch.setattr(cli, "numeric_schur_coefficient", lambda *a, **kw: -oracle(*a, **kw))
+    body = run_json(capsys, ["lambda", "--regime", "complex", "-d", "3", "-k", "2",
+                             "--alpha", "2,2", "--numeric"])
+    assert body["sign_certain"] is True
+    assert body["numeric"][0] == pytest.approx(-27.0)
+    assert body["numeric_matches"] is False
+    body = run_json(capsys, ["lambda", "--regime", "real", "-d", "3", "-k", "2",
+                             "--alpha", "5,5,5,5", "--numeric"])
+    assert body["sign_certain"] is False
+    assert body["numeric_matches"] is True
+
+
 def test_scan_command(capsys):
     body = run_json(capsys, ["scan", "-d", "3", "--grid", "64"])
     assert body["max_modulus"] == pytest.approx(225.0, abs=1e-6)

@@ -53,9 +53,10 @@ def _pointwise_slab(fvals, z0, zgrid, gammas, perms, signs, spower):
 @pytest.mark.parametrize("k,g", [(2, 17), (3, 9), (4, 6)])
 @pytest.mark.parametrize("spower", [1, 2])
 def test_quadrature_slab_against_pointwise(k, g, spower):
-    args = _slab_case(k, g, seed=k * 10 + spower)
+    fvals, z0, zgrid, gammas, perms, signs = args = _slab_case(k, g, seed=k * 10 + spower)
     ref = _pointwise_slab(*args, spower)
-    out = kernels.quadrature_slab(*args, spower)
+    table = kernels.alternant_table(zgrid, gammas, list(zip(perms, signs)), spower)
+    out = kernels.quadrature_slab(fvals, z0, zgrid, table, gammas, spower)
     assert abs(out - ref) <= 1e-9 * max(1.0, abs(ref))
 
 

@@ -246,10 +246,11 @@ def test_numeric_threshold_guard():
 
 
 def test_numeric_threads_deterministic():
-    f3 = real_root_poly(3, 2)
-    a = numeric_schur_coefficient(f3, Partition((5, 5, 5, 5)), grid=32, threads=1)
-    b = numeric_schur_coefficient(f3, Partition((5, 5, 5, 5)), grid=32, threads=2)
-    assert a == b
+    alpha = Partition((5, 5, 5, 5))
+    for f, grid in ((real_root_poly(3, 2), 32), (complex_root_poly(3, 4), 41)):
+        a = numeric_schur_coefficient(f, alpha, grid=grid, threads=1)
+        b = numeric_schur_coefficient(f, alpha, grid=grid, threads=2)
+        assert a == b
 
 
 def test_delta():
