@@ -25,7 +25,6 @@ from .polynomial import (
     NotAPerfectSquare,
     NotDivisible,
     SparsePoly,
-    TorusPoint,
     exact_div,
     exact_sqrt,
     product_of_linear_forms,

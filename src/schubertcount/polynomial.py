@@ -1,19 +1,19 @@
 """Exact sparse multivariate polynomial arithmetic over Python integers.
 
 A polynomial is a dict from exponent tuples to nonzero integer coefficients.
-The monomial order used everywhere (leading terms, canonical text, division,
-torus-evaluation accumulation) is graded lexicographic: total degree first,
-then the exponent tuple, largest first.  All arithmetic is exact; there are
-no modular or floating shortcuts outside eval_torus.
+The monomial order used everywhere (leading terms, canonical text, division)
+is graded lexicographic: total degree first, then the exponent tuple,
+largest first.  All arithmetic is exact; there are no modular or floating
+shortcuts.  Products of many small factors go through `kronecker_product`,
+which holds the product as one packed Python int.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass
-from math import isqrt
-from operator import add, sub
+import itertools
+from functools import reduce
+from math import isqrt, prod
+from operator import add, and_, sub
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 ExponentVector = Tuple[int, ...]
@@ -33,21 +33,6 @@ class NotAPerfectSquare(ValueError):
 
 def grlex_key(e: ExponentVector) -> Tuple[int, ExponentVector]:
     return (sum(e), e)
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """Angles (theta_1, ..., theta_k) standing for (e^{i theta_1}, ...)."""
-
-    angles: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        tau = 2.0 * math.pi
-        angles = tuple(float(a) % tau for a in self.angles)
-        object.__setattr__(self, "angles", angles)
-
-    def __len__(self) -> int:
-        return len(self.angles)
 
 
 class SparsePoly:
@@ -228,24 +213,7 @@ class SparsePoly:
                 base = base * base
         return result
 
-    # -- evaluation and text -----------------------------------------------
-
-    def eval_torus(self, point: TorusPoint) -> complex:
-        """Floating value at (e^{i theta_1}, ..., e^{i theta_k}).
-
-        Terms are accumulated in descending graded-lex order, so the result
-        is reproducible run to run.
-        """
-        if len(point) != self.nvars:
-            raise ArityMismatch(f"point length {len(point)} != {self.nvars}")
-        th = point.angles
-        total = 0j
-        for e, c in self.sorted_terms():
-            phase = 0.0
-            for x, t in zip(e, th):
-                phase += x * t
-            total += c * cmath.exp(1j * phase)
-        return total
+    # -- text ----------------------------------------------------------------
 
     def to_text(self) -> str:
         """Canonical text form: graded-lex order, `coeff*x1^e1*...*xk^ek`."""
@@ -257,31 +225,6 @@ class SparsePoly:
             chunks.append(f"{c}*{vars_part}" if vars_part else str(c))
         return " + ".join(chunks)
 
-    @classmethod
-    def from_text(cls, text: str, nvars: Optional[int] = None) -> "SparsePoly":
-        text = text.strip()
-        if text == "0":
-            if nvars is None:
-                raise ValueError("nvars required to parse the zero polynomial")
-            return cls.zero(nvars)
-        terms: Dict[ExponentVector, int] = {}
-        for chunk in text.split(" + "):
-            parts = chunk.split("*")
-            coeff = int(parts[0])
-            exps = []
-            for p in parts[1:]:
-                name, _, exp = p.partition("^")
-                if not name.startswith("x"):
-                    raise ValueError(f"bad factor {p!r}")
-                exps.append(int(exp))
-            e = tuple(exps)
-            if nvars is None:
-                nvars = len(e)
-            if len(e) != nvars:
-                raise ArityMismatch(f"term {chunk!r} has arity {len(e)}, expected {nvars}")
-            terms[e] = terms.get(e, 0) + coeff
-        return cls(nvars, terms)
-
     def __repr__(self) -> str:
         text = self.to_text()
         if len(text) > 60:
@@ -289,26 +232,108 @@ class SparsePoly:
         return f"SparsePoly({self.nvars}, {text})"
 
 
-def product_of_linear_forms(rows: Sequence[Sequence[int]], nvars: int) -> SparsePoly:
-    """Exact product of the linear forms given by coefficient vectors.
+def kronecker_product(
+    factors: Sequence[SparsePoly], nvars: int, targets: Optional[Sequence[ExponentVector]] = None
+) -> Dict[ExponentVector, int]:
+    """Coefficients of prod(factors) at `targets` (every nonzero one if None)
+    by Kronecker substitution: the product, truncated to the box of the
+    targets, is one Python int, so CPython's bigint operations do the work.
 
-    The empty product is the constant 1.  Factors are combined with a
-    balanced pairing tree, which keeps intermediate polynomials small and
-    makes the evaluation order deterministic; the result itself does not
-    depend on the pairing (exact integer arithmetic).
-    """
-    for row in rows:
-        if len(row) != nvars:
-            raise ArityMismatch(f"coefficient vector {tuple(row)} has length {len(row)}, expected {nvars}")
-    level = [SparsePoly.linear_form(row) for row in rows]
-    if not level:
-        return SparsePoly.one(nvars)
-    while len(level) > 1:
-        nxt = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    A monomial x^e is a slot of B bits at index sum_a e_a * stride_a, with
+    radix hi_a + 1 per slotted coordinate a (hi: the largest target exponent,
+    or the full degree).  If every factor is homogeneous the degree fixes the
+    first exponent, which gets no slot, and targets of another degree are 0.
+    A term c*x^e maps the state S to c * (S & keep_e) << B*idx(e), keep_e
+    zeroing the slots e would push past hi, so kept coefficients are exact.
+    Signed slots are masked carry-free through the bias O = sum of 2^(B-1)
+    per slot: ((S + O) & keep) - (O & keep).  B = bit_length(bound) + 1 in
+    whole bytes, the bound being the running product of the factors' l1
+    norms: B starts at one byte, and when the bound passes it every slot's
+    bytes are padded to at least twice the width."""
+    if any(f.nvars != nvars for f in factors):
+        raise ArityMismatch(f"factors must have {nvars} variables")
+    out = {} if targets is None else dict.fromkeys(targets, 0)
+    if not all(factors):
+        return out
+    degrees = [{sum(e) for e in f.terms} for f in factors]
+    lead = nvars > 0 and all(len(d) == 1 for d in degrees)
+    total = sum(min(d) for d in degrees)
+    axes = range(int(lead), nvars)
+    if targets is None:
+        hi = [sum(max(e[a] for e in f.terms) for f in factors) for a in axes]
+    else:
+        targets = [t for t in targets if not lead or sum(t) == total]
+        if not targets:
+            return out
+        hi = [max(t[a] for t in targets) for a in axes]
+    radix = [h + 1 for h in hi]
+    nslots = prod(radix)
+    stride = [prod(radix[i + 1:]) for i in range(len(radix))]
+
+    def index(e: ExponentVector) -> int:
+        return sum(e[a] * s for a, s in zip(axes, stride))
+
+    def mask(i: int, step: int) -> int:
+        # the slots whose i-th slotted exponent can still grow by `step`
+        if (i, step) not in masks:
+            run = stride[i]
+            block = b"\xff" * (w * (radix[i] - step) * run) + bytes(w * step * run)
+            masks[i, step] = int.from_bytes(block * (nslots // (radix[i] * run)), "little")
+        return masks[i, step]
+
+    def bias_of(width: int) -> int:
+        return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * nslots, "little")
+
+    w, state, bound = 1, 1, 1
+    bias, masks = bias_of(w), {}
+    for f in factors:
+        bound *= sum(map(abs, f.terms.values()))
+        need = (bound.bit_length() + 8) // 8
+        if need > w:
+            wide = max(need, 2 * w)
+            masks.clear()
+            raw = (state + bias).to_bytes(nslots * w, "little")
+            del state, bias
+            buf = bytearray(nslots * wide)
+            for b in range(w):
+                buf[b::wide] = raw[b::w]
+            del raw
+            bias = bias_of(wide)
+            state = int.from_bytes(buf, "little") - (bias >> 8 * (wide - w))
+            del buf
+            w = wide
+        shifted, acc = state + bias, 0
+        for e, c in f.terms.items():
+            steps = [(i, e[a]) for i, a in enumerate(axes) if e[a]]
+            if all(step <= hi[i] for i, step in steps):
+                keep = reduce(and_, [mask(*step) for step in steps]) if steps else None
+                part = state if keep is None else (shifted & keep) - (bias & keep)
+                acc += c * part << 8 * w * index(e)
+        shifted = keep = part = None  # free the temporaries before the next factor
+        state = acc
+
+    raw = (state + bias).to_bytes(nslots * w, "little")
+    half = 1 << (8 * w - 1)
+    if targets is not None:
+        for t in targets:
+            x = index(t) * w
+            out[t] = int.from_bytes(raw[x:x + w], "little") - half
+        return out
+    zero = half.to_bytes(w, "little")
+    for x, e in enumerate(itertools.product(*map(range, radix))):
+        chunk = raw[x * w:(x + 1) * w]
+        if chunk != zero:
+            out[(total - sum(e),) + e if lead else e] = int.from_bytes(chunk, "little") - half
+    return out
+
+
+def product_of_linear_forms(rows: Sequence[Sequence[int]], nvars: int) -> SparsePoly:
+    """Exact product of the linear forms given by coefficient vectors (the
+    empty product is 1): one `kronecker_product` with an open box, whose
+    slots hold the exponents of variables 2..nvars up to the number of forms,
+    signed through a 2^(B-1) bias per slot, with B growing by repacking as
+    the running l1 bound of the product passes it."""
+    return SparsePoly._raw(nvars, kronecker_product([SparsePoly.linear_form(row) for row in rows], nvars))
 
 
 def exact_div(f: SparsePoly, g: SparsePoly) -> SparsePoly:

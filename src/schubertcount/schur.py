@@ -5,13 +5,15 @@ Coefficient extraction is exact: the torus integral behind a Schur
 coefficient equals one coefficient of f multiplied by the plain (complex
 case) or squared-variable (real case) Vandermonde alternant, because the
 product is antisymmetric and its coefficients at permuted exponents agree up
-to sign.  f may be given as a list of its factors: the coefficient is then
-read from a product of the factors pruned to the monomials that can still
-reach the target, and f itself is never expanded.  A floating trapezoidal
-quadrature of the same integral is kept as an independent oracle: on a
-uniform torus grid the rule is exact for trigonometric polynomials once the
-grid passes the bandwidth threshold, so the two routes must agree to
-rounding.
+to sign.  f may be given as a list of its factors, which is never expanded:
+`polynomial.kronecker_product` multiplies them into one packed int, a B-bit
+slot per monomial in the box of the k! shifted targets (homogeneous factors
+fix the first exponent by degree), signed slots masked carry-free through a
+2^(B-1) bias, B growing by repacking with the running l1 bound.  A floating
+trapezoidal quadrature of the same integral is kept as an independent
+oracle: on a uniform torus grid the rule is exact for trigonometric
+polynomials once the grid passes the bandwidth threshold, so the two routes
+must agree to rounding.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from operator import add, le, sub
+from operator import sub
 from typing import Optional, Sequence, Tuple, Union
 
 from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition
-from .polynomial import ArityMismatch, SparsePoly, exact_div
+from .polynomial import SparsePoly, exact_div, kronecker_product
 
 # a root polynomial, or a list of its factors
 Factorable = Union["RootPolynomial", SparsePoly, Sequence[SparsePoly]]
@@ -187,43 +189,16 @@ def real_schur_polynomial(alpha: Partition, k: int) -> RootPolynomial:
 
 
 def _alternant_coefficient(factors: Sequence[SparsePoly], target: Tuple[int, ...], van: SparsePoly) -> int:
-    """Coefficient of x^target in prod(factors) * van, without expanding the product.
-
-    It is the sum, over the terms c*x^e of van, of c times the coefficient of
-    x^(target - e) in the product.  The factors are multiplied in one at a
-    time, keeping a monomial only while it stays inside the box of the
-    shifted targets target - e and can still reach the box with the factors
-    that remain.
-    """
-    k = len(target)
-    if any(f.nvars != k for f in factors):
-        raise ArityMismatch(f"factors must have {k} variables")
+    """Coefficient of x^target in prod(factors) * van: the sum over the terms
+    c*x^e of van of c times the coefficient of x^(target - e) in the product,
+    all read from one `kronecker_product` of the factors."""
     shifted = {}
     for e, c in van.terms.items():
         s = tuple(map(sub, target, e))
         if min(s, default=0) >= 0:
             shifted[s] = c
-    if not shifted:
-        return 0
-    lo = [min(col) for col in zip(*shifted)]
-    hi = tuple(max(col) for col in zip(*shifted))
-    # lows[j]: the least exponents from which factors[j+1:] can still reach lo
-    lows, most = [], [0] * k
-    for f in reversed(factors):
-        lows.append(tuple(map(sub, lo, most)))
-        for i, col in enumerate(zip(*f.terms)):
-            most[i] += max(col)
-    states = {(0,) * k: 1}
-    for f, low in zip(factors, reversed(lows)):
-        terms = list(f.terms.items())
-        acc: dict = {}
-        get = acc.get
-        for e, c in states.items():
-            for fe, fc in terms:
-                m = tuple(map(add, e, fe))
-                acc[m] = get(m, 0) + c * fc
-        states = {m: c for m, c in acc.items() if c and all(map(le, low, m)) and all(map(le, m, hi))}
-    return sum(c * states.get(s, 0) for s, c in shifted.items())
+    coefficients = kronecker_product(factors, len(target), list(shifted))
+    return sum(c * coefficients[s] for s, c in shifted.items())
 
 
 def _as_factors(f: Factorable, regime: str) -> Tuple[Sequence[SparsePoly], Optional[int]]:

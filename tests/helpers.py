@@ -37,7 +37,7 @@ def partitions_in_box(k: int, m: int) -> Iterator[Tuple[int, ...]]:
 
 def naive_product_of_linear_forms(rows, nvars: int) -> SparsePoly:
     """Left-fold product via raw dict convolution: the oracle for the
-    balanced-tree implementation."""
+    packed implementation."""
     acc = {(0,) * nvars: 1}
     for row in rows:
         nxt: dict = {}

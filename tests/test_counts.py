@@ -51,6 +51,8 @@ def test_complex_count():
     report = complex_count(2, 2)
     assert not report.feasible and report.value is None and report.m is None
     assert complex_count(6, 4).value == 509790561507026458604600562562407674699832025446617186304
+    assert complex_count(7, 4).value == (
+        37790124497665395358326142935602591866292446308215498549851841984133180781777204421879037543)
 
 
 def test_real_square_poly():
@@ -129,6 +131,9 @@ def test_real_count():
         real_count(2, 2)
     report = real_count(3, 3)
     assert not report.feasible and report.value is None
+    assert real_count(7, 3).value == int(
+        "4397430044975380702982018526137651501007299932159063004978923718221358559083711678679819225783508"
+        "1733450117954880390805621603598935087084424859210061280447552769138816171875000")
 
 
 def test_real_lines_double_factorial():

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -9,9 +8,9 @@ from schubertcount.polynomial import (
     NotAPerfectSquare,
     NotDivisible,
     SparsePoly,
-    TorusPoint,
     exact_div,
     exact_sqrt,
+    kronecker_product,
     product_of_linear_forms,
 )
 
@@ -76,6 +75,86 @@ def test_product_matches_naive_oracle_and_permutation_invariance():
         shuffled = rows[:]
         rng.shuffle(shuffled)
         assert product_of_linear_forms(shuffled, k) == expected
+
+
+def _sequential_product(factors, nvars):
+    product = SparsePoly.one(nvars)
+    for f in factors:
+        product = product * f
+    return product
+
+
+def test_product_of_wide_signed_rows():
+    # entries up to 10^6 in size, zeros among them, widen the slots several times
+    rng = random.Random(11)
+    for _ in range(20):
+        k = rng.randint(1, 4)
+        rows = [tuple(rng.choice((0, rng.randint(-10**6, 10**6))) for _ in range(k)) for _ in range(rng.randint(1, 9))]
+        assert product_of_linear_forms(rows, k) == naive_product_of_linear_forms(rows, k), rows
+    assert product_of_linear_forms([(2, -3), (0, 0), (1, 1)], 2).is_zero()
+
+
+def _random_factor(rng, nvars, homogeneous, size):
+    """Four terms of degree 2 (or up to 2 in each variable), coefficients
+    of either sign near `size`."""
+    terms = {}
+    for _ in range(4):
+        if homogeneous:
+            e = [0] * nvars
+            for _ in range(2):
+                e[rng.randrange(nvars)] += 1
+        else:
+            e = [rng.randint(0, 2) for _ in range(nvars)]
+        terms[tuple(e)] = rng.choice((-1, 1)) * rng.randint(size - 1000, size)
+    return SparsePoly(nvars, terms)
+
+
+def test_kronecker_slot_width_grows_through_repacks():
+    # l1 norms near 4*10^6 widen the slots from 1 byte to 3, 6, 12 and 24
+    rng = random.Random(7)
+    for nvars, homogeneous in ((3, True), (3, False), (2, True), (1, False)):
+        factors = [_random_factor(rng, nvars, homogeneous, 10**6) for _ in range(5)]
+        expected = _sequential_product(factors, nvars)
+        assert max(abs(c) for c in expected.terms.values()).bit_length() > 96
+        assert kronecker_product(factors, nvars) == expected.terms
+        # a truncated box: the masks drop monomials that a full product keeps
+        targets = rng.sample(sorted(expected.terms), 4) + [(1,) * nvars]
+        assert kronecker_product(factors, nvars, targets) == {t: expected.coefficient_at(t) for t in targets}
+
+
+def test_kronecker_empty_and_zero_factors():
+    assert kronecker_product([], 3) == {(0, 0, 0): 1}
+    assert kronecker_product([], 2, [(0, 0), (1, 0)]) == {(0, 0): 1, (1, 0): 0}
+    rng = random.Random(13)
+    f, g = (_random_factor(rng, 3, True, 10**6) for _ in range(2))
+    assert kronecker_product([f, SparsePoly.zero(3), g], 3) == {}
+    targets = [(2, 1, 1), (1, 2, 1), (0, 0, 4)]
+    assert kronecker_product([f, g, SparsePoly.zero(3)], 3, targets) == dict.fromkeys(targets, 0)
+    # without the zero factor the same targets are not all zero
+    expected = {t: (f * g).coefficient_at(t) for t in targets}
+    assert kronecker_product([f, g], 3, targets) == expected != dict.fromkeys(targets, 0)
+    with pytest.raises(ArityMismatch):
+        kronecker_product([f, SparsePoly.one(2)], 3)
+
+
+def test_kronecker_one_variable():
+    for factors in ([P(1, {(2,): 3}), P(1, {(1,): -5})] * 3,
+                    [P(1, {(2,): 10**6, (1,): -3, (0,): 7}), P(1, {(1,): -(10**6), (0,): 1})] * 3):
+        expected = _sequential_product(factors, 1)
+        assert kronecker_product(factors, 1) == expected.terms
+        targets = [(e,) for e in range(6)]
+        assert kronecker_product(factors, 1, targets) == {t: expected.coefficient_at(t) for t in targets}
+
+
+def test_kronecker_degree_mismatch_is_zero():
+    rng = random.Random(17)
+    factors = [_random_factor(rng, 3, True, 50) for _ in range(3)]
+    expected = _sequential_product(factors, 3)
+    assert all(sum(e) == 6 for e in expected.terms)
+    targets = [(3, 2, 1), (2, 2, 1), (3, 2, 2), (0, 0, 0)]
+    got = kronecker_product(factors, 3, targets)
+    assert got == {t: expected.coefficient_at(t) for t in targets}
+    assert kronecker_product(factors, 3, targets[1:]) == dict.fromkeys(targets[1:], 0)
 
 
 def test_coefficient_at():
@@ -151,45 +230,10 @@ def test_ring_axioms_random():
         assert f * (g + h) == f * g + f * h
 
 
-def test_eval_torus():
-    m = P(2, {(1, 1): 1})
-    assert m.eval_torus(TorusPoint((0.0, 0.0))) == pytest.approx(1 + 0j)
-    s = P(2, {(1, 0): 1, (0, 1): 1})
-    assert abs(s.eval_torus(TorusPoint((0.0, math.pi)))) < 1e-12
-    with pytest.raises(ArityMismatch):
-        m.eval_torus(TorusPoint((0.0,)))
-
-
-def test_eval_torus_multiplicative():
-    rng = random.Random(29)
-    for _ in range(20):
-        k = rng.randint(1, 3)
-        f = random_poly(rng, k, 6, 5, max_coeff=50)
-        g = random_poly(rng, k, 6, 5, max_coeff=50)
-        p = TorusPoint(tuple(rng.uniform(0, 2 * math.pi) for _ in range(k)))
-        lhs = (f * g).eval_torus(p)
-        rhs = f.eval_torus(p) * g.eval_torus(p)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        assert abs(lhs - rhs) <= 1e-10 * scale
-
-
-def test_torus_point_normalizes():
-    p = TorusPoint((2 * math.pi + 0.5, -0.5))
-    assert p.angles[0] == pytest.approx(0.5)
-    assert 0 <= p.angles[1] < 2 * math.pi
-
-
-def test_text_round_trip():
+def test_to_text():
     f3 = product_of_linear_forms([(3, 0), (2, 1), (1, 2), (0, 3)], 2)
-    text = f3.to_text()
-    assert text == "18*x1^3*x2^1 + 45*x1^2*x2^2 + 18*x1^1*x2^3"
-    assert SparsePoly.from_text(text) == f3
+    assert f3.to_text() == "18*x1^3*x2^1 + 45*x1^2*x2^2 + 18*x1^1*x2^3"
     assert SparsePoly.zero(3).to_text() == "0"
-    assert SparsePoly.from_text("0", nvars=3) == SparsePoly.zero(3)
-    rng = random.Random(31)
-    for _ in range(20):
-        f = random_poly(rng, rng.randint(1, 4), 8, 5)
-        assert SparsePoly.from_text(f.to_text(), nvars=f.nvars) == f
 
 
 def test_degree_and_leading():

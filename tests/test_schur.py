@@ -13,6 +13,7 @@ from schubertcount.schur import (
     NotEulerPontryagin,
     NotEvenOrOdd,
     RootPolynomial,
+    _alternant_coefficient,
     delta,
     duality_pairing,
     in_euler_pontryagin,
@@ -298,3 +299,29 @@ def test_engine_matches_expansion_complex(case):
 def test_engine_matches_expansion_real(case):
     factors, alpha = case
     assert real_schur_coefficient(factors, alpha).value == _expanded_coefficient(factors, alpha, "real")
+
+
+def test_engine_slot_growth_against_expansion():
+    # signed coefficients near 10^6 widen the slots several times inside a truncated box
+    rng = random.Random(53)
+    for regime, k, alpha in (("complex", 3, Partition((6, 5, 2))), ("real", 2, Partition((7, 7, 3, 3)))):
+        for _ in range(3):
+            terms = [{tuple(rng.randint(0, 2) for _ in range(k)): rng.choice((-1, 1)) * rng.randint(10**6 - 99, 10**6)
+                      for _ in range(3)} for _ in range(5)]
+            factors = [SparsePoly(k, t) for t in terms]
+            coefficient = schur_coefficient if regime == "complex" else real_schur_coefficient
+            assert coefficient(factors, alpha).value == _expanded_coefficient(factors, alpha, regime)
+
+
+def test_engine_degree_mismatch_and_empty_box():
+    factors = [SparsePoly.linear_form((3, -1, 2)), SparsePoly.linear_form((0, 5, -7))] * 3
+    for parts in ((2, 2, 2), (3, 2, 1), (2, 2, 1), (4, 1, 0)):
+        alpha = Partition(parts)
+        assert schur_coefficient(factors, alpha).value == _expanded_coefficient(factors, alpha, "complex")
+    assert schur_coefficient(factors, Partition((3, 2, 1))).value != 0
+    assert schur_coefficient(factors, Partition((2, 2, 1))).value == 0
+    # no term of the alternant fits under the target: the shifted box is empty
+    factors = [SparsePoly(3, {(0, 0, 0): 5, (1, 0, 0): -2, (0, 1, 1): 3})] * 3
+    van = vandermonde((2, 1, 0), 3)
+    product = factors[0] * factors[1] * factors[2]
+    assert _alternant_coefficient(factors, (1, 1, 0), van) == (product * van).coefficient_at((1, 1, 0)) == 0
