@@ -172,7 +172,7 @@ def _lambda(args) -> tuple[dict, int]:
         "sign_certain": coeff.sign_certain,
     }
     if args.numeric:
-        num = numeric_schur_coefficient(root(args.d, args.k), args.alpha, grid=args.grid, threads=args.threads)
+        num = numeric_schur_coefficient(root(args.d, args.k), args.alpha, grid=args.grid)
         signs = (1,) if coeff.sign_certain else (1, -1)
         err = min(abs(num - s * coeff.value) for s in signs)
         body["numeric"] = [num.real, num.imag]
@@ -301,7 +301,7 @@ COMMANDS = {
         (REGIME, D, K, ALPHA,
          _arg("--numeric", action="store_true", help="also run the quadrature oracle"),
          _arg("--grid", type=int, default=None, help="quadrature nodes per axis"),
-         _arg("--threads", type=_thread_count, default=1, help="quadrature worker threads")),
+         _arg("--threads", type=_thread_count, default=1, help="kept for existing command lines; does nothing")),
         _lambda, cache=("regime", "d", "k", "alpha"), uncached_if="numeric",
     ),
     "scan": Command(

@@ -2,49 +2,31 @@
 
 Two kernels live here, both floating-point:
 
-* ``quadrature_slab`` - the inner sum of the torus quadrature oracle: for one
-  fixed first coordinate z0 it accumulates f(z) * V_a(z) * conj(V_b(z)) over
-  the remaining grid axes, where V_a is a Vandermonde product (plain or in
-  squared variables) and V_b a generalized Vandermonde alternant.  The part
-  of V_a * conj(V_b) free of z0 is built once, by ``alternant_table``.
+* ``torus_quadrature`` - the torus quadrature oracle: the trapezoidal sum of
+  f(z) * V_a(z) * conj(V_b(z)), where V_a is a Vandermonde product (plain or
+  in squared variables) and V_b a generalized Vandermonde alternant.  The
+  part of V_a * conj(V_b) free of the first coordinate z0 is built once, by
+  ``alternant_table``, and swept once into its moments against powers of
+  the other coordinates; f and the z0 factors are weighed against those.
 * ``torus_grid_eval`` - evaluation of a two-variable Laurent polynomial
   f(x) / (x1 x2)^shift on the full torus grid.
 
-``torus_quadrature`` and ``torus_extrema`` set up their arrays and reduce
-their results.  The exact integer arithmetic elsewhere in the package never
-goes through this module, and imports it only on the float paths
-(`schur.numeric_schur_coefficient` and `asymptotics.torus_scan`), so exact
-commands never load numpy.
+``torus_extrema`` reduces the grid values of a scan.  The exact integer
+arithmetic elsewhere in the package never goes through this module, and
+imports it only on the float paths (`schur.numeric_schur_coefficient` and
+`asymptotics.torus_scan`), so exact commands never load numpy.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from math import factorial
 
 import numpy as np
 
 
-def quadrature_slab(fvals, z0, zgrid, table, gammas, spower):
-    """Sum f(z)*V_a(z)*conj(V_b(z)) over one slab of the torus grid.
-
-    fvals: flattened values of f on the slab, axes (z_2, ..., z_k) in
-    row-major order, g nodes per axis.  z0 is the fixed first coordinate.
-    `table` is `alternant_table` of the same grid, `gammas` and `spower`;
-    the slab applies what depends on z0: f times the factors
-    (z0^spower - z_j^spower) of V_a, and conj(z0^gammas) on the rows.
-    """
-    g = len(zgrid)
-    dims = len(gammas) - 1
-    gap = complex(z0) ** spower - np.asarray(zgrid) ** spower
-    a = np.asarray(fvals).reshape((g,) * dims)
-    for j in range(dims):
-        a = a * gap.reshape([g if i == j else 1 for i in range(dims)])
-    return complex(np.conj(complex(z0) ** np.asarray(gammas)) @ (table @ a.ravel()))
-
-
 def alternant_table(zgrid, gammas, perm_data, spower):
-    """The z0-free part of V_a * conj(V_b) on one slab: k rows of g^(k-1) nodes.
+    """The z0-free part of V_a * conj(V_b): k rows over the g^(k-1) nodes of z_2, ..., z_k.
 
     V_a = prod_{i<j} (z_i^spower - z_j^spower) is prod_{j>=2} (z0^s - z_j^s)
     times B, the same product over z_2, ..., z_k.  V_b, the alternant of the
@@ -90,43 +72,48 @@ def _powers(grid, exps):
     return np.exp(2j * np.pi * steps / grid)
 
 
-def torus_quadrature(terms, max_exponents, gb, perm_data, spower, grid, threads):
+def torus_quadrature(terms, max_exponents, gb, perm_data, spower, grid):
     """Trapezoidal rule, on a grid^k torus lattice, for the integral of
     f(z) * V_a(z) * conj(V_b(z)) / k!, with f = sum c z^e over `terms`.
 
     V_b is the alternant of the exponents `gb` over the (permutation, sign)
-    pairs `perm_data`.  `alternant_table` is built once (k * grid^(k-1)
-    complex values, 14.5 MB at k=4, grid 61).  On each slab of the first
-    axis, f comes from one table of powers z^e per axis: the coefficient
-    cube is contracted with the row of z0, then with each remaining axis.
-    The slabs run in `quadrature_slab`, on `threads` workers if more than
-    one, and are reduced in slab order so the result is deterministic.
+    pairs `perm_data`.  The same node sum is taken in moment order, with no
+    loop over the nodes:
+
+    * `alternant_table` (k * grid^(k-1) complex values, 14.5 MB at k=4,
+      grid 61) is swept once, each node axis z_j contracted with the powers
+      z_j^u, u <= E_j + spower, into the moments M_i(u) = sum table_i * z^u;
+    * the z0 factors of V_a, prod_j (z0^s - z_j^s), expand over the subsets
+      S of the axes into (-1)^|S| z0^(s*(k-1-|S|)) prod_{j in S} z_j^s, so
+      each S reads the moments shifted by s on its axes, against f;
+    * the z0 sums of z0^(e_0 + s*(k-1-|S|)) * conj(z0^gb_i) weigh the rest.
     """
     k = len(gb)
     g = int(grid)
     cube = np.zeros(tuple(x + 1 for x in max_exponents), np.complex128)
     for e, c in terms.items():
         cube[e] = float(c)
-    powers = [_powers(g, range(n)) for n in cube.shape]
+    z0_powers = _powers(g, range(cube.shape[0]))
 
     if k == 1:
-        return complex(np.conj(_powers(g, gb))[:, 0] @ (powers[0] @ cube)) / g
+        return complex(np.conj(_powers(g, gb))[:, 0] @ (z0_powers @ cube)) / g
 
     zgrid = np.exp(2j * np.pi * np.arange(g) / g)
-    table = alternant_table(zgrid, gb, perm_data, spower)
-
-    def slab(t0: int) -> complex:
-        fvals = np.tensordot(powers[0][t0], cube, axes=(0, 0))
-        for p in powers[1:]:
-            fvals = np.tensordot(fvals, p, axes=(0, 1))
-        return quadrature_slab(fvals.ravel(), zgrid[t0], zgrid, table, gb, spower)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(slab, range(g)))
-    else:
-        partials = [slab(t0) for t0 in range(g)]
-    total = sum(partials, start=0j)
+    moments = alternant_table(zgrid, gb, perm_data, spower).reshape((k,) + (g,) * (k - 1))
+    for n in reversed(cube.shape[1:]):
+        # the last axis first, so the table is read in place; P^T @ table^T,
+        # not table @ P, lets BLAS pack the table by blocks instead of copying it whole
+        swept = (_powers(g, range(n + spower)).T @ moments.reshape(-1, g).T).T
+        moments = np.moveaxis(swept.reshape(moments.shape[:-1] + (n + spower,)), -1, 1)
+    # weights[m, i, e0]: the z0 sum for |S| = m, row i and the z0 exponent e0 of f
+    gaps = _powers(g, [spower * (k - 1 - m) for m in range(k)])
+    weights = np.einsum("ti,tm,te->mie", np.conj(_powers(g, gb)), gaps, z0_powers)
+    flat = cube.reshape(cube.shape[0], -1)
+    total = 0j
+    for offsets in itertools.product((0, spower), repeat=k - 1):
+        window = moments[(slice(None),) + tuple(slice(o, o + n) for o, n in zip(offsets, cube.shape[1:]))]
+        m = sum(o > 0 for o in offsets)
+        total += (-1) ** m * complex(np.sum(weights[m] * (window.reshape(k, -1) @ flat.T)))
     return total / (factorial(k) * g**k)
 
 

@@ -13,7 +13,9 @@ fix the first exponent by degree), signed slots masked carry-free through a
 trapezoidal quadrature of the same integral is kept as an independent
 oracle: on a uniform torus grid the rule is exact for trigonometric
 polynomials once the grid passes the bandwidth threshold, so the two routes
-must agree to rounding.
+must agree to rounding.  The oracle reads no exact coefficient: it sums the
+same nodes in moment order, sweeping the z0-free part of the alternant once
+(`kernels.torus_quadrature`).
 """
 
 from __future__ import annotations
@@ -270,21 +272,16 @@ def quadrature_threshold(f: RootPolynomial, alpha: Partition) -> int:
     return max(gb[0], emax + ga[0] - gb[-1]) + 1
 
 
-def numeric_schur_coefficient(
-    f: RootPolynomial,
-    alpha: Partition,
-    grid: Optional[int] = None,
-    threads: int = 1,
-) -> complex:
+def numeric_schur_coefficient(f: RootPolynomial, alpha: Partition, grid: Optional[int] = None) -> complex:
     """Trapezoidal torus quadrature of the Schur-coefficient integral.
 
-    Runs grid^k nodes; the rule is exact for the polynomial integrand (up to
-    floating rounding) whenever grid reaches `quadrature_threshold`.  The
-    default grid is 2*deg(f)+1, the generic exactness threshold for
-    trigonometric polynomials of that degree.  f is evaluated from tables of
-    powers, and `kernels.quadrature_slab` weighs each slab of the first axis
-    against the z0-free part of the alternant, built once, on `threads`
-    workers; slabs are reduced in slab order, so the result is deterministic.
+    Sums over grid^k nodes; the rule is exact for the polynomial integrand
+    (up to floating rounding) whenever grid reaches `quadrature_threshold`.
+    The default grid is 2*deg(f)+1, the generic exactness threshold for
+    trigonometric polynomials of that degree.  `kernels.torus_quadrature`
+    takes the node sum in moment order: the z0-free part of the alternant
+    is built once and contracted axis by axis with tables of powers, and f
+    and the z0 factors of V_a are weighed against those moments.
     """
     if not isinstance(f, RootPolynomial):
         raise TypeError("numeric_schur_coefficient expects a RootPolynomial")
@@ -298,4 +295,4 @@ def numeric_schur_coefficient(
     from . import kernels  # numpy is loaded on the float paths only
 
     perm_data = _perm_data(f.variables)
-    return kernels.torus_quadrature(f.poly.terms, f.poly.max_exponents(), gb, perm_data, spower, grid, threads)
+    return kernels.torus_quadrature(f.poly.terms, f.poly.max_exponents(), gb, perm_data, spower, grid)

@@ -134,6 +134,20 @@ def test_numeric_match_keeps_a_certain_sign(capsys, monkeypatch):
     assert body["numeric_matches"] is True
 
 
+@pytest.mark.skipif(usable_cores() < 2, reason="--threads 2 needs two usable cores")
+def test_numeric_ignores_threads(capsys):
+    argv = "lambda --regime complex -d 3 -k 4 --alpha 5,5,5,5 --numeric --grid 61 --no-cache --threads".split()
+    one = run_json(capsys, argv + ["1"])
+    two = run_json(capsys, argv + ["2"])
+    assert one["numeric_matches"] is True
+    assert one["numeric"] == two["numeric"]
+
+
+def test_numeric_complex_5_4(capsys):
+    argv = "lambda --regime complex -d 5 -k 4 --alpha 14,14,14,14 --numeric --no-cache".split()
+    assert run_json(capsys, argv)["numeric_matches"] is True
+
+
 def test_scan_command(capsys):
     body = run_json(capsys, ["scan", "-d", "3", "--grid", "64"])
     assert body["max_modulus"] == pytest.approx(225.0, abs=1e-6)

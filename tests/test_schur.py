@@ -246,12 +246,30 @@ def test_numeric_threshold_guard():
         numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)), grid=thr - 1)
 
 
-def test_numeric_threads_deterministic():
-    alpha = Partition((5, 5, 5, 5))
-    for f, grid in ((real_root_poly(3, 2), 32), (complex_root_poly(3, 4), 41)):
-        a = numeric_schur_coefficient(f, alpha, grid=grid, threads=1)
-        b = numeric_schur_coefficient(f, alpha, grid=grid, threads=2)
-        assert a == b
+NUMERIC_LADDER = [
+    ("complex", 3, 4, (5, 5, 5, 5), 9),
+    ("complex", 3, 4, (5, 5, 5, 5), 41),
+    ("complex", 3, 4, (5, 5, 5, 5), 61),
+    ("complex", 3, 4, (6, 5, 5, 4), None),
+    ("real", 5, 2, (14, 14, 14, 14), None),
+    ("real", 3, 2, (5, 5, 5, 5), 40),
+    ("real", 3, 2, (7, 7, 5, 5), 40),
+    ("real", 3, 3, (5, 5, 5, 5, 5, 5), None),
+]
+
+
+@pytest.mark.parametrize("regime,d,k,parts,grid", NUMERIC_LADDER,
+                         ids=[f"{r}-{d}-{k}-{','.join(map(str, p))}-grid{g}" for r, d, k, p, g in NUMERIC_LADDER])
+def test_numeric_ladder_against_exact(regime, d, k, parts, grid):
+    alpha = Partition(parts)
+    if regime == "complex":
+        f, exact, signs = complex_root_poly(d, k), schur_coefficient, (1,)
+    else:
+        f, exact, signs = real_root_poly(d, k), real_schur_coefficient, (1, -1)
+    value = exact(f, alpha).value
+    num = numeric_schur_coefficient(f, alpha, grid=grid)
+    err = min(abs(num - s * value) for s in signs)
+    assert err <= 1e-9 * (abs(value) or 1), (value, num)
 
 
 def test_delta():
