@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 from .combinatorics import Infeasible, OutOfDomain, feasibility
 from .counts import complex_count, incidence_complex, incidence_real, real_count, real_root_poly, require_odd_degree
+from .schur import MAX_GRID
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ def torus_scan(d: int, grid: int) -> TorusSample:
     require_odd_degree(d)
     if grid < 64:
         raise OutOfDomain("grid must be at least 64")
+    if grid > MAX_GRID:
+        raise OutOfDomain(f"grid must be at most {MAX_GRID}")
     from . import kernels  # numpy is loaded on the float paths only
 
     terms = real_root_poly(d, 2).poly.sorted_terms()

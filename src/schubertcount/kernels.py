@@ -3,11 +3,10 @@
 Two kernels live here, both floating-point:
 
 * ``torus_quadrature`` - the torus quadrature oracle: the trapezoidal sum of
-  f(z) * V_a(z) * conj(V_b(z)), where V_a is a Vandermonde product (plain or
-  in squared variables) and V_b a generalized Vandermonde alternant.  The
-  part of V_a * conj(V_b) free of the first coordinate z0 is built once, by
-  ``alternant_table``, and swept once into its moments against powers of
-  the other coordinates; f and the z0 factors are weighed against those.
+  f(z) * V_a(z) * conj(V_b(z)), where V_a and V_b are generalized
+  Vandermonde alternants.  On the uniform torus grid the node sum of a
+  monomial is the product of its one-dimensional node sums, so the sum is
+  taken term by term from one table of those.
 * ``torus_grid_eval`` - evaluation of a two-variable Laurent polynomial
   f(x) / (x1 x2)^shift on the full torus grid.
 
@@ -19,36 +18,9 @@ imports it only on the float paths (`schur.numeric_schur_coefficient` and
 
 from __future__ import annotations
 
-import itertools
 from math import factorial
 
 import numpy as np
-
-
-def alternant_table(zgrid, gammas, perm_data, spower):
-    """The z0-free part of V_a * conj(V_b): k rows over the g^(k-1) nodes of z_2, ..., z_k.
-
-    V_a = prod_{i<j} (z_i^spower - z_j^spower) is prod_{j>=2} (z0^s - z_j^s)
-    times B, the same product over z_2, ..., z_k.  V_b, the alternant of the
-    exponents `gammas` over the (permutation, sign) pairs `perm_data`, is
-    sum_i z0^gammas[i] * C_i(z_2, ..., z_k), with C_i the sum of the terms
-    whose permutation puts z0 at place i.  Row i is conj(C_i) * B.
-    """
-    k = len(gammas)
-    g = len(zgrid)
-    axes = [np.asarray(zgrid).reshape([g if i == j else 1 for i in range(k - 1)]) for j in range(k - 1)]
-    table = np.zeros((k,) + (g,) * (k - 1), np.complex128)
-    for perm, sign in perm_data:
-        term = np.complex128(sign)
-        for i in range(k):
-            if perm[i] != 0:
-                term = term * axes[perm[i] - 1] ** int(gammas[i])
-        table[list(perm).index(0)] += term
-    np.conjugate(table, out=table)
-    for i in range(k - 1):
-        for j in range(i + 1, k - 1):
-            table *= axes[i] ** spower - axes[j] ** spower
-    return table.reshape(k, -1)
 
 
 def torus_grid_eval(exps, coeffs, shift, grid):
@@ -72,49 +44,42 @@ def _powers(grid, exps):
     return np.exp(2j * np.pi * steps / grid)
 
 
-def torus_quadrature(terms, max_exponents, gb, perm_data, spower, grid):
+def torus_quadrature(terms, ga, gb, perm_data, grid):
     """Trapezoidal rule, on a grid^k torus lattice, for the integral of
     f(z) * V_a(z) * conj(V_b(z)) / k!, with f = sum c z^e over `terms`.
 
-    V_b is the alternant of the exponents `gb` over the (permutation, sign)
-    pairs `perm_data`.  The same node sum is taken in moment order, with no
-    loop over the nodes:
-
-    * `alternant_table` (k * grid^(k-1) complex values, 14.5 MB at k=4,
-      grid 61) is swept once, each node axis z_j contracted with the powers
-      z_j^u, u <= E_j + spower, into the moments M_i(u) = sum table_i * z^u;
-    * the z0 factors of V_a, prod_j (z0^s - z_j^s), expand over the subsets
-      S of the axes into (-1)^|S| z0^(s*(k-1-|S|)) prod_{j in S} z_j^s, so
-      each S reads the moments shifted by s on its axes, against f;
-    * the z0 sums of z0^(e_0 + s*(k-1-|S|)) * conj(z0^gb_i) weigh the rest.
+    V_a and V_b are the alternants of the exponents `ga` and `gb` over the
+    (permutation, sign) pairs `perm_data`.  Their product expands into
+    monomials z^(sigma(ga) - tau(gb)); equal shifts merge by adding their
+    signs.  Each node sum of z^(e + shift) is the product over the axes of
+    the 1-D node sums line[u] = sum_t z_t^u, taken in floating point.
     """
+    if not terms:
+        return 0j
     k = len(gb)
-    g = int(grid)
-    cube = np.zeros(tuple(x + 1 for x in max_exponents), np.complex128)
-    for e, c in terms.items():
-        cube[e] = float(c)
-    z0_powers = _powers(g, range(cube.shape[0]))
-
-    if k == 1:
-        return complex(np.conj(_powers(g, gb))[:, 0] @ (z0_powers @ cube)) / g
-
-    zgrid = np.exp(2j * np.pi * np.arange(g) / g)
-    moments = alternant_table(zgrid, gb, perm_data, spower).reshape((k,) + (g,) * (k - 1))
-    for n in reversed(cube.shape[1:]):
-        # the last axis first, so the table is read in place; P^T @ table^T,
-        # not table @ P, lets BLAS pack the table by blocks instead of copying it whole
-        swept = (_powers(g, range(n + spower)).T @ moments.reshape(-1, g).T).T
-        moments = np.moveaxis(swept.reshape(moments.shape[:-1] + (n + spower,)), -1, 1)
-    # weights[m, i, e0]: the z0 sum for |S| = m, row i and the z0 exponent e0 of f
-    gaps = _powers(g, [spower * (k - 1 - m) for m in range(k)])
-    weights = np.einsum("ti,tm,te->mie", np.conj(_powers(g, gb)), gaps, z0_powers)
-    flat = cube.reshape(cube.shape[0], -1)
-    total = 0j
-    for offsets in itertools.product((0, spower), repeat=k - 1):
-        window = moments[(slice(None),) + tuple(slice(o, o + n) for o, n in zip(offsets, cube.shape[1:]))]
-        m = sum(o > 0 for o in offsets)
-        total += (-1) ** m * complex(np.sum(weights[m] * (window.reshape(k, -1) @ flat.T)))
-    return total / (factorial(k) * g**k)
+    shifts = {}
+    for sigma, sign_a in perm_data:
+        for tau, sign_b in perm_data:
+            shift = [0] * k
+            for i in range(k):
+                shift[sigma[i]] += ga[i]
+                shift[tau[i]] -= gb[i]
+            shift = tuple(shift)
+            shifts[shift] = shifts.get(shift, 0) + sign_a * sign_b
+    shifts = {shift: sign for shift, sign in shifts.items() if sign}
+    exps = np.array(list(terms), np.int64).T
+    lo = min(map(min, shifts))
+    hi = int(exps.max()) + max(map(max, shifts))
+    line = _powers(grid, range(lo, hi + 1)).sum(axis=0)  # line[u - lo] = sum_t z_t^u
+    exps -= lo
+    acc = np.zeros(len(terms), np.complex128)
+    for shift, sign in shifts.items():
+        node_sums = line[exps[0] + shift[0]]
+        for j in range(1, k):
+            node_sums *= line[exps[j] + shift[j]]
+        acc += sign * node_sums
+    coeffs = np.array([float(c) for c in terms.values()])
+    return complex(coeffs @ acc) / (factorial(k) * grid**k)
 
 
 def torus_extrema(terms, shift, grid):

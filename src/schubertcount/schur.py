@@ -14,8 +14,8 @@ trapezoidal quadrature of the same integral is kept as an independent
 oracle: on a uniform torus grid the rule is exact for trigonometric
 polynomials once the grid passes the bandwidth threshold, so the two routes
 must agree to rounding.  The oracle reads no exact coefficient: it sums the
-same nodes in moment order, sweeping the z0-free part of the alternant once
-(`kernels.torus_quadrature`).
+same nodes as products of one-dimensional node sums, one per axis of each
+monomial of f * V_a * conj(V_b) (`kernels.torus_quadrature`).
 """
 
 from __future__ import annotations
@@ -257,6 +257,9 @@ def duality_pairing(alpha: Partition, beta: Partition, m: int, k: int) -> int:
 
 # -- numeric quadrature oracle -------------------------------------------------
 
+# largest quadrature or scan grid accepted; a scan grid sizes a grid x grid array
+MAX_GRID = 4096
+
 
 def quadrature_threshold(f: RootPolynomial, alpha: Partition) -> int:
     """Smallest grid at which the trapezoidal rule is provably exact.
@@ -276,23 +279,21 @@ def numeric_schur_coefficient(f: RootPolynomial, alpha: Partition, grid: Optiona
     """Trapezoidal torus quadrature of the Schur-coefficient integral.
 
     Sums over grid^k nodes; the rule is exact for the polynomial integrand
-    (up to floating rounding) whenever grid reaches `quadrature_threshold`.
-    The default grid is 2*deg(f)+1, the generic exactness threshold for
-    trigonometric polynomials of that degree.  `kernels.torus_quadrature`
-    takes the node sum in moment order: the z0-free part of the alternant
-    is built once and contracted axis by axis with tables of powers, and f
-    and the z0 factors of V_a are weighed against those moments.
+    (up to floating rounding) whenever grid reaches `quadrature_threshold`,
+    which is the default grid.  `kernels.torus_quadrature` takes each node
+    sum of a monomial as the product of its one-dimensional node sums, so
+    the grid only sizes one table of those; grids above MAX_GRID are refused.
     """
     if not isinstance(f, RootPolynomial):
         raise TypeError("numeric_schur_coefficient expects a RootPolynomial")
-    _, gb = _alternant_exponents(f.regime, alpha, f.variables)
-    spower = 1 if f.regime == "complex" else 2
+    ga, gb = _alternant_exponents(f.regime, alpha, f.variables)
     sharp = quadrature_threshold(f, alpha)
     if grid is None:
-        grid = max(2 * f.poly.degree() + 1, sharp)
+        grid = sharp
     if grid < sharp:
         raise OutOfDomain(f"grid {grid} below the exactness threshold {sharp}")
+    if grid > MAX_GRID:
+        raise OutOfDomain(f"grid {grid} above the largest accepted grid {MAX_GRID}")
     from . import kernels  # numpy is loaded on the float paths only
 
-    perm_data = _perm_data(f.variables)
-    return kernels.torus_quadrature(f.poly.terms, f.poly.max_exponents(), gb, perm_data, spower, grid)
+    return kernels.torus_quadrature(f.poly.terms, ga, gb, _perm_data(f.variables), grid)

@@ -290,6 +290,8 @@ def test_readme_example_bodies_unchanged(capsys, example):
     ("count --regime real -d 3 -k 0", 64),
     ("feasibility --regime real -d 0 -k 2", 64),
     ("scan -d 3 --grid 10", 64),
+    ("scan -d 3 --grid 4097", 64),
+    ("lambda --regime complex -d 3 -k 4 --alpha 5,5,5,5 --numeric --grid 4097", 64),
     ("lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric --grid 3", 64),
     ("lambda --regime complex -d 3 -k 0 --alpha 2,2", 64),
     ("lambda --regime complex -d 0 -k 2 --alpha 2,2", 64),

@@ -60,10 +60,11 @@ def _pointwise_quadrature(terms, gb, perm_data, spower, g):
 def test_torus_quadrature_against_pointwise(k, spower, above):
     terms, gb, perm_data = _quadrature_case(k, spower, seed=47)  # every value nonzero, axes 1.. of unequal length
     max_exponents = tuple(max(e[i] for e in terms) for i in range(k))
-    # the threshold of `schur.quadrature_threshold`, with ga = spower * delta
-    g = max(gb[0], max(max_exponents) + spower * (k - 1) - gb[-1]) + 1 + above
+    ga = tuple(spower * (k - 1 - i) for i in range(k))
+    # the threshold of `schur.quadrature_threshold`
+    g = max(gb[0], max(max_exponents) + ga[0] - gb[-1]) + 1 + above
     ref = _pointwise_quadrature(terms, gb, perm_data, spower, g)
-    out = kernels.torus_quadrature(terms, max_exponents, gb, perm_data, spower, g)
+    out = kernels.torus_quadrature(terms, ga, gb, perm_data, g)
     assert abs(ref) > 0.1
     assert k < 3 or len(set(max_exponents[1:])) > 1
     assert abs(out - ref) <= 1e-9 * max(1.0, abs(ref)), (out, ref)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import partitions_of, random_poly, symmetrize
-from schubertcount.combinatorics import InvalidLength, NotInRectangle, Partition
+from schubertcount.combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition
 from schubertcount.counts import complex_root_poly, real_root_poly
 from schubertcount.polynomial import ArityMismatch, SparsePoly
 from schubertcount.schur import (
+    MAX_GRID,
     DegenerateAlternant,
     NotEulerPontryagin,
     NotEvenOrOdd,
@@ -244,6 +245,15 @@ def test_numeric_threshold_guard():
     assert abs(num - 321489) < 1e-6 * 321489
     with pytest.raises(ValueError):
         numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)), grid=thr - 1)
+    num = numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)), grid=MAX_GRID)
+    assert abs(num - 321489) < 1e-6 * 321489
+    with pytest.raises(OutOfDomain, match=str(MAX_GRID)):
+        numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)), grid=MAX_GRID + 1)
+
+
+def test_numeric_zero_polynomial():
+    zero = RootPolynomial(SparsePoly.zero(2), "complex")
+    assert numeric_schur_coefficient(zero, Partition((1, 0))) == 0j
 
 
 NUMERIC_LADDER = [
