@@ -8,7 +8,6 @@ polynomial arithmetic with a torus-quadrature oracle on the side.
 __version__ = "0.1.0"
 
 from .combinatorics import (
-    Composition,
     Feasibility,
     InvalidLength,
     NotInRectangle,

@@ -4,17 +4,20 @@ asymptote tables for the exact counts.
 Exact big integers carry the enumerative content; this module only takes
 logarithms and scans grids.  The closed-form torus maximum uses the
 corrected reading of the factored maximum (unordered pairs, double-factorial
-prefactor); the grid scan is the ground-truth oracle for it.
+prefactor); the grid scan is the ground-truth oracle for it.  The scan takes
+F_d from its linear factors, as a product on one angle, so it never expands
+the root polynomial.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .combinatorics import Infeasible, OutOfDomain, feasibility
-from .counts import complex_count, incidence_complex, incidence_real, real_count, real_root_poly, require_odd_degree
+from .combinatorics import Infeasible, OutOfDomain
+from .counts import complex_count, incidence_complex, incidence_real, linear_factor_rows, real_count, require_odd_degree
 from .schur import MAX_GRID
 
 
@@ -49,19 +52,24 @@ class AsymptoteRow:
 def torus_scan(d: int, grid: int) -> TorusSample:
     """Evaluate F_d on a grid x grid torus lattice and report extrema.
 
-    The maximum sits on the curves theta1 - theta2 = +-pi/2; grids divisible
-    by 4 hit those curves exactly.
+    f_d is the product of 2m linear forms a x1 + b x2, so on the torus
+    F_d = z^(-m) * prod (a z + b) with z = exp(i (theta1 - theta2)).  The
+    maximum sits on the curves theta1 - theta2 = +-pi/2; grids divisible by
+    4 hit those curves exactly.  Degrees whose |F_d| can pass the largest
+    float are refused: for odd d every factor has modulus at least 1 on the
+    torus (|a| != |b|), so prod (|a| + |b|) bounds every partial product.
     """
     require_odd_degree(d)
     if grid < 64:
         raise OutOfDomain("grid must be at least 64")
     if grid > MAX_GRID:
         raise OutOfDomain(f"grid must be at most {MAX_GRID}")
+    rows = linear_factor_rows("real", d, 2)
+    if math.prod(abs(a) + abs(b) for a, b in rows) > sys.float_info.max:
+        raise OutOfDomain(f"|F_{d}| can exceed the largest float on the torus; scan a smaller degree")
     from . import kernels  # numpy is loaded on the float paths only
 
-    terms = real_root_poly(d, 2).poly.sorted_terms()
-    m = feasibility(d, 2, "real").m
-    min_mod, max_mod, sign_constant, hits = kernels.torus_extrema(terms, m, grid)
+    min_mod, max_mod, sign_constant, hits = kernels.torus_extrema(rows, len(rows) // 2, grid)
     step = 2.0 * math.pi / grid
     argmax = tuple((i * step, j * step) for i, j in hits)
     return TorusSample(d, grid, min_mod, max_mod, sign_constant, argmax)

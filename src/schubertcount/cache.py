@@ -16,9 +16,10 @@ import time
 from typing import Optional
 
 
-# version of the shape of the cached bodies: bump it when a body gains, loses or
-# renames a field, so that entries in the old shape are never served
-BODY_SCHEMA = 1
+# version of the cached bodies: bump it when a body gains, loses or renames a
+# field, or when a command's values are corrected, so that old entries are
+# never served
+BODY_SCHEMA = 2
 
 
 def cache_key(command: str, params: dict, engine_version: str) -> str:

@@ -64,32 +64,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class Composition:
-    """Ordered tuple of non-negative integers with a fixed sum."""
-
-    parts: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
-        if any(p < 0 for p in parts):
-            raise ValueError(f"negative part in {parts!r}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-
-@dataclass(frozen=True)
 class PartitionParity:
     """Parity class of a 2k-partition: even, odd, or neither.
 
@@ -131,7 +105,7 @@ class Feasibility:
         return self.m is not None
 
 
-def compositions(d: int, k: int) -> list[Composition]:
+def compositions(d: int, k: int) -> list[Tuple[int, ...]]:
     """All k-tuples of non-negative integers summing to d.
 
     Enumerated in graded lexicographic order (all tuples share grade d, so
@@ -153,7 +127,7 @@ def compositions(d: int, k: int) -> list[Composition]:
             rec(prefix + (v,), rem - v, slots - 1)
 
     rec((), d, k)
-    return [Composition(t) for t in out]
+    return out
 
 
 def classify_partition(alpha: Partition) -> PartitionParity:

@@ -111,7 +111,7 @@ def linear_factor_rows(regime: str, d: int, k: int) -> Tuple[Tuple[int, ...], ..
     if regime == "complex":
         if d < 1:
             raise OutOfDomain("d must be >= 1")
-        return tuple(c.parts for c in compositions(d, k))
+        return tuple(compositions(d, k))
     require_odd_degree(d)
     forms = (tuple(c[2 * i] - c[2 * i + 1] for i in range(k)) for c in compositions(d, 2 * k))
     return tuple(r for r in forms if next(x for x in r if x) > 0)

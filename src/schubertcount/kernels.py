@@ -7,13 +7,16 @@ Two kernels live here, both floating-point:
   Vandermonde alternants.  On the uniform torus grid the node sum of a
   monomial is the product of its one-dimensional node sums, so the sum is
   taken term by term from one table of those.
-* ``torus_grid_eval`` - evaluation of a two-variable Laurent polynomial
-  f(x) / (x1 x2)^shift on the full torus grid.
+* ``torus_extrema`` - the extrema of a torus scan.  The scanned function
+  is a product of linear forms in x1, x2 over (x1 x2)^shift, so on the torus
+  it depends on theta1 - theta2 alone: it is evaluated as a product, once
+  per residue (i - j) mod grid, never expanded and never on the grid^2
+  lattice.
 
-``torus_extrema`` reduces the grid values of a scan.  The exact integer
-arithmetic elsewhere in the package never goes through this module, and
-imports it only on the float paths (`schur.numeric_schur_coefficient` and
-`asymptotics.torus_scan`), so exact commands never load numpy.
+The exact integer arithmetic elsewhere in the package never goes through
+this module, and imports it only on the float paths
+(`schur.numeric_schur_coefficient` and `asymptotics.torus_scan`), so exact
+commands never load numpy.
 """
 
 from __future__ import annotations
@@ -21,20 +24,6 @@ from __future__ import annotations
 from math import factorial
 
 import numpy as np
-
-
-def torus_grid_eval(exps, coeffs, shift, grid):
-    """Values of sum_r coeffs[r] * x1^(e1-shift) * x2^(e2-shift) on the torus grid."""
-    th = 2.0 * np.pi * np.arange(grid) / grid
-    f1 = np.asarray(exps)[:, 0] - shift
-    f2 = np.asarray(exps)[:, 1] - shift
-    u1, i1 = np.unique(f1, return_inverse=True)
-    u2, i2 = np.unique(f2, return_inverse=True)
-    c = np.zeros((len(u1), len(u2)), np.float64)
-    np.add.at(c, (i1, i2), coeffs)
-    p1 = np.exp(1j * np.outer(u1, th))
-    p2 = np.exp(1j * np.outer(u2, th))
-    return p1.T @ (c @ p2)
 
 
 def _powers(grid, exps):
@@ -82,17 +71,21 @@ def torus_quadrature(terms, ga, gb, perm_data, grid):
     return complex(coeffs @ acc) / (factorial(k) * grid**k)
 
 
-def torus_extrema(terms, shift, grid):
-    """Extrema of |f(x) / (x1 x2)^shift| over the grid x grid torus lattice,
-    f = sum c x^e over the two-variable `terms` (exponents, coefficient).
+def torus_extrema(rows, shift, grid):
+    """Extrema of |F| = |f(x) / (x1 x2)^shift| over the grid x grid torus lattice,
+    f = prod (a x1 + b x2) over the linear factors `rows` (a, b), 2 * shift of them.
 
-    Returns the least and greatest modulus, whether the real part keeps one
-    sign while the imaginary part stays below 1e-8 of the greatest modulus,
-    and the grid nodes (i, j) where the modulus is within 1e-9 of its maximum.
+    On the torus F = z^(-shift) * prod (a z + b) with z = x1 / x2, so the node
+    (i, j) takes the value at the residue t = (i - j) mod grid, and F is
+    evaluated once per residue, as a product.  Returns the least and
+    greatest modulus, whether the real part keeps one sign while the
+    imaginary part stays below 1e-8 of the greatest modulus, and the grid
+    nodes (i, j) where the modulus is within 1e-9 of its maximum, row-major.
     """
-    exps = np.array([e for e, _ in terms], np.int64).reshape(len(terms), 2)
-    coeffs = np.array([float(c) for _, c in terms], np.float64)
-    values = torus_grid_eval(exps, coeffs, shift, grid)
+    powers = _powers(grid, (1, -shift))
+    z, values = powers[:, 0], powers[:, 1]
+    for a, b in rows:
+        values *= a * z + b
     modulus = np.abs(values)
     max_mod = float(modulus.max())
     re = values.real
@@ -100,5 +93,7 @@ def torus_extrema(terms, shift, grid):
         (np.all(re > 0.0) or np.all(re < 0.0))
         and np.abs(values.imag).max() <= 1e-8 * max_mod
     )
-    hits = np.argwhere(modulus >= max_mod * (1.0 - 1e-9))
-    return float(modulus.min()), max_mod, sign_constant, [(int(i), int(j)) for i, j in hits]
+    residues = np.flatnonzero(modulus >= max_mod * (1.0 - 1e-9))
+    columns = np.sort((np.arange(grid)[:, None] - residues) % grid, axis=1).tolist()
+    hits = [(i, j) for i, row in enumerate(columns) for j in row]
+    return float(modulus.min()), max_mod, sign_constant, hits

@@ -21,6 +21,7 @@ monomial of f * V_a * conj(V_b) (`kernels.torus_quadrature`).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from math import factorial
 from operator import sub
@@ -257,7 +258,8 @@ def duality_pairing(alpha: Partition, beta: Partition, m: int, k: int) -> int:
 
 # -- numeric quadrature oracle -------------------------------------------------
 
-# largest quadrature or scan grid accepted; a scan grid sizes a grid x grid array
+# largest quadrature or scan grid accepted; the grid sizes the oracle's power
+# table and the scan's values, one per node angle
 MAX_GRID = 4096
 
 
@@ -294,6 +296,8 @@ def numeric_schur_coefficient(f: RootPolynomial, alpha: Partition, grid: Optiona
         raise OutOfDomain(f"grid {grid} below the exactness threshold {sharp}")
     if grid > MAX_GRID:
         raise OutOfDomain(f"grid {grid} above the largest accepted grid {MAX_GRID}")
+    if max(map(abs, f.poly.terms.values()), default=0) > sys.float_info.max:
+        raise OutOfDomain("a coefficient of f exceeds the float range; the oracle cannot weigh it")
     from . import kernels  # numpy is loaded on the float paths only
 
     return kernels.torus_quadrature(f.poly.terms, ga, gb, _perm_data(f.variables), grid)

@@ -10,7 +10,7 @@ from schubertcount.asymptotics import (
     torus_scan,
 )
 from schubertcount.combinatorics import catalan
-from schubertcount.counts import EvenDegree
+from schubertcount.counts import EvenDegree, linear_factor_rows
 
 
 def test_closed_form_max():
@@ -45,6 +45,16 @@ def test_torus_scan_matches_closed_form():
         exact = closed_form_max(d)
         assert abs(s.max_modulus - exact) <= 1e-4 * exact, d
         assert s.sign_constant, d
+
+
+@pytest.mark.parametrize("d", [7, 9, 11, 13])
+def test_torus_scan_extrema_exact_at_high_degree(d):
+    # the minimum is F_d(1, 1) = prod (a + b) over the linear factors
+    s = torus_scan(d, 720)
+    least = abs(math.prod(a + b for a, b in linear_factor_rows("real", d, 2)))
+    assert abs(s.min_modulus - least) <= 1e-12 * least
+    assert abs(s.max_modulus - closed_form_max(d)) <= 1e-12 * closed_form_max(d)
+    assert s.sign_constant
 
 
 def test_torus_scan_guards():

@@ -291,6 +291,8 @@ def test_readme_example_bodies_unchanged(capsys, example):
     ("feasibility --regime real -d 0 -k 2", 64),
     ("scan -d 3 --grid 10", 64),
     ("scan -d 3 --grid 4097", 64),
+    ("scan -d 15 --grid 64", 64),
+    ("lambda --regime real -d 15 -k 2 --alpha 204,204,204,204 --numeric", 64),
     ("lambda --regime complex -d 3 -k 4 --alpha 5,5,5,5 --numeric --grid 4097", 64),
     ("lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric --grid 3", 64),
     ("lambda --regime complex -d 3 -k 0 --alpha 2,2", 64),

@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from schubertcount.combinatorics import (
-    Composition,
     InvalidLength,
     NotInRectangle,
     Partition,
@@ -29,9 +28,9 @@ def test_partition_validation():
 
 
 def test_compositions_examples():
-    assert [c.parts for c in compositions(1, 2)] == [(1, 0), (0, 1)]
+    assert compositions(1, 2) == [(1, 0), (0, 1)]
     assert len(compositions(3, 4)) == 20 == comb(6, 3)
-    assert [c.parts for c in compositions(0, 3)] == [(0, 0, 0)]
+    assert compositions(0, 3) == [(0, 0, 0)]
 
 
 def test_compositions_order_and_cardinality():
@@ -39,15 +38,8 @@ def test_compositions_order_and_cardinality():
         for k in range(1, 7):
             comps = compositions(d, k)
             assert len(comps) == comb(d + k - 1, k - 1)
-            tuples = [c.parts for c in comps]
-            assert tuples == sorted(tuples, reverse=True), (d, k)
-            assert all(c.total == d for c in comps)
-
-
-def test_composition_total():
-    c = Composition((2, 0, 1))
-    assert c.total == 3
-    assert list(c) == [2, 0, 1]
+            assert comps == sorted(comps, reverse=True), (d, k)
+            assert all(sum(c) == d for c in comps)
 
 
 def test_classify_partition_examples():

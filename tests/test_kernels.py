@@ -3,10 +3,10 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from schubertcount import kernels
+from schubertcount.counts import linear_factor_rows, real_root_poly
 
 
 def _quadrature_case(k, spower, seed):
@@ -70,33 +70,35 @@ def test_torus_quadrature_against_pointwise(k, spower, above):
     assert abs(out - ref) <= 1e-9 * max(1.0, abs(ref)), (out, ref)
 
 
-def test_torus_grid_eval_random_against_pointwise():
-    rng = np.random.default_rng(5)
-    exps = rng.integers(0, 12, size=(9, 2)).astype(np.int64)
-    coeffs = rng.normal(size=9)
-    g, shift = 64, 4
-    vals = kernels.torus_grid_eval(exps, coeffs, shift, g)
-    step = 2 * cmath.pi / g
-    ref = np.array([
-        [sum(c * cmath.exp(1j * step * ((e1 - shift) * t1 + (e2 - shift) * t2))
-             for (e1, e2), c in zip(exps.tolist(), coeffs.tolist()))
-         for t2 in range(g)]
-        for t1 in range(g)
-    ])
-    assert np.max(np.abs(vals - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
-
-
-def test_torus_grid_eval_against_pointwise():
-    # one torus node, checked against a plain Python evaluation
-    exps = np.array([[3, 1], [2, 2], [1, 3]], np.int64)
-    coeffs = np.array([18.0, 45.0, 18.0])
-    g = 64
-    vals = kernels.torus_grid_eval(exps, coeffs, 2, g)
-    t1, t2 = 5, 17
-    th1 = 2 * np.pi * t1 / g
-    th2 = 2 * np.pi * t2 / g
-    direct = sum(
-        c * np.exp(1j * ((e1 - 2) * th1 + (e2 - 2) * th2))
-        for (e1, e2), c in zip(exps, coeffs)
+def _pointwise_extrema(d, g):
+    """min, max and sign constancy of F_d = f_d / (x1 x2)^m over all g^2 torus
+    nodes, and its argmax nodes row-major, from the expanded root polynomial
+    evaluated node by node in plain Python."""
+    terms = real_root_poly(d, 2).poly.terms
+    m = sum(next(iter(terms))) // 2
+    roots = [cmath.exp(2j * cmath.pi * t / g) for t in range(g)]
+    values = [
+        sum(c * roots[((e1 - m) * i + (e2 - m) * j) % g] for (e1, e2), c in terms.items())
+        for i in range(g)
+        for j in range(g)
+    ]
+    moduli = [abs(v) for v in values]
+    top = max(moduli)
+    sign_constant = (
+        (all(v.real > 0 for v in values) or all(v.real < 0 for v in values))
+        and max(abs(v.imag) for v in values) <= 1e-8 * top
     )
-    assert abs(vals[t1, t2] - direct) < 1e-10 * abs(direct)
+    hits = [divmod(n, g) for n, r in enumerate(moduli) if r >= top * (1.0 - 1e-9)]
+    return min(moduli), top, sign_constant, hits
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_torus_extrema_against_pointwise(d):
+    g = 64
+    rows = linear_factor_rows("real", d, 2)
+    ref_min, ref_max, ref_sign, ref_hits = _pointwise_extrema(d, g)
+    lo, hi, sign_constant, hits = kernels.torus_extrema(rows, len(rows) // 2, g)
+    assert abs(lo - ref_min) <= 1e-9 * ref_min
+    assert abs(hi - ref_max) <= 1e-9 * ref_max
+    assert sign_constant is ref_sign is True
+    assert hits == ref_hits
