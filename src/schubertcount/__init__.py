@@ -2,7 +2,9 @@
 
 Complex counts, real signed (Euler-class) counts, Catalan-type incidence
 counts, and log-scale asymptotic diagnostics, all through exact symmetric
-polynomial arithmetic with a torus-quadrature oracle on the side.
+polynomial arithmetic with a torus-quadrature oracle on the side.  The
+complex and real regimes share one exact path: `schur_polynomial`,
+`schur_coefficient`, `root_poly` and `plane_count` take the regime first.
 """
 
 __version__ = "0.1.0"
@@ -33,12 +35,9 @@ from .schur import (
     NotEulerPontryagin,
     NotEvenOrOdd,
     RootPolynomial,
-    SchurCoefficient,
     duality_pairing,
     numeric_schur_coefficient,
     quadrature_threshold,
-    real_schur_coefficient,
-    real_schur_polynomial,
     schur_coefficient,
     schur_polynomial,
     vandermonde,
@@ -48,17 +47,15 @@ from .counts import (
     EvenDegree,
     Orientability,
     catalan_substitution,
-    complex_count,
-    complex_root_poly,
     cubic_ci_real,
     euler_number_defined,
     factored_real_root_poly,
     grassmannian_orientable,
     incidence_complex,
     incidence_real,
-    real_count,
-    real_root_poly,
+    plane_count,
     real_square_poly,
+    root_poly,
     sym_power_orientable,
 )
 from .asymptotics import (

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from .combinatorics import Infeasible, OutOfDomain
-from .counts import complex_count, incidence_complex, incidence_real, linear_factor_rows, real_count, require_odd_degree
+from .counts import incidence_complex, incidence_real, linear_factor_rows, plane_count, require_odd_degree
 from .schur import MAX_GRID
 
 
@@ -35,7 +35,7 @@ class TorusSample:
     min_modulus: float
     max_modulus: float
     sign_constant: bool
-    argmax_angles: Tuple[Tuple[float, float], ...]
+    argmax_angles: "numpy.ndarray"  # (n, 2) angle pairs of the argmax nodes, row-major
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,7 @@ def torus_scan(d: int, grid: int) -> TorusSample:
     from . import kernels  # numpy is loaded on the float paths only
 
     min_mod, max_mod, sign_constant, hits = kernels.torus_extrema(rows, len(rows) // 2, grid)
-    step = 2.0 * math.pi / grid
-    argmax = tuple((i * step, j * step) for i, j in hits)
-    return TorusSample(d, grid, min_mod, max_mod, sign_constant, argmax)
+    return TorusSample(d, grid, min_mod, max_mod, sign_constant, hits * (2.0 * math.pi / grid))
 
 
 def closed_form_max(d: int) -> int:
@@ -109,7 +107,7 @@ def real_asymptote_table(ds: Sequence[int]) -> list[AsymptoteRow]:
     """log of the real signed count against (1/12) d^3 log d."""
     rows = []
     for d in ds:
-        report = real_count(d, 2)
+        report = plane_count("real", d, 2)
         if not report.feasible:
             raise Infeasible(f"(d={d}, k=2) is infeasible in the real regime")
         exact_log = math.log(report.value)
@@ -133,7 +131,7 @@ def complex_asymptote_table(ds: Sequence[int], k: int, slack: float = 1.7) -> li
     """
     rows = []
     for d in ds:
-        report = complex_count(d, k)
+        report = plane_count("complex", d, k)
         if not report.feasible:
             raise Infeasible(f"(d={d}, k={k}) is infeasible in the complex regime")
         if report.value == 0:

@@ -33,22 +33,14 @@ from .cache import ResultCache, cache_key
 from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, feasibility
 from .counts import (
     catalan_substitution,
-    complex_count,
-    complex_root_poly,
     cubic_ci_real,
     incidence_complex,
     incidence_real,
     linear_factors,
-    real_count,
-    real_root_poly,
+    plane_count,
+    root_poly,
 )
-from .schur import (
-    numeric_schur_coefficient,
-    real_schur_coefficient,
-    real_schur_polynomial,
-    schur_coefficient,
-    schur_polynomial,
-)
+from .schur import numeric_schur_coefficient, schur_coefficient, schur_polynomial
 
 USAGE_EXIT = 64
 INFEASIBLE_EXIT = 2
@@ -100,10 +92,7 @@ ALPHA = _arg("--alpha", type=_partition, required=True, help="comma-separated pa
 
 
 def _count(args) -> tuple[dict, int]:
-    if args.regime == "complex":
-        report, root = complex_count(args.d, args.k), complex_root_poly
-    else:
-        report, root = real_count(args.d, args.k), real_root_poly
+    report = plane_count(args.regime, args.d, args.k)
     body = {"regime": args.regime, "d": args.d, "k": args.k, "m": report.m}
     if report.feasible:
         body["value"] = str(report.value)
@@ -113,7 +102,7 @@ def _count(args) -> tuple[dict, int]:
     body["sym_power_orientable"] = o.sym_power if o else None
     body["euler_number_defined"] = o.euler_defined if o else None
     if args.dump_poly and report.feasible:
-        body["poly"] = root(args.d, args.k).poly.to_text()
+        body["poly"] = root_poly(args.regime, args.d, args.k).poly.to_text()
     return body, (0 if report.feasible else INFEASIBLE_EXIT)
 
 
@@ -140,17 +129,11 @@ def _cubic_ci(args) -> tuple[dict, int]:
 
 
 def _schur(args) -> tuple[dict, int]:
-    alpha = args.alpha
-    if args.regime == "complex":
-        k = len(alpha)
-        poly = schur_polynomial(alpha, k)
-    else:
-        k = len(alpha) // 2
-        poly = real_schur_polynomial(alpha, k)
+    poly = schur_polynomial(args.regime, args.alpha)
     body = {
         "regime": args.regime,
-        "alpha": list(alpha.parts),
-        "k": k,
+        "alpha": list(args.alpha.parts),
+        "k": poly.variables,
         "degree": poly.degree(),
         "poly": poly.poly.to_text(),
     }
@@ -158,26 +141,24 @@ def _schur(args) -> tuple[dict, int]:
 
 
 def _lambda(args) -> tuple[dict, int]:
-    factors = linear_factors(args.regime, args.d, args.k)
-    if args.regime == "complex":
-        coeff, root = schur_coefficient(factors, args.alpha), complex_root_poly
-    else:
-        coeff, root = real_schur_coefficient(factors, args.alpha), real_root_poly
+    value = schur_coefficient(args.regime, linear_factors(args.regime, args.d, args.k), args.alpha)
+    # orientation conventions pin a real coefficient only up to a global sign
+    sign_certain = args.regime == "complex"
     body = {
         "regime": args.regime,
         "d": args.d,
         "k": args.k,
         "alpha": list(args.alpha.parts),
-        "value": str(coeff.value),
-        "sign_certain": coeff.sign_certain,
+        "value": str(value),
+        "sign_certain": sign_certain,
     }
     if args.numeric:
-        num = numeric_schur_coefficient(root(args.d, args.k), args.alpha, grid=args.grid)
-        signs = (1,) if coeff.sign_certain else (1, -1)
-        err = min(abs(num - s * coeff.value) for s in signs)
+        num = numeric_schur_coefficient(root_poly(args.regime, args.d, args.k), args.alpha, grid=args.grid)
+        signs = (1,) if sign_certain else (1, -1)
+        err = min(abs(num - s * value) for s in signs)
         body["numeric"] = [num.real, num.imag]
         body["numeric_backend"] = "numpy"
-        body["numeric_matches"] = bool(err <= 1e-6 * max(1.0, abs(coeff.value)))
+        body["numeric_matches"] = bool(err <= 1e-6 * max(1.0, abs(value)))
     return body, 0
 
 
@@ -192,7 +173,7 @@ def _scan(args) -> tuple[dict, int]:
         "max_modulus": sample.max_modulus,
         "sign_constant": sample.sign_constant,
         "argmax_count": len(sample.argmax_angles),
-        "argmax_angles": [list(pair) for pair in sample.argmax_angles[:8]],
+        "argmax_angles": sample.argmax_angles[:8].tolist(),
     }
     return body, 0
 

@@ -3,13 +3,14 @@ Euler classes, cubic complete intersections, and Catalan-type incidence
 problems, plus the orientability predicates guarding them.
 
 Every count is one Schur coefficient of a product of small factors, read
-by `schur` from the factors without expanding the product.  Complex counts
-use the top-Chern root polynomial, the product of all degree-d composition
-linear forms.  Real counts use the real root polynomial, the product of one
-difference form from each pair {r, -r}; the exact square root of the signed
-product of all difference forms (`real_square_poly`) is its cross-check.
-All values are exact integers; real values are reported as absolute values
-because the underlying orientation conventions only pin them up to sign.
+by `schur` from the factors without expanding the product; the regime,
+taken first, picks the factors and the rank.  Complex counts use the
+top-Chern root polynomial, the product of all degree-d composition linear
+forms, at rank k.  Real counts use the real root polynomial, the product of
+one difference form from each pair {r, -r}, at rank 2k; the exact square
+root of the signed product of all difference forms (`real_square_poly`) is
+its cross-check.  All values are exact integers; real values are reported
+as absolute values because orientation conventions only pin them up to sign.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from typing import Optional, Tuple, Union
 
 from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility
 from .polynomial import SparsePoly, product_of_linear_forms
-from .schur import (
-    RootPolynomial,
-    real_schur_coefficient,
-    schur_coefficient,
-    schur_polynomial,
-)
+from .schur import RootPolynomial, schur_coefficient, schur_polynomial
 
 
 class EvenDegree(Infeasible):
@@ -96,6 +92,13 @@ def require_odd_degree(d: int) -> None:
         raise EvenDegree(f"degree {d} is even; real signed counts need odd degree")
 
 
+def _difference_forms(d: int, k: int) -> list[Tuple[int, ...]]:
+    """The real difference forms (l_1 - l_2, ..., l_{2k-1} - l_{2k}) over all
+    compositions l of an odd degree d into 2k parts, in composition order."""
+    require_odd_degree(d)
+    return [tuple(c[2 * i] - c[2 * i + 1] for i in range(k)) for c in compositions(d, 2 * k)]
+
+
 @lru_cache(maxsize=None)
 def linear_factor_rows(regime: str, d: int, k: int) -> Tuple[Tuple[int, ...], ...]:
     """Coefficient rows of the linear factors of the degree-d root polynomial.
@@ -108,13 +111,13 @@ def linear_factor_rows(regime: str, d: int, k: int) -> Tuple[Tuple[int, ...], ..
     one whose first nonzero coefficient is positive; their product is the
     exact square root of `real_square_poly`, sign included.
     """
-    if regime == "complex":
-        if d < 1:
-            raise OutOfDomain("d must be >= 1")
-        return tuple(compositions(d, k))
-    require_odd_degree(d)
-    forms = (tuple(c[2 * i] - c[2 * i + 1] for i in range(k)) for c in compositions(d, 2 * k))
-    return tuple(r for r in forms if next(x for x in r if x) > 0)
+    if regime == "real":
+        return tuple(r for r in _difference_forms(d, k) if next(x for x in r if x) > 0)
+    if regime != "complex":
+        raise OutOfDomain(f"unknown regime {regime!r}")
+    if d < 1:
+        raise OutOfDomain("d must be >= 1")
+    return tuple(compositions(d, k))
 
 
 def linear_factors(regime: str, d: int, k: int) -> list[SparsePoly]:
@@ -123,22 +126,29 @@ def linear_factors(regime: str, d: int, k: int) -> list[SparsePoly]:
 
 
 @lru_cache(maxsize=None)
-def complex_root_poly(d: int, k: int) -> RootPolynomial:
-    """Root polynomial of the top Chern class of Sym^d, expanded (for
-    --dump-poly and the quadrature oracle; counts use its factors)."""
-    return RootPolynomial(product_of_linear_forms(linear_factor_rows("complex", d, k), k), "complex")
+def root_poly(regime: str, d: int, k: int) -> RootPolynomial:
+    """Root polynomial of the top Chern class of Sym^d (complex) or of its
+    Euler class at rank 2k (real, leading coefficient positive by
+    convention), expanded for --dump-poly and the oracles; counts use the
+    factors."""
+    return RootPolynomial(product_of_linear_forms(linear_factor_rows(regime, d, k), k), regime)
 
 
-def complex_count(d: int, k: int) -> CountReport:
+def plane_count(regime: str, d: int, k: int) -> CountReport:
     """Exact number of projective (k-1)-planes on a generic degree-d
-    hypersurface, when the dimension condition holds."""
-    feas = feasibility(d, k, "complex")
-    orient = _orientability(d, k, feas.m)
+    hypersurface (complex), or absolute signed count of real (2k-1)-planes
+    on a generic real one of odd degree d, via the Euler class of Sym^d
+    (real).  Checked in order: domain, even real degree, dimension."""
+    feas = feasibility(d, k, regime)
+    rank = k
+    if regime == "real":
+        require_odd_degree(d)
+        rank = 2 * k
+    orient = _orientability(d, rank, feas.m)
     if not feas.feasible:
-        return CountReport("complex", d, k, None, None, False, orient)
-    target = Partition.constant(feas.m, k)
-    value = schur_coefficient(linear_factors("complex", d, k), target).value
-    return CountReport("complex", d, k, feas.m, value, True, orient)
+        return CountReport(regime, d, k, None, None, False, orient)
+    value = schur_coefficient(regime, linear_factors(regime, d, k), Partition.constant(feas.m, rank))
+    return CountReport(regime, d, k, feas.m, abs(value), True, orient)
 
 
 @lru_cache(maxsize=None)
@@ -150,22 +160,11 @@ def real_square_poly(d: int, k: int) -> SparsePoly:
     with N the number of factors, which makes the result a perfect square.
     Even d is rejected: it produces vanishing factors.
     """
-    require_odd_degree(d)
-    rows = []
-    for comp in compositions(d, 2 * k):
-        rows.append(tuple(comp[2 * i] - comp[2 * i + 1] for i in range(k)))
+    rows = _difference_forms(d, k)
     poly = product_of_linear_forms(rows, k)
     if (len(rows) // 2) % 2:
         poly = -poly
     return poly
-
-
-@lru_cache(maxsize=None)
-def real_root_poly(d: int, k: int) -> RootPolynomial:
-    """Real root polynomial of the Euler class of Sym^d, rank 2k, expanded
-    from its linear factors.  Its leading coefficient is positive (a
-    convention; counts use absolute values)."""
-    return RootPolynomial(product_of_linear_forms(linear_factor_rows("real", d, k), k), "real")
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +176,7 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
     ]^(i+1)
 
     Runs over unordered pairs {l1, l2}; the x1 x2 prefactor accumulates to
-    exponent (d+1)(d+3)/8.  Must equal real_root_poly(d, 2) up to a global
+    exponent (d+1)(d+3)/8.  Must equal root_poly("real", d, 2) up to a global
     sign; the test suite checks it.
     """
     require_odd_degree(d)
@@ -196,19 +195,6 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
     return RootPolynomial(result, "real")
 
 
-def real_count(d: int, k: int) -> CountReport:
-    """Absolute signed count of real (2k-1)-planes on a generic real
-    hypersurface of odd degree d, via the Euler class of Sym^d."""
-    feas = feasibility(d, k, "real")
-    require_odd_degree(d)
-    orient = _orientability(d, 2 * k, feas.m)
-    if not feas.feasible:
-        return CountReport("real", d, k, None, None, False, orient)
-    target = Partition.constant(feas.m, 2 * k)
-    lam = real_schur_coefficient(linear_factors("real", d, k), target)
-    return CountReport("real", d, k, feas.m, abs(lam.value), True, orient)
-
-
 def cubic_ci_real(r: int) -> CountReport:
     """Absolute signed count of real 3-planes on an intersection of r generic
     real cubics (m = 5r), from the 10 linear factors of the cubic's real root
@@ -216,9 +202,9 @@ def cubic_ci_real(r: int) -> CountReport:
     if r < 0:
         raise OutOfDomain("r must be >= 0")
     m = 5 * r
-    lam = real_schur_coefficient(linear_factors("real", 3, 2) * r, Partition.constant(m, 4))
+    value = schur_coefficient("real", linear_factors("real", 3, 2) * r, Partition.constant(m, 4))
     orient = _orientability(3, 4, m) if r else None
-    return CountReport("real", (3,) * r, 2, m, abs(lam.value), True, orient)
+    return CountReport("real", (3,) * r, 2, m, abs(value), True, orient)
 
 
 def catalan_substitution(r: int) -> int:
@@ -237,7 +223,7 @@ def incidence_real(n: int) -> int:
     if n < 1:
         raise OutOfDomain("n must be >= 1")
     factors = [SparsePoly(2, {(2, 0): 1, (0, 2): 1})] * (2 * n)
-    return abs(real_schur_coefficient(factors, Partition.constant(2 * n, 4)).value)
+    return abs(schur_coefficient("real", factors, Partition.constant(2 * n, 4)))
 
 
 def incidence_complex(n: int) -> int:
@@ -246,5 +232,5 @@ def incidence_complex(n: int) -> int:
     fundamental class."""
     if n < 1:
         raise OutOfDomain("n must be >= 1")
-    factors = [schur_polynomial(Partition((2, 2, 0, 0)), 4).poly] * (2 * n)
-    return schur_coefficient(factors, Partition.constant(2 * n, 4)).value
+    factors = [schur_polynomial("complex", Partition((2, 2, 0, 0))).poly] * (2 * n)
+    return schur_coefficient("complex", factors, Partition.constant(2 * n, 4))

@@ -80,7 +80,8 @@ def torus_extrema(rows, shift, grid):
     evaluated once per residue, as a product.  Returns the least and
     greatest modulus, whether the real part keeps one sign while the
     imaginary part stays below 1e-8 of the greatest modulus, and the grid
-    nodes (i, j) where the modulus is within 1e-9 of its maximum, row-major.
+    nodes (i, j) where the modulus is within 1e-9 of its maximum, as the rows
+    of one (n, 2) int array, row-major.
     """
     powers = _powers(grid, (1, -shift))
     z, values = powers[:, 0], powers[:, 1]
@@ -94,6 +95,8 @@ def torus_extrema(rows, shift, grid):
         and np.abs(values.imag).max() <= 1e-8 * max_mod
     )
     residues = np.flatnonzero(modulus >= max_mod * (1.0 - 1e-9))
-    columns = np.sort((np.arange(grid)[:, None] - residues) % grid, axis=1).tolist()
-    hits = [(i, j) for i, row in enumerate(columns) for j in row]
-    return float(modulus.min()), max_mod, sign_constant, hits
+    hits = np.empty((grid, len(residues), 2), np.int64)
+    hits[..., 0] = np.arange(grid)[:, None]
+    hits[..., 1] = (hits[..., 0] - residues) % grid
+    hits[..., 1].sort(axis=1)
+    return float(modulus.min()), max_mod, sign_constant, hits.reshape(-1, 2)

@@ -1,5 +1,5 @@
-"""Vandermonde alternants, complex and real Schur polynomials, and Schur
-coefficient extraction.
+"""Vandermonde alternants, Schur polynomials and Schur coefficient
+extraction, in either regime: the regime, taken first, only picks the data.
 
 Coefficient extraction is exact: the torus integral behind a Schur
 coefficient equals one coefficient of f multiplied by the plain (complex
@@ -135,7 +135,7 @@ class RootPolynomial:
                     "real root polynomial must lie in the Euler-Pontryagin ring"
                 )
         else:
-            raise ValueError(f"unknown regime {self.regime!r}")
+            raise OutOfDomain(f"unknown regime {self.regime!r}")
 
     @property
     def variables(self) -> int:
@@ -145,50 +145,32 @@ class RootPolynomial:
         return self.poly.degree()
 
 
-@dataclass(frozen=True)
-class SchurCoefficient:
-    """One coefficient of a Schur-basis expansion.
-
-    sign_certain is False exactly in the real regime, where orientation
-    conventions pin the value only up to a global sign.
-    """
-
-    partition: Partition
-    value: int
-    sign_certain: bool
-
-
 def _alternant_exponents(regime: str, alpha: Partition, k: Optional[int] = None):
     """Alternant exponents ga and target gb: delta and alpha + delta (complex),
     or 2*delta and beta + 2*delta with beta the half-length profile of an
     even or odd 2k-partition alpha (real); alpha must fit k variables if given."""
     if regime == "complex":
         kk, parts, scale = len(alpha), alpha.parts, 1
-    else:
+    elif regime == "real":
         parity = classify_partition(alpha)
         if not (parity.is_even or parity.is_odd):
             raise NotEvenOrOdd(f"{alpha.parts} is neither an even nor an odd partition")
         kk, parts, scale = len(alpha) // 2, alpha.parts[0::2], 2
+    else:
+        raise OutOfDomain(f"unknown regime {regime!r}")
     if k is not None and kk != k:
         raise InvalidLength(f"partition of length {len(alpha)} against {k} variables ({regime} regime)")
     ga = tuple(scale * x for x in delta(kk))
     return ga, tuple(a + b for a, b in zip(parts, ga))
 
 
-def schur_polynomial(alpha: Partition, k: int) -> RootPolynomial:
-    """Schur polynomial as the bialternant quotient V_{alpha+delta} / V_delta."""
-    ga, gb = _alternant_exponents("complex", alpha, k)
-    return RootPolynomial(exact_div(vandermonde(gb, k), vandermonde(ga, k)), "complex")
-
-
-def real_schur_polynomial(alpha: Partition, k: int) -> RootPolynomial:
-    """Real Schur polynomial of an even or odd 2k-partition, in k variables.
-
-    Computed as the squared-variable bialternant quotient
-    V_{beta+2delta} / V_{2delta} with beta the half-length profile of alpha.
-    """
-    ga, gb = _alternant_exponents("real", alpha, k)
-    return RootPolynomial(exact_div(vandermonde(gb, k), vandermonde(ga, k)), "real")
+def schur_polynomial(regime: str, alpha: Partition) -> RootPolynomial:
+    """Schur polynomial as a bialternant quotient: V_{alpha+delta} / V_delta
+    in len(alpha) variables (complex), or, for an even or odd 2k-partition,
+    V_{beta+2delta} / V_{2delta} in k variables with beta the half-length
+    profile of alpha (real)."""
+    ga, gb = _alternant_exponents(regime, alpha)
+    return RootPolynomial(exact_div(vandermonde(gb, len(gb)), vandermonde(ga, len(ga))), regime)
 
 
 def _alternant_coefficient(factors: Sequence[SparsePoly], target: Tuple[int, ...], van: SparsePoly) -> int:
@@ -204,43 +186,24 @@ def _alternant_coefficient(factors: Sequence[SparsePoly], target: Tuple[int, ...
     return sum(c * coefficients[s] for s, c in shifted.items())
 
 
-def _as_factors(f: Factorable, regime: str) -> Tuple[Sequence[SparsePoly], Optional[int]]:
-    """The factors of f and their number of variables (None for no factors).
-    A factor list is taken as it is, since its product is never built; a
-    single polynomial must be a root polynomial of the regime."""
+def schur_coefficient(regime: str, f: Factorable, alpha: Partition) -> int:
+    """Exact Schur coefficient of f: the coefficient of z^{alpha+delta} in
+    f*V_delta (complex), or of x^{beta+2delta} in f*V_{2delta} for an even
+    or odd 2k-partition alpha with half-length profile beta (real, pinned
+    only up to a global sign by orientation conventions).  f is a root
+    polynomial of the regime or a list of factors of one, taken as it is,
+    since their product is never built."""
     if isinstance(f, (list, tuple)):
-        return f, (f[0].nvars if f else None)
-    if not isinstance(f, RootPolynomial):
-        f = RootPolynomial(f, regime)
-    elif f.regime != regime:
-        error = NotEulerPontryagin if regime == "real" else ValueError
-        raise error(f"expected a {regime}-regime root polynomial")
-    return [f.poly], f.variables
-
-
-def _coefficient(f: Factorable, alpha: Partition, regime: str) -> int:
-    factors, k = _as_factors(f, regime)
+        factors, k = f, (f[0].nvars if f else None)
+    else:
+        if not isinstance(f, RootPolynomial):
+            f = RootPolynomial(f, regime)
+        elif f.regime != regime:
+            error = NotEulerPontryagin if regime == "real" else OutOfDomain
+            raise error(f"expected a {regime!r}-regime root polynomial, got a {f.regime!r} one")
+        factors, k = [f.poly], f.variables
     ga, gb = _alternant_exponents(regime, alpha, k)
     return _alternant_coefficient(factors, gb, vandermonde(ga, len(ga)))
-
-
-def schur_coefficient(f: Factorable, alpha: Partition) -> SchurCoefficient:
-    """Exact Schur coefficient: the coefficient of z^{alpha+delta} in f*V_delta.
-
-    f is a complex root polynomial or a list of factors of one.
-    """
-    return SchurCoefficient(alpha, _coefficient(f, alpha, "complex"), sign_certain=True)
-
-
-def real_schur_coefficient(f: Factorable, alpha: Partition) -> SchurCoefficient:
-    """Real Schur coefficient of an even or odd 2k-partition, up to sign.
-
-    Equals the coefficient of x^{beta+2delta} in f*V_{2delta}, with beta the
-    half-length profile of alpha; f is a real root polynomial or a list of
-    factors of one.  sign_certain is False: orientation conventions leave
-    the global sign open, and consumers use |value|.
-    """
-    return SchurCoefficient(alpha, _coefficient(f, alpha, "real"), sign_certain=False)
 
 
 def duality_pairing(alpha: Partition, beta: Partition, m: int, k: int) -> int:
@@ -252,8 +215,8 @@ def duality_pairing(alpha: Partition, beta: Partition, m: int, k: int) -> int:
         raise InvalidLength("both partitions must have length k")
     if (k and alpha[0] > m) or (k and beta[0] > m):
         raise NotInRectangle(f"partitions must fit in the {k}x{m} rectangle")
-    factors = [schur_polynomial(alpha, k).poly, schur_polynomial(beta, k).poly]
-    return schur_coefficient(factors, Partition.constant(m, k)).value
+    factors = [schur_polynomial("complex", alpha).poly, schur_polynomial("complex", beta).poly]
+    return schur_coefficient("complex", factors, Partition.constant(m, k))
 
 
 # -- numeric quadrature oracle -------------------------------------------------

@@ -20,14 +20,12 @@ from schubertcount.asymptotics import closed_form_max, real_asymptote_table, tor
 from schubertcount.combinatorics import Partition, catalan, complement, feasibility
 from schubertcount.counts import (
     catalan_substitution,
-    complex_count,
-    complex_root_poly,
     cubic_ci_real,
     factored_real_root_poly,
     incidence_real,
-    real_count,
-    real_root_poly,
+    plane_count,
     real_square_poly,
+    root_poly,
 )
 from schubertcount.polynomial import SparsePoly, exact_sqrt
 from schubertcount.schur import (
@@ -35,7 +33,6 @@ from schubertcount.schur import (
     duality_pairing,
     numeric_schur_coefficient,
     quadrature_threshold,
-    real_schur_coefficient,
     schur_coefficient,
     schur_polynomial,
 )
@@ -108,7 +105,7 @@ def test_criterion_03():
 @criterion(4, "real lines: d=3 -> 3, d=5 -> 15, d=7 -> 105 = (2n-1)!!")
 def test_criterion_04():
     for d, expected in ((3, 3), (5, 15), (7, 105)):
-        assert real_count(d, 1).value == expected, d
+        assert plane_count("real", d, 1).value == expected, d
         n = (d + 1) // 2
         double_factorial = 1
         for j in range(1, 2 * n, 2):
@@ -118,7 +115,7 @@ def test_criterion_04():
 
 @criterion(5, "complex lines sanity: d=3, k=2 -> 27")
 def test_criterion_05():
-    assert complex_count(3, 2).value == 27
+    assert plane_count("complex", 3, 2).value == 27
 
 
 @criterion(6, "incidence_real(n) = catalan(n) for n = 1..8, exactly")
@@ -139,11 +136,11 @@ def test_criterion_08():
     for k in range(1, 5):
         for n in range(0, 9):
             parts = [Partition(p) for p in partitions_of(n, k)]
-            schurs = {p.parts: schur_polynomial(p, k) for p in parts}
+            schurs = {p.parts: schur_polynomial("complex", p) for p in parts}
             for a in parts:
                 for b in parts:
                     expected = 1 if a == b else 0
-                    assert schur_coefficient(schurs[b.parts], a).value == expected
+                    assert schur_coefficient("complex", schurs[b.parts], a) == expected
     for k in range(1, 5):
         for m in range(0, 4):
             parts = [Partition(p) for p in partitions_in_box(k, m)]
@@ -167,31 +164,31 @@ def test_criterion_10():
 
     for d, expected in ((3, N3_COMPLEX), (5, N5_COMPLEX)):
         m = feasibility(d, 4, "complex").m
-        root = complex_root_poly(d, 4)
+        root = root_poly("complex", d, 4)
         alpha = Partition.constant(m, 4)
-        assert schur_coefficient(root, alpha).value == expected
+        assert schur_coefficient("complex", root, alpha) == expected
         cases.append((root, alpha, expected))
 
-    root = complex_root_poly(3, 2)
+    root = root_poly("complex", 3, 2)
     cases.append((root, Partition.constant(2, 2), 27))
 
     for d, expected in ((3, N3_REAL), (5, N5_REAL)):
         m = feasibility(d, 2, "real").m
-        root = real_root_poly(d, 2)
+        root = root_poly("real", d, 2)
         alpha = Partition.constant(m, 4)
-        assert abs(real_schur_coefficient(root, alpha).value) == expected
+        assert abs(schur_coefficient("real", root, alpha)) == expected
         cases.append((root, alpha, expected))
 
     for d, expected in ((3, 3), (5, 15), (7, 105)):
         m = feasibility(d, 1, "real").m
-        cases.append((real_root_poly(d, 1), Partition.constant(m, 2), expected))
+        cases.append((root_poly("real", d, 1), Partition.constant(m, 2), expected))
 
     base = SparsePoly(2, {(2, 0): 1, (0, 2): 1})
     for n in range(1, 9):
         root = RootPolynomial(base ** (2 * n), "real")
         cases.append((root, Partition.constant(2 * n, 4), catalan(n)))
 
-    f3 = real_root_poly(3, 2)
+    f3 = root_poly("real", 3, 2)
     for r in range(1, 5):
         root = RootPolynomial(f3.poly**r, "real")
         cases.append((root, Partition.constant(5 * r, 4), catalan_substitution(r)))
@@ -230,8 +227,8 @@ def test_criterion_12():
 
 @criterion(13, "inequality chain: real signed count <= complex count for d in {3,5}")
 def test_criterion_13():
-    assert real_count(3, 2).value <= complex_count(3, 4).value
-    assert real_count(5, 2).value <= complex_count(5, 4).value
+    assert plane_count("real", 3, 2).value <= plane_count("complex", 3, 4).value
+    assert plane_count("real", 5, 2).value <= plane_count("complex", 5, 4).value
 
 
 @criterion(14, "determinism: criterion 2 with and without cache yields byte-identical JSON value fields")

@@ -1,7 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import schubertcount
 from schubertcount.asymptotics import (
     closed_form_max,
     complex_asymptote_table,
@@ -109,3 +114,20 @@ def test_incidence_asymptote_table():
     # normalized real logs increase toward log 2
     norm = [r.exact_log / (2 * r.parameter) for r in creal]
     assert norm[0] < norm[1] < norm[2] < math.log(2)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 to read the child's max-RSS")
+def test_scan_with_every_node_an_argmax_stays_small():
+    # |F_1| is constant on the torus, so all 1440^2 nodes are argmax nodes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(schubertcount.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "SCHUBERT_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    argv = [sys.executable, "-m", "schubertcount", "scan", "-d", "1", "--grid", "1440", "--no-cache"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, env=env) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert json.loads(out)["argmax_count"] == 1440**2
+    max_rss_mib = usage.ru_maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+    assert max_rss_mib < 160, max_rss_mib

@@ -4,34 +4,34 @@ import math
 import pytest
 
 from schubertcount import cli, counts, polynomial
-from schubertcount.combinatorics import catalan
+from schubertcount.combinatorics import OutOfDomain, Partition, catalan
 from schubertcount.counts import (
     EvenDegree,
     catalan_substitution,
-    complex_count,
-    complex_root_poly,
     cubic_ci_real,
     euler_number_defined,
     factored_real_root_poly,
     grassmannian_orientable,
     incidence_complex,
     incidence_real,
-    real_count,
-    real_root_poly,
+    linear_factor_rows,
+    linear_factors,
+    plane_count,
     real_square_poly,
+    root_poly,
     sym_power_orientable,
 )
 from schubertcount.polynomial import SparsePoly, exact_sqrt
-from schubertcount.schur import in_euler_pontryagin
+from schubertcount.schur import in_euler_pontryagin, schur_coefficient, schur_polynomial
 
 # 9 x^3 y^3 (4(x^2+y^2)^2 - 25 x^2 y^2), the degree-3 real root polynomial
 F3_REAL = SparsePoly(2, {(7, 3): 36, (5, 5): -153, (3, 7): 36})
 
 
 def test_complex_root_poly():
-    assert complex_root_poly(1, 2).poly.terms == {(1, 1): 1}
-    assert complex_root_poly(3, 2).poly.terms == {(3, 1): 18, (2, 2): 45, (1, 3): 18}
-    f = complex_root_poly(3, 4).poly
+    assert root_poly("complex", 1, 2).poly.terms == {(1, 1): 1}
+    assert root_poly("complex", 3, 2).poly.terms == {(3, 1): 18, (2, 2): 45, (1, 3): 18}
+    f = root_poly("complex", 3, 4).poly
     assert f.degree() == 20
     assert all(sum(e) == 20 for e in f.terms)
 
@@ -45,13 +45,13 @@ PUBLISHED_REAL_LINES = {1: 1, 3: 3, 5: 15, 7: 105, 9: 945, 11: 10395}
 
 def test_complex_count():
     for d, lines in PUBLISHED_COMPLEX_LINES.items():
-        assert complex_count(d, 2).value == lines, d
-    report = complex_count(3, 4)
+        assert plane_count("complex", d, 2).value == lines, d
+    report = plane_count("complex", 3, 4)
     assert report.value == 321489 and report.m == 5 and report.feasible
-    report = complex_count(2, 2)
+    report = plane_count("complex", 2, 2)
     assert not report.feasible and report.value is None and report.m is None
-    assert complex_count(6, 4).value == 509790561507026458604600562562407674699832025446617186304
-    assert complex_count(7, 4).value == (
+    assert plane_count("complex", 6, 4).value == 509790561507026458604600562562407674699832025446617186304
+    assert plane_count("complex", 7, 4).value == (
         37790124497665395358326142935602591866292446308215498549851841984133180781777204421879037543)
 
 
@@ -64,16 +64,16 @@ def test_real_square_poly():
 
 
 def test_real_root_poly():
-    f3 = real_root_poly(3, 2)
+    f3 = root_poly("real", 3, 2)
     assert f3.poly == F3_REAL
-    assert real_root_poly(1, 2).poly.terms == {(1, 1): 1}
-    assert real_root_poly(3, 1).poly.terms == {(2,): 3}
+    assert root_poly("real", 1, 2).poly.terms == {(1, 1): 1}
+    assert root_poly("real", 3, 1).poly.terms == {(2,): 3}
     assert f3.poly.leading_term()[1] > 0
 
 
 def test_real_root_poly_degree_and_ring():
     for d, k in ((1, 1), (3, 1), (5, 1), (1, 2), (3, 2), (5, 2), (7, 2), (1, 3)):
-        root = real_root_poly(d, k)
+        root = root_poly("real", d, k)
         assert root.poly.degree() == math.comb(d + 2 * k - 1, 2 * k - 1) // 2, (d, k)
         assert in_euler_pontryagin(root.poly)
 
@@ -84,7 +84,7 @@ REAL_LADDER = ((1, 1), (3, 1), (5, 1), (1, 2), (3, 2), (5, 2), (7, 2), (9, 2), (
 @pytest.mark.parametrize("d,k", REAL_LADDER)
 def test_real_root_poly_is_the_square_root(d, k):
     # one difference form from each pair {r, -r} multiplies out to the square root, sign included
-    assert real_root_poly(d, k).poly == exact_sqrt(real_square_poly(d, k))
+    assert root_poly("real", d, k).poly == exact_sqrt(real_square_poly(d, k))
 
 
 def test_counts_never_expand_the_product(monkeypatch, capsys):
@@ -92,14 +92,13 @@ def test_counts_never_expand_the_product(monkeypatch, capsys):
         raise AssertionError("a count built a full product, a power or a square root")
 
     for module in (polynomial, counts, cli):
-        for name in ("product_of_linear_forms", "exact_sqrt", "complex_root_poly", "real_root_poly",
-                     "real_square_poly"):
+        for name in ("product_of_linear_forms", "exact_sqrt", "root_poly", "real_square_poly"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(SparsePoly, "__mul__", refuse)
     monkeypatch.setattr(SparsePoly, "__pow__", refuse)
-    assert complex_count(5, 4).value == 64127725294951805931404297113125
-    assert real_count(5, 3).value == 731282707860990814833962787125573040618750
+    assert plane_count("complex", 5, 4).value == 64127725294951805931404297113125
+    assert plane_count("real", 5, 3).value == 731282707860990814833962787125573040618750
     assert cubic_ci_real(4).value == catalan_substitution(4)
     assert incidence_real(8) == catalan(8)
     assert incidence_complex(8) == 2325250316950
@@ -113,25 +112,25 @@ def test_factored_real_root_poly():
     assert factored_real_root_poly(3).poly == F3_REAL
     for d in (1, 3, 5, 7):
         factored = factored_real_root_poly(d).poly
-        direct = real_root_poly(d, 2).poly
+        direct = root_poly("real", d, 2).poly
         assert factored == direct or factored == -direct, d
     with pytest.raises(EvenDegree):
         factored_real_root_poly(4)
 
 
 def test_real_count():
-    assert real_count(3, 2).value == 189
-    report = real_count(3, 2)
+    assert plane_count("real", 3, 2).value == 189
+    report = plane_count("real", 3, 2)
     assert report.m == 5 and report.feasible
-    assert real_count(3, 1).value == 3
-    assert real_count(5, 1).value == 15
-    assert real_count(7, 1).value == 105
-    assert real_count(1, 3).value == 1
+    assert plane_count("real", 3, 1).value == 3
+    assert plane_count("real", 5, 1).value == 15
+    assert plane_count("real", 7, 1).value == 105
+    assert plane_count("real", 1, 3).value == 1
     with pytest.raises(EvenDegree):
-        real_count(2, 2)
-    report = real_count(3, 3)
+        plane_count("real", 2, 2)
+    report = plane_count("real", 3, 3)
     assert not report.feasible and report.value is None
-    assert real_count(7, 3).value == int(
+    assert plane_count("real", 7, 3).value == int(
         "4397430044975380702982018526137651501007299932159063004978923718221358559083711678679819225783508"
         "1733450117954880390805621603598935087084424859210061280447552769138816171875000")
 
@@ -139,7 +138,7 @@ def test_real_count():
 def test_real_lines_double_factorial():
     for d, lines in PUBLISHED_REAL_LINES.items():
         assert lines == math.prod(range(d, 0, -2)), d
-        assert real_count(d, 1).value == lines, d
+        assert plane_count("real", d, 1).value == lines, d
 
 
 def test_cubic_ci_and_catalan_substitution():
@@ -178,7 +177,7 @@ def test_orientability_predicates():
 
 
 def test_count_report_orientability_fields():
-    report = real_count(3, 2)
+    report = plane_count("real", 3, 2)
     o = report.orientability
     assert o is not None
     assert o.grassmannian == grassmannian_orientable(4, 5) == False
@@ -188,9 +187,25 @@ def test_count_report_orientability_fields():
 
 def test_positivity_of_complex_counts():
     # positivity is claimed for odd degrees (even-degree counts can vanish:
-    # a quadric threefold carries no 2-planes, complex_count(2, 3) == 0)
+    # a quadric threefold carries no 2-planes, plane_count("complex", 2, 3) == 0)
     for d, k in ((1, 2), (3, 2), (5, 2), (3, 4), (1, 3)):
-        report = complex_count(d, k)
+        report = plane_count("complex", d, k)
         if report.feasible:
             assert report.value > 0, (d, k)
-    assert complex_count(2, 3).value == 0
+    assert plane_count("complex", 2, 3).value == 0
+
+
+def test_unknown_regime_is_refused():
+    # a regime is "complex" or "real"; any other name must not fall through to either
+    with pytest.raises(OutOfDomain, match="Complex"):
+        linear_factor_rows("Complex", 3, 1)
+    with pytest.raises(OutOfDomain, match="Complex"):
+        schur_polynomial("Complex", Partition((2, 2)))
+    root = root_poly("complex", 3, 2)
+    for f in (linear_factors("complex", 3, 2), root.poly, root):
+        with pytest.raises(OutOfDomain, match="Complex"):
+            schur_coefficient("Complex", f, Partition((2, 2)))
+    with pytest.raises(OutOfDomain, match="Complex"):
+        root_poly("Complex", 3, 2)
+    with pytest.raises(OutOfDomain, match="Complex"):
+        plane_count("Complex", 3, 2)

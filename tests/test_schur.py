@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import partitions_of, random_poly, symmetrize
 from schubertcount.combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition
-from schubertcount.counts import complex_root_poly, real_root_poly
+from schubertcount.counts import root_poly
 from schubertcount.polynomial import ArityMismatch, SparsePoly
 from schubertcount.schur import (
     MAX_GRID,
@@ -21,8 +21,6 @@ from schubertcount.schur import (
     is_symmetric,
     numeric_schur_coefficient,
     quadrature_threshold,
-    real_schur_coefficient,
-    real_schur_polynomial,
     schur_coefficient,
     schur_polynomial,
     vandermonde,
@@ -50,10 +48,10 @@ def test_vandermonde_errors():
 
 
 def test_schur_polynomial_examples():
-    assert schur_polynomial(Partition((1, 1)), 2).poly.terms == {(1, 1): 1}
-    assert schur_polynomial(Partition((2, 0)), 2).poly.terms == {
+    assert schur_polynomial("complex", Partition((1, 1))).poly.terms == {(1, 1): 1}
+    assert schur_polynomial("complex", Partition((2, 0))).poly.terms == {
         (2, 0): 1, (1, 1): 1, (0, 2): 1}
-    s22 = schur_polynomial(Partition((2, 2, 0, 0)), 4)
+    s22 = schur_polynomial("complex", Partition((2, 2, 0, 0)))
     assert sum(s22.poly.terms.values()) == 20
     assert s22.poly.degree() == 4
 
@@ -62,7 +60,7 @@ def test_schur_elementary_and_rectangular():
     for k in range(1, 5):
         for r in range(1, k + 1):
             alpha = Partition((1,) * r + (0,) * (k - r))
-            s = schur_polynomial(alpha, k).poly
+            s = schur_polynomial("complex", alpha).poly
             expected = {}
             for combo in itertools.combinations(range(k), r):
                 e = [0] * k
@@ -72,30 +70,29 @@ def test_schur_elementary_and_rectangular():
             assert s.terms == expected
     for k in range(1, 5):
         for m in range(6):
-            s = schur_polynomial(Partition.constant(m, k), k).poly
+            s = schur_polynomial("complex", Partition.constant(m, k)).poly
             assert s.terms == {(m,) * k: 1}
 
 
 def test_schur_coefficient_examples():
-    s20 = schur_polynomial(Partition((2, 0)), 2)
-    assert schur_coefficient(s20, Partition((2, 0))).value == 1
+    s20 = schur_polynomial("complex", Partition((2, 0)))
+    assert schur_coefficient("complex", s20, Partition((2, 0))) == 1
     c14 = SparsePoly(2, {(1, 0): 1, (0, 1): 1}) ** 4
-    assert schur_coefficient(c14, Partition((2, 2))).value == 2
-    lam = schur_coefficient(complex_root_poly(3, 4), Partition((5, 5, 5, 5)))
-    assert lam.value == 321489
-    assert lam.sign_certain
+    assert schur_coefficient("complex", c14, Partition((2, 2))) == 2
+    lam = schur_coefficient("complex", root_poly("complex", 3, 4), Partition((5, 5, 5, 5)))
+    assert lam == 321489
     with pytest.raises(ArityMismatch):
-        schur_coefficient([SparsePoly.one(2), SparsePoly.one(3)], Partition((1, 1)))
+        schur_coefficient("complex", [SparsePoly.one(2), SparsePoly.one(3)], Partition((1, 1)))
 
 
 def test_orthonormality():
     for k in range(1, 5):
         for n in range(0, 9):
             parts = [Partition(p) for p in partitions_of(n, k)]
-            schurs = {b.parts: schur_polynomial(b, k) for b in parts}
+            schurs = {b.parts: schur_polynomial("complex", b) for b in parts}
             for a in parts:
                 for b in parts:
-                    lam = schur_coefficient(schurs[b.parts], a).value
+                    lam = schur_coefficient("complex", schurs[b.parts], a)
                     assert lam == (1 if a == b else 0), (k, a.parts, b.parts)
 
 
@@ -118,20 +115,20 @@ def test_basis_reconstruction_complex():
             continue
         recon = SparsePoly.zero(k)
         for p in partitions_of(deg, k):
-            lam = schur_coefficient(f, Partition(p)).value
+            lam = schur_coefficient("complex", f, Partition(p))
             if lam:
-                recon = recon + schur_polynomial(Partition(p), k).poly * lam
+                recon = recon + schur_polynomial("complex", Partition(p)).poly * lam
         assert recon == f
 
 
 def test_real_schur_polynomial_examples():
-    assert real_schur_polynomial(Partition((5, 5, 5, 5)), 2).poly.terms == {(5, 5): 1}
-    assert real_schur_polynomial(Partition((7, 7, 3, 3)), 2).poly.terms == {
+    assert schur_polynomial("real", Partition((5, 5, 5, 5))).poly.terms == {(5, 5): 1}
+    assert schur_polynomial("real", Partition((7, 7, 3, 3))).poly.terms == {
         (7, 3): 1, (5, 5): 1, (3, 7): 1}
-    assert real_schur_polynomial(Partition((4, 4, 2, 2)), 2).poly.terms == {
+    assert schur_polynomial("real", Partition((4, 4, 2, 2))).poly.terms == {
         (4, 2): 1, (2, 4): 1}
     with pytest.raises(NotEvenOrOdd):
-        real_schur_polynomial(Partition((3, 2, 1, 0)), 2)
+        schur_polynomial("real", Partition((3, 2, 1, 0)))
 
 
 def test_real_complex_bridge():
@@ -140,24 +137,23 @@ def test_real_complex_bridge():
         for n in range(0, 7):
             for beta in partitions_of(n, k):
                 alpha = Partition(tuple(x for b in beta for x in (2 * b, 2 * b)))
-                real = real_schur_polynomial(alpha, k).poly
-                cplx = schur_polynomial(Partition(beta), k).poly
+                real = schur_polynomial("real", alpha).poly
+                cplx = schur_polynomial("complex", Partition(beta)).poly
                 squared = SparsePoly(k, {tuple(2 * x for x in e): c for e, c in cplx.terms.items()})
                 assert real == squared, (beta, k)
 
 
 def test_real_schur_coefficient_examples():
-    f3 = real_root_poly(3, 2)
-    lam = real_schur_coefficient(f3, Partition((5, 5, 5, 5)))
-    assert abs(lam.value) == 189
-    assert not lam.sign_certain
-    assert abs(real_schur_coefficient(f3, Partition((7, 7, 3, 3))).value) == 36
-    s = real_schur_polynomial(Partition((4, 4, 2, 2)), 2)
-    assert real_schur_coefficient(s, Partition((4, 4, 2, 2))).value == 1
+    f3 = root_poly("real", 3, 2)
+    lam = schur_coefficient("real", f3, Partition((5, 5, 5, 5)))
+    assert abs(lam) == 189
+    assert abs(schur_coefficient("real", f3, Partition((7, 7, 3, 3)))) == 36
+    s = schur_polynomial("real", Partition((4, 4, 2, 2)))
+    assert schur_coefficient("real", s, Partition((4, 4, 2, 2))) == 1
     with pytest.raises(NotEvenOrOdd):
-        real_schur_coefficient(f3, Partition((3, 2, 1, 0)))
+        schur_coefficient("real", f3, Partition((3, 2, 1, 0)))
     with pytest.raises(NotEulerPontryagin):
-        real_schur_coefficient(SparsePoly(2, {(1, 0): 1, (0, 1): 1}), Partition((1, 1, 1, 1)))
+        schur_coefficient("real", SparsePoly(2, {(1, 0): 1, (0, 1): 1}), Partition((1, 1, 1, 1)))
 
 
 def test_real_basis_reconstruction():
@@ -181,9 +177,9 @@ def test_real_basis_reconstruction():
             if beta[0] % 2 != beta[1] % 2:
                 continue
             alpha = Partition(tuple(x for b in beta for x in (b, b)))
-            lam = real_schur_coefficient(f, alpha).value
+            lam = schur_coefficient("real", f, alpha)
             if lam:
-                recon = recon + real_schur_polynomial(alpha, 2).poly * lam
+                recon = recon + schur_polynomial("real", alpha).poly * lam
         assert recon == f, deg
 
 
@@ -224,21 +220,21 @@ def test_duality_pairing():
 
 
 def test_numeric_schur_coefficient_examples():
-    s20 = schur_polynomial(Partition((2, 0)), 2)
+    s20 = schur_polynomial("complex", Partition((2, 0)))
     num = numeric_schur_coefficient(s20, Partition((2, 0)), grid=16)
     assert abs(num - 1.0) < 1e-9
 
-    f3 = real_root_poly(3, 2)
+    f3 = root_poly("real", 3, 2)
     num = numeric_schur_coefficient(f3, Partition((5, 5, 5, 5)), grid=64)
     assert min(abs(num - 189), abs(num + 189)) < 1e-6 * 189
 
-    f34 = complex_root_poly(3, 4)
+    f34 = root_poly("complex", 3, 4)
     num = numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)))
     assert abs(num - 321489) < 1e-6 * 321489
 
 
 def test_numeric_threshold_guard():
-    f34 = complex_root_poly(3, 4)
+    f34 = root_poly("complex", 3, 4)
     thr = quadrature_threshold(f34, Partition((5, 5, 5, 5)))
     assert thr <= 2 * f34.poly.degree() + 1
     num = numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)), grid=thr)
@@ -273,10 +269,10 @@ NUMERIC_LADDER = [
 def test_numeric_ladder_against_exact(regime, d, k, parts, grid):
     alpha = Partition(parts)
     if regime == "complex":
-        f, exact, signs = complex_root_poly(d, k), schur_coefficient, (1,)
+        f, exact, signs = root_poly("complex", d, k), schur_coefficient, (1,)
     else:
-        f, exact, signs = real_root_poly(d, k), real_schur_coefficient, (1, -1)
-    value = exact(f, alpha).value
+        f, exact, signs = root_poly("real", d, k), schur_coefficient, (1, -1)
+    value = exact(regime, f, alpha)
     num = numeric_schur_coefficient(f, alpha, grid=grid)
     err = min(abs(num - s * value) for s in signs)
     assert err <= 1e-9 * (abs(value) or 1), (value, num)
@@ -319,14 +315,14 @@ def _expanded_coefficient(factors, alpha, regime):
 @given(factors_and_partition("complex"))
 def test_engine_matches_expansion_complex(case):
     factors, alpha = case
-    assert schur_coefficient(factors, alpha).value == _expanded_coefficient(factors, alpha, "complex")
+    assert schur_coefficient("complex", factors, alpha) == _expanded_coefficient(factors, alpha, "complex")
 
 
 @settings(max_examples=150, deadline=None)
 @given(factors_and_partition("real"))
 def test_engine_matches_expansion_real(case):
     factors, alpha = case
-    assert real_schur_coefficient(factors, alpha).value == _expanded_coefficient(factors, alpha, "real")
+    assert schur_coefficient("real", factors, alpha) == _expanded_coefficient(factors, alpha, "real")
 
 
 def test_engine_slot_growth_against_expansion():
@@ -337,17 +333,16 @@ def test_engine_slot_growth_against_expansion():
             terms = [{tuple(rng.randint(0, 2) for _ in range(k)): rng.choice((-1, 1)) * rng.randint(10**6 - 99, 10**6)
                       for _ in range(3)} for _ in range(5)]
             factors = [SparsePoly(k, t) for t in terms]
-            coefficient = schur_coefficient if regime == "complex" else real_schur_coefficient
-            assert coefficient(factors, alpha).value == _expanded_coefficient(factors, alpha, regime)
+            assert schur_coefficient(regime, factors, alpha) == _expanded_coefficient(factors, alpha, regime)
 
 
 def test_engine_degree_mismatch_and_empty_box():
     factors = [SparsePoly.linear_form((3, -1, 2)), SparsePoly.linear_form((0, 5, -7))] * 3
     for parts in ((2, 2, 2), (3, 2, 1), (2, 2, 1), (4, 1, 0)):
         alpha = Partition(parts)
-        assert schur_coefficient(factors, alpha).value == _expanded_coefficient(factors, alpha, "complex")
-    assert schur_coefficient(factors, Partition((3, 2, 1))).value != 0
-    assert schur_coefficient(factors, Partition((2, 2, 1))).value == 0
+        assert schur_coefficient("complex", factors, alpha) == _expanded_coefficient(factors, alpha, "complex")
+    assert schur_coefficient("complex", factors, Partition((3, 2, 1))) != 0
+    assert schur_coefficient("complex", factors, Partition((2, 2, 1))) == 0
     # no term of the alternant fits under the target: the shifted box is empty
     factors = [SparsePoly(3, {(0, 0, 0): 5, (1, 0, 0): -2, (0, 1, 1): 3})] * 3
     van = vandermonde((2, 1, 0), 3)
