@@ -4,7 +4,8 @@ Complex counts, real signed (Euler-class) counts, Catalan-type incidence
 counts, and log-scale asymptotic diagnostics, all through exact symmetric
 polynomial arithmetic with a torus-quadrature oracle on the side.  The
 complex and real regimes share one exact path: `schur_polynomial`,
-`schur_coefficient`, `root_poly` and `plane_count` take the regime first.
+`schur_coefficient`, `root_poly`, `plane_count`, `incidence` and
+`asymptote_table` take the regime (or the family) first.
 """
 
 __version__ = "0.1.0"
@@ -51,8 +52,7 @@ from .counts import (
     euler_number_defined,
     factored_real_root_poly,
     grassmannian_orientable,
-    incidence_complex,
-    incidence_real,
+    incidence,
     plane_count,
     real_square_poly,
     root_poly,
@@ -61,9 +61,7 @@ from .counts import (
 from .asymptotics import (
     AsymptoteRow,
     TorusSample,
+    asymptote_table,
     closed_form_max,
-    complex_asymptote_table,
-    incidence_asymptote_table,
-    real_asymptote_table,
     torus_scan,
 )

@@ -1,5 +1,5 @@
 """Floating-point diagnostics: torus maxima, sign constancy, and log-scale
-asymptote tables for the exact counts.
+asymptote tables for the exact counts, one function for every family.
 
 Exact big integers carry the enumerative content; this module only takes
 logarithms and scans grids.  The closed-form torus maximum uses the
@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .combinatorics import Infeasible, OutOfDomain
-from .counts import incidence_complex, incidence_real, linear_factor_rows, plane_count, require_odd_degree
+from .counts import incidence, linear_factor_rows, plane_count, require_odd_degree
 from .schur import MAX_GRID
 
 
@@ -103,66 +104,46 @@ def closed_form_max(d: int) -> int:
     return result
 
 
-def real_asymptote_table(ds: Sequence[int]) -> list[AsymptoteRow]:
-    """log of the real signed count against (1/12) d^3 log d."""
-    rows = []
-    for d in ds:
-        report = plane_count("real", d, 2)
-        if not report.feasible:
-            raise Infeasible(f"(d={d}, k=2) is infeasible in the real regime")
-        exact_log = math.log(report.value)
-        prediction = (d**3 / 12.0) * math.log(d)
-        if prediction == 0.0:
-            rows.append(AsymptoteRow(d, exact_log, prediction, None, degenerate=True))
-        else:
-            rows.append(AsymptoteRow(d, exact_log, prediction, exact_log / prediction))
-    return rows
+# bound on exact log / prediction of a complex row: 2.57 at d=3, k=4, decreasing in d
+COMPLEX_BOUND = 2.7
 
 
-def complex_asymptote_table(ds: Sequence[int], k: int, slack: float = 1.7) -> list[AsymptoteRow]:
-    """log of the complex count against (1/(k-1)!) d^(k-1) log d.
+def _plane_value(regime: str, d: int, k: int) -> int:
+    report = plane_count(regime, d, k)
+    if not report.feasible:
+        raise Infeasible(f"(d={d}, k={k}) is infeasible in the {regime} regime")
+    if report.value == 0:
+        raise OutOfDomain(f"the {regime} count at (d={d}, k={k}) is 0, so its log is undefined")
+    return report.value
 
-    The prediction is an asymptotic upper bound; at desk-scale degrees the
-    exact log overshoots it by a bounded factor, so each row is checked
-    against prediction * (1 + slack).  The default slack 1.7 covers the
-    computed range (ratio 2.57 at d=3, k=4, decreasing in d); a violation
-    raises OutOfDomain, as does a count of 0 (no log).  The conjectural
+
+def asymptote_table(family: str, params: Sequence[int], k: int = 4) -> dict[str, list[AsymptoteRow]]:
+    """Logs of exact counts against predicted leading terms, one table per
+    regime of the family; the families differ only in data.
+
+    real: the count at k=2 against (1/2) d^(r-1)/(r-1)! log d at rank r=2k,
+    that is (1/12) d^3 log d.  complex: the count at rank k against
+    d^(k-1)/(k-1)! log d, an asymptotic upper bound that the exact log
+    overshoots at desk-scale degrees by a bounded factor; a row above
+    COMPLEX_BOUND times its prediction raises OutOfDomain.  incidence: both
+    regimes' counts against 2n log 20 (complex) and 2n log 2 (real).  A
+    prediction of 0 gives a degenerate row without a ratio.  The conjectural
     asymptotic equality is reported via the ratio column, never asserted.
     """
-    rows = []
-    for d in ds:
-        report = plane_count("complex", d, k)
-        if not report.feasible:
-            raise Infeasible(f"(d={d}, k={k}) is infeasible in the complex regime")
-        if report.value == 0:
-            raise OutOfDomain(f"the complex count at (d={d}, k={k}) is 0, so its log is undefined")
-        exact_log = math.log(report.value)
-        prediction = (d ** (k - 1) / math.factorial(k - 1)) * math.log(d)
-        if prediction == 0.0:
-            rows.append(AsymptoteRow(d, exact_log, prediction, None, degenerate=True))
-            continue
-        if exact_log > prediction * (1.0 + slack):
-            raise OutOfDomain(
-                f"log count {exact_log:.3f} exceeds bound {prediction:.3f}*(1+{slack}) at d={d}"
-            )
-        rows.append(AsymptoteRow(d, exact_log, prediction, exact_log / prediction))
-    return rows
-
-
-def incidence_asymptote_table(ns: Sequence[int]) -> dict[str, list[AsymptoteRow]]:
-    """Two families: log incidence counts against 2n log 20 (complex) and
-    2n log 2 (real)."""
-    complex_rows = []
-    real_rows = []
-    for n in ns:
-        if n < 1:
-            raise OutOfDomain("n must be >= 1")
-        cval = incidence_complex(n)
-        rval = incidence_real(n)
-        cpred = 2 * n * math.log(20.0)
-        rpred = 2 * n * math.log(2.0)
-        clog = math.log(cval)
-        rlog = math.log(rval)
-        complex_rows.append(AsymptoteRow(n, clog, cpred, clog / cpred))
-        real_rows.append(AsymptoteRow(n, rlog, rpred, rlog / rpred))
-    return {"complex": complex_rows, "real": real_rows}
+    if family == "incidence":
+        bases = {"complex": 20.0, "real": 2.0}
+        tables = {r: (partial(incidence, r), lambda n, b=b: 2 * n * math.log(b)) for r, b in bases.items()}
+    else:
+        k, rank, half = (2, 4, 2) if family == "real" else (k, k, 1)
+        tables = {family: (partial(_plane_value, family, k=k),
+                           lambda d: d ** (rank - 1) / (half * math.factorial(rank - 1)) * math.log(d))}
+    out = {}
+    for regime, (value, predict) in tables.items():
+        rows = out[regime] = []
+        for p in params:
+            exact_log, prediction = math.log(value(p)), predict(p)
+            if family == "complex" and prediction and exact_log > prediction * COMPLEX_BOUND:
+                raise OutOfDomain(f"log count {exact_log:.3f} exceeds bound {prediction:.3f}*(1+1.7) at d={p}")
+            ratio = exact_log / prediction if prediction else None
+            rows.append(AsymptoteRow(p, exact_log, prediction, ratio, degenerate=ratio is None))
+    return out

@@ -1,9 +1,9 @@
 """Command-line front end: a table of commands and one emitter.
 
 Commands: count, incidence, cubic-ci, schur, lambda, scan, asymptote,
-feasibility.  Counts and other big integers are always emitted as decimal
-strings inside JSON; CSV is reserved for tables.  Exit codes: 0 ok,
-1 internal error, 2 infeasible parameters, 64 usage.
+feasibility.  Big integers of any length are emitted as decimal strings
+inside JSON; CSV is reserved for tables.  Exit codes: 0 ok, 1 internal
+error, 2 infeasible parameters, 64 usage.
 
 Caching is enabled by --cache-dir or the SCHUBERT_CACHE environment
 variable and bypassed by --no-cache.  The cached payload is the JSON body
@@ -23,23 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import __version__
-from .asymptotics import (
-    complex_asymptote_table,
-    incidence_asymptote_table,
-    real_asymptote_table,
-    torus_scan,
-)
+from .asymptotics import asymptote_table, torus_scan
 from .cache import ResultCache, cache_key
 from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, feasibility
-from .counts import (
-    catalan_substitution,
-    cubic_ci_real,
-    incidence_complex,
-    incidence_real,
-    linear_factors,
-    plane_count,
-    root_poly,
-)
+from .counts import catalan_substitution, cubic_ci_real, incidence, linear_factors, plane_count, root_poly
 from .schur import numeric_schur_coefficient, schur_coefficient, schur_polynomial
 
 USAGE_EXIT = 64
@@ -107,8 +94,7 @@ def _count(args) -> tuple[dict, int]:
 
 
 def _incidence(args) -> tuple[dict, int]:
-    value = incidence_complex(args.n) if args.regime == "complex" else incidence_real(args.n)
-    body = {"regime": args.regime, "n": args.n, "value": str(value)}
+    body = {"regime": args.regime, "n": args.n, "value": str(incidence(args.regime, args.n))}
     if args.regime == "real":
         body["catalan"] = str(catalan(args.n))
     return body, 0
@@ -197,13 +183,7 @@ def _asymptote(args) -> tuple[dict, int]:
     text = getattr(args, flag)
     if not text:
         raise OutOfDomain(f"--{flag} is required for the {args.family} family")
-    values = _int_list(text)
-    if args.family == "incidence":
-        tables = incidence_asymptote_table(values)
-    elif args.family == "real":
-        tables = {"real": real_asymptote_table(values)}
-    else:
-        tables = {"complex": complex_asymptote_table(values, args.k)}
+    tables = asymptote_table(args.family, _int_list(text), args.k)
     return {"family": args.family, "tables": {name: _rows_to_dicts(rows) for name, rows in tables.items()}}, 0
 
 
@@ -366,6 +346,11 @@ def _emit(command: Command, args) -> int:
 
 
 def main(argv=None) -> int:
+    # emitted integers and --dump-poly text may pass Python's int<->str digit
+    # limit (3.10.7 and later); it is lifted for the run and then restored
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -381,6 +366,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - internal failures
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@ top-Chern root polynomial, the product of all degree-d composition linear
 forms, at rank k.  Real counts use the real root polynomial, the product of
 one difference form from each pair {r, -r}, at rank 2k; the exact square
 root of the signed product of all difference forms (`real_square_poly`) is
-its cross-check.  All values are exact integers; real values are reported
-as absolute values because orientation conventions only pin them up to sign.
+its cross-check.  Incidence counts use 2n copies of the regime's (2,2,0,0)
+Schur polynomial at rank 4.  All values are exact integers; real values
+are reported as absolute values because orientation conventions only pin
+them up to sign.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
     result = SparsePoly.one(2)
     for i in range((d - 1) // 2 + 1):
         s = d - 2 * i
-        block = SparsePoly.constant(2, s * s) * SparsePoly.monomial(2, (1, 1))
+        block = SparsePoly(2, {(1, 1): s * s})
         for l1 in range(1, (s + 1) // 2 + 1):
             l2 = s - l1
             if l1 >= l2:
@@ -217,20 +219,12 @@ def catalan_substitution(r: int) -> int:
     return 9**r * total
 
 
-def incidence_real(n: int) -> int:
-    """Absolute signed count of real 3-planes meeting 2n generic
-    (2n-1)-planes along lines; equals the n-th Catalan number."""
+def incidence(regime: str, n: int) -> int:
+    """Number of complex, or absolute signed count of real, 3-planes meeting
+    2n generic (2n-1)-planes along lines: the 2n-th power of the regime's
+    (2,2,0,0) Schur class (x1^2 + x2^2 in the real regime) against the
+    fundamental class.  The real count is the n-th Catalan number."""
     if n < 1:
         raise OutOfDomain("n must be >= 1")
-    factors = [SparsePoly(2, {(2, 0): 1, (0, 2): 1})] * (2 * n)
-    return abs(schur_coefficient("real", factors, Partition.constant(2 * n, 4)))
-
-
-def incidence_complex(n: int) -> int:
-    """Number of complex 3-planes meeting 2n generic (2n-1)-planes along
-    lines: the 2n-th power of the (2,2) Schubert class against the
-    fundamental class."""
-    if n < 1:
-        raise OutOfDomain("n must be >= 1")
-    factors = [schur_polynomial("complex", Partition((2, 2, 0, 0))).poly] * (2 * n)
-    return schur_coefficient("complex", factors, Partition.constant(2 * n, 4))
+    factors = [schur_polynomial(regime, Partition((2, 2, 0, 0))).poly] * (2 * n)
+    return abs(schur_coefficient(regime, factors, Partition.constant(2 * n, 4)))

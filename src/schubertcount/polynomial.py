@@ -76,14 +76,6 @@ class SparsePoly:
         return cls._raw(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def constant(cls, nvars: int, c: int) -> "SparsePoly":
-        return cls._raw(nvars, {(0,) * nvars: int(c)} if c else {})
-
-    @classmethod
-    def monomial(cls, nvars: int, exponents: Sequence[int], coeff: int = 1) -> "SparsePoly":
-        return cls(nvars, {tuple(exponents): coeff})
-
-    @classmethod
     def linear_form(cls, coeffs: Sequence[int]) -> "SparsePoly":
         """c_1 x_1 + ... + c_k x_k from a coefficient vector."""
         k = len(coeffs)
@@ -110,26 +102,11 @@ class SparsePoly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def max_exponents(self) -> Tuple[int, ...]:
-        """Per-variable maximum exponent over all terms (all zeros if empty)."""
-        out = [0] * self.nvars
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x > out[i]:
-                    out[i] = x
-        return tuple(out)
-
     def leading_term(self) -> Tuple[ExponentVector, int]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=grlex_key)
         return e, self.terms[e]
-
-    def coefficient_at(self, e: Sequence[int]) -> int:
-        e = tuple(int(x) for x in e)
-        if len(e) != self.nvars:
-            raise ArityMismatch(f"exponent length {len(e)} != {self.nvars}")
-        return self.terms.get(e, 0)
 
     def sorted_terms(self) -> list[Tuple[ExponentVector, int]]:
         """Terms in descending graded-lex order (the canonical order)."""
@@ -161,17 +138,6 @@ class SparsePoly:
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        self._check_arity(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            v = acc.get(e, 0) - c
-            if v:
-                acc[e] = v
-            else:
-                acc.pop(e, None)
-        return SparsePoly._raw(self.nvars, acc)
 
     def scale(self, c: int) -> "SparsePoly":
         if not c:

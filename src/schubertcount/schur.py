@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from math import factorial
 from operator import sub
 from typing import Optional, Sequence, Tuple, Union
 
@@ -77,31 +76,11 @@ def vandermonde(gamma: Sequence[int], k: int) -> SparsePoly:
     return SparsePoly._raw(k, terms)
 
 
-def _multinomial_orbit_size(sorted_e: Tuple[int, ...]) -> int:
-    size = factorial(len(sorted_e))
-    run = 1
-    for i in range(1, len(sorted_e)):
-        if sorted_e[i] == sorted_e[i - 1]:
-            run += 1
-        else:
-            size //= factorial(run)
-            run = 1
-    return size // factorial(run)
-
-
 def is_symmetric(poly: SparsePoly) -> bool:
-    """Exact symmetry test via orbit grouping (no k! expansion per term)."""
-    orbits: dict = {}
-    for e, c in poly.terms.items():
-        key = tuple(sorted(e, reverse=True))
-        orbits.setdefault(key, []).append(c)
-    for key, coeffs in orbits.items():
-        if len(coeffs) != _multinomial_orbit_size(key):
-            return False
-        first = coeffs[0]
-        if any(c != first for c in coeffs[1:]):
-            return False
-    return True
+    """Exact symmetry test: the terms are invariant under the generators of
+    S_k, the transposition (1 2) and the cycle (1 2 ... k)."""
+    terms = poly.terms
+    return all(terms.get(e[1::-1] + e[2:]) == c == terms.get(e[1:] + e[:1]) for e, c in terms.items())
 
 
 def in_euler_pontryagin(poly: SparsePoly) -> bool:
@@ -236,7 +215,7 @@ def quadrature_threshold(f: RootPolynomial, alpha: Partition) -> int:
     periodic sum.
     """
     ga, gb = _alternant_exponents(f.regime, alpha, f.variables)
-    emax = max(f.poly.max_exponents(), default=0)
+    emax = max((x for e in f.poly.terms for x in e), default=0)
     return max(gb[0], emax + ga[0] - gb[-1]) + 1
 
 

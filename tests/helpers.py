@@ -75,3 +75,14 @@ def symmetrize(poly: SparsePoly) -> SparsePoly:
             pe = tuple(e[perm[i]] for i in range(k))
             terms[pe] = terms.get(pe, 0) + c
     return SparsePoly(k, terms)
+
+
+def is_symmetric_by_permutations(poly: SparsePoly) -> bool:
+    """Symmetry by brute force: the terms are unchanged by each of the k!
+    coordinate permutations."""
+    import itertools
+
+    return all(
+        {tuple(e[i] for i in perm): c for e, c in poly.terms.items()} == poly.terms
+        for perm in itertools.permutations(range(poly.nvars))
+    )

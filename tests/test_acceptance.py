@@ -16,13 +16,13 @@ import time
 import pytest
 
 from helpers import partitions_in_box, partitions_of
-from schubertcount.asymptotics import closed_form_max, real_asymptote_table, torus_scan
+from schubertcount.asymptotics import asymptote_table, closed_form_max, torus_scan
 from schubertcount.combinatorics import Partition, catalan, complement, feasibility
 from schubertcount.counts import (
     catalan_substitution,
     cubic_ci_real,
     factored_real_root_poly,
-    incidence_real,
+    incidence,
     plane_count,
     real_square_poly,
     root_poly,
@@ -121,7 +121,7 @@ def test_criterion_05():
 @criterion(6, "incidence_real(n) = catalan(n) for n = 1..8, exactly")
 def test_criterion_06():
     for n in range(1, 9):
-        assert incidence_real(n) == catalan(n), n
+        assert incidence("real", n) == catalan(n), n
 
 
 @criterion(7, "cubic_ci_real(r) = catalan_substitution(r) for r = 1..4; r=1 is 189")
@@ -218,7 +218,7 @@ def test_criterion_11():
 
 @criterion(12, "asymptote ratios: 2.1205 +- 0.01 at d=3, 1.4526 +- 0.01 at d=5, strictly decreasing over {3,5,7}")
 def test_criterion_12():
-    rows = real_asymptote_table([3, 5, 7])
+    rows = asymptote_table("real", [3, 5, 7])["real"]
     ratios = [r.ratio for r in rows]
     assert abs(ratios[0] - 2.1205) <= 0.01
     assert abs(ratios[1] - 1.4526) <= 0.01

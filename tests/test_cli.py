@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,18 @@ def test_big_values_are_decimal_strings(capsys):
     body = run_json(capsys, ["count", "--regime", "real", "-d", "5", "-k", "2"])
     assert body["value"] == "37655727525"
     assert int(body["value"]) == 37655727525
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit before 3.10.7")
+def test_values_past_the_digit_limit_print(capsys, monkeypatch):
+    from schubertcount import cli
+    from schubertcount.counts import CountReport
+    big = 10**5001 - 1  # 5,001 nines, past the default limit of 4,300 digits
+    monkeypatch.setattr(cli, "plane_count", lambda regime, d, k: CountReport(regime, d, k, 5, big, True, None))
+    limit = sys.get_int_max_str_digits()
+    body = run_json(capsys, ["count", "--regime", "real", "-d", "3", "-k", "2", "--no-cache"])
+    assert body["value"] == "9" * 5001
+    assert sys.get_int_max_str_digits() == limit
 
 
 # stdout of the README CLI examples: their bodies are a contract that refactors keep

@@ -12,8 +12,7 @@ from schubertcount.counts import (
     euler_number_defined,
     factored_real_root_poly,
     grassmannian_orientable,
-    incidence_complex,
-    incidence_real,
+    incidence,
     linear_factor_rows,
     linear_factors,
     plane_count,
@@ -100,8 +99,8 @@ def test_counts_never_expand_the_product(monkeypatch, capsys):
     assert plane_count("complex", 5, 4).value == 64127725294951805931404297113125
     assert plane_count("real", 5, 3).value == 731282707860990814833962787125573040618750
     assert cubic_ci_real(4).value == catalan_substitution(4)
-    assert incidence_real(8) == catalan(8)
-    assert incidence_complex(8) == 2325250316950
+    assert incidence("real", 8) == catalan(8)
+    assert incidence("complex", 8) == 2325250316950
     code = cli.main(["lambda", "--regime", "real", "-d", "3", "-k", "2", "--alpha", "5,5,5,5", "--no-cache"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["value"] == "-189"
@@ -154,12 +153,14 @@ def test_cubic_ci_and_catalan_substitution():
 
 def test_incidence_real_is_catalan():
     for n in range(1, 9):
-        assert incidence_real(n) == catalan(n), n
+        assert incidence("real", n) == catalan(n), n
+    # the real (2,2,0,0) Schur class is x1^2 + x2^2, the factor of every real incidence count
+    assert schur_polynomial("real", Partition((2, 2, 0, 0))).poly == SparsePoly(2, {(2, 0): 1, (0, 2): 1})
 
 
 def test_incidence_complex():
-    assert incidence_complex(1) == 1
-    v2 = incidence_complex(2)
+    assert incidence("complex", 1) == 1
+    v2 = incidence("complex", 2)
     assert v2 > 0
     assert math.log(v2) / 4 < math.log(20)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import partitions_of, random_poly, symmetrize
+from helpers import is_symmetric_by_permutations, partitions_of, random_poly, symmetrize
 from schubertcount.combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition
 from schubertcount.counts import root_poly
 from schubertcount.polynomial import ArityMismatch, SparsePoly
@@ -209,6 +209,25 @@ def test_root_polynomial_validation():
     assert not is_symmetric(SparsePoly(2, {(1, 0): 2, (0, 1): 3}))
 
 
+def test_is_symmetric_against_every_permutation():
+    rng = random.Random(29)
+    cases = [
+        SparsePoly(3, {(2, 1, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1}),  # invariant under the 3-cycle only
+        SparsePoly(3, {(1, 2, 0): 1, (2, 1, 0): 1}),  # invariant under (1 2) only
+    ]
+    for k in range(1, 5):
+        for _ in range(20):
+            f = random_poly(rng, k, 6, 3)
+            g = symmetrize(f)
+            cases += [f, g, g + SparsePoly(k, {tuple(rng.randint(0, 3) for _ in range(k)): 1})]
+        for parts in partitions_of(4, k):
+            cases.append(schur_polynomial("complex", Partition(parts)).poly)
+    for f in cases:
+        assert is_symmetric(f) == is_symmetric_by_permutations(f), f
+    assert not is_symmetric(cases[0]) and not is_symmetric(cases[1])
+    assert sum(map(is_symmetric, cases)) > len(cases) // 3
+
+
 def test_duality_pairing():
     assert duality_pairing(Partition((1, 0)), Partition((1, 0)), 1, 2) == 1
     # (2,0) is its own 2-complement in a 2x2 box; (1,1) pairs with itself
@@ -308,7 +327,7 @@ def _expanded_coefficient(factors, alpha, regime):
     product = SparsePoly.one(k)
     for f in factors:
         product = product * f
-    return (product * vandermonde(ga, k)).coefficient_at(tuple(a + b for a, b in zip(parts, ga)))
+    return (product * vandermonde(ga, k)).terms.get(tuple(a + b for a, b in zip(parts, ga)), 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -347,4 +366,4 @@ def test_engine_degree_mismatch_and_empty_box():
     factors = [SparsePoly(3, {(0, 0, 0): 5, (1, 0, 0): -2, (0, 1, 1): 3})] * 3
     van = vandermonde((2, 1, 0), 3)
     product = factors[0] * factors[1] * factors[2]
-    assert _alternant_coefficient(factors, (1, 1, 0), van) == (product * van).coefficient_at((1, 1, 0)) == 0
+    assert _alternant_coefficient(factors, (1, 1, 0), van) == (product * van).terms.get((1, 1, 0), 0) == 0
