@@ -36,7 +36,15 @@ class TorusSample:
     min_modulus: float
     max_modulus: float
     sign_constant: bool
-    argmax_angles: "numpy.ndarray"  # (n, 2) angle pairs of the argmax nodes, row-major
+    argmax_residues: "numpy.ndarray"  # the residues (i - j) mod grid of the argmax nodes (i, j)
+
+    def argmax_head(self, count: Optional[int] = None) -> "numpy.ndarray":
+        """The first `count` argmax nodes, or all, row-major, as (n, 2) angle pairs."""
+        from . import kernels
+
+        return kernels.torus_nodes(self.argmax_residues, self.grid, count) * (2.0 * math.pi / self.grid)
+
+    argmax_angles = property(argmax_head)
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,7 @@ def torus_scan(d: int, grid: int) -> TorusSample:
         raise OutOfDomain(f"|F_{d}| can exceed the largest float on the torus; scan a smaller degree")
     from . import kernels  # numpy is loaded on the float paths only
 
-    min_mod, max_mod, sign_constant, hits = kernels.torus_extrema(rows, len(rows) // 2, grid)
-    return TorusSample(d, grid, min_mod, max_mod, sign_constant, hits * (2.0 * math.pi / grid))
+    return TorusSample(d, grid, *kernels.torus_extrema(rows, len(rows) // 2, grid))
 
 
 def closed_form_max(d: int) -> int:
@@ -83,23 +90,11 @@ def closed_form_max(d: int) -> int:
     `torus_scan` is the oracle for this formula.
     """
     require_odd_degree(d)
-    c = 1
-    j = d
-    while j >= 1:
-        dbl = 1
-        i = j
-        while i >= 1:
-            dbl *= i
-            i -= 2
-        c *= dbl
-        j -= 2
-    result = c * c
+    result = math.prod(math.prod(range(j, 0, -2)) for j in range(d, 0, -2)) ** 2
     for i in range((d - 1) // 2 + 1):
         s = d - 2 * i
-        for l1 in range(1, (s + 1) // 2 + 1):
+        for l1 in range(1, (s + 1) // 2):
             l2 = s - l1
-            if l1 >= l2:
-                continue
             result *= (l1 * l1 + l2 * l2) ** (2 * (i + 1))
     return result
 

@@ -158,8 +158,8 @@ def _scan(args) -> tuple[dict, int]:
         "min_modulus": sample.min_modulus,
         "max_modulus": sample.max_modulus,
         "sign_constant": sample.sign_constant,
-        "argmax_count": len(sample.argmax_angles),
-        "argmax_angles": sample.argmax_angles[:8].tolist(),
+        "argmax_count": args.grid * len(sample.argmax_residues),
+        "argmax_angles": sample.argmax_head(8).tolist(),
     }
     return body, 0
 

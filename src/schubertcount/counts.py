@@ -186,10 +186,8 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
     for i in range((d - 1) // 2 + 1):
         s = d - 2 * i
         block = SparsePoly(2, {(1, 1): s * s})
-        for l1 in range(1, (s + 1) // 2 + 1):
+        for l1 in range(1, (s + 1) // 2):
             l2 = s - l1
-            if l1 >= l2:
-                continue
             q1 = SparsePoly(2, {(2, 0): l1 * l1, (0, 2): -(l2 * l2)})
             q2 = SparsePoly(2, {(2, 0): l2 * l2, (0, 2): -(l1 * l1)})
             block = block * q1 * q2

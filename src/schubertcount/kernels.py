@@ -7,11 +7,11 @@ Two kernels live here, both floating-point:
   Vandermonde alternants.  On the uniform torus grid the node sum of a
   monomial is the product of its one-dimensional node sums, so the sum is
   taken term by term from one table of those.
-* ``torus_extrema`` - the extrema of a torus scan.  The scanned function
-  is a product of linear forms in x1, x2 over (x1 x2)^shift, so on the torus
-  it depends on theta1 - theta2 alone: it is evaluated as a product, once
-  per residue (i - j) mod grid, never expanded and never on the grid^2
-  lattice.
+* ``torus_extrema`` - the extrema of a torus scan.  The scanned function is
+  a product of linear forms in x1, x2 over (x1 x2)^shift, so on the torus it
+  depends on theta1 - theta2 alone: it is evaluated as a product, once per
+  residue (i - j) mod grid, never expanded and never on the grid^2 lattice;
+  ``torus_nodes`` lists the lattice nodes of its argmax residues.
 
 The exact integer arithmetic elsewhere in the package never goes through
 this module, and imports it only on the float paths
@@ -79,9 +79,8 @@ def torus_extrema(rows, shift, grid):
     (i, j) takes the value at the residue t = (i - j) mod grid, and F is
     evaluated once per residue, as a product.  Returns the least and
     greatest modulus, whether the real part keeps one sign while the
-    imaginary part stays below 1e-8 of the greatest modulus, and the grid
-    nodes (i, j) where the modulus is within 1e-9 of its maximum, as the rows
-    of one (n, 2) int array, row-major.
+    imaginary part stays below 1e-8 of the greatest modulus, and the residues
+    where the modulus is within 1e-9 of its maximum, as one int array.
     """
     powers = _powers(grid, (1, -shift))
     z, values = powers[:, 0], powers[:, 1]
@@ -95,8 +94,15 @@ def torus_extrema(rows, shift, grid):
         and np.abs(values.imag).max() <= 1e-8 * max_mod
     )
     residues = np.flatnonzero(modulus >= max_mod * (1.0 - 1e-9))
-    hits = np.empty((grid, len(residues), 2), np.int64)
-    hits[..., 0] = np.arange(grid)[:, None]
+    return float(modulus.min()), max_mod, sign_constant, residues
+
+
+def torus_nodes(residues, grid, count=None):
+    """The lattice nodes (i, j) with (i - j) mod grid in `residues`, row-major,
+    as the rows of one int array: the first `count` of them, or all."""
+    rows = grid if count is None else -(-count // len(residues))
+    hits = np.empty((rows, len(residues), 2), np.int64)
+    hits[..., 0] = np.arange(rows)[:, None]
     hits[..., 1] = (hits[..., 0] - residues) % grid
     hits[..., 1].sort(axis=1)
-    return float(modulus.min()), max_mod, sign_constant, hits.reshape(-1, 2)
+    return hits.reshape(-1, 2)[:count]

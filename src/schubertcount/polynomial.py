@@ -11,9 +11,8 @@ which holds the product as one packed Python int.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 from math import isqrt, prod
-from operator import add, and_, sub
+from operator import add, le, sub
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 ExponentVector = Tuple[int, ...]
@@ -202,20 +201,19 @@ def kronecker_product(
     factors: Sequence[SparsePoly], nvars: int, targets: Optional[Sequence[ExponentVector]] = None
 ) -> Dict[ExponentVector, int]:
     """Coefficients of prod(factors) at `targets` (every nonzero one if None)
-    by Kronecker substitution: the product, truncated to the box of the
-    targets, is one Python int, so CPython's bigint operations do the work.
+    by Kronecker substitution into one Python int, truncated to their box.
 
-    A monomial x^e is a slot of B bits at index sum_a e_a * stride_a, with
-    radix hi_a + 1 per slotted coordinate a (hi: the largest target exponent,
-    or the full degree).  If every factor is homogeneous the degree fixes the
-    first exponent, which gets no slot, and targets of another degree are 0.
-    A term c*x^e maps the state S to c * (S & keep_e) << B*idx(e), keep_e
-    zeroing the slots e would push past hi, so kept coefficients are exact.
-    Signed slots are masked carry-free through the bias O = sum of 2^(B-1)
-    per slot: ((S + O) & keep) - (O & keep).  B = bit_length(bound) + 1 in
-    whole bytes, the bound being the running product of the factors' l1
-    norms: B starts at one byte, and when the bound passes it every slot's
-    bytes are padded to at least twice the width."""
+    A monomial x^e is a signed B-bit slot at index sum_a e_a * stride_a over
+    the slotted coordinates a: all of them, or all but the first when every
+    factor is homogeneous (the degree fixes it; targets of another degree are
+    0).  A term past hi (the largest target exponent, or the full degree) is
+    skipped.  Axis a has radix hi_a + 1 + s_a, s_a the largest step along a
+    of a kept term after the first factor (whose terms multiply S = 1), so a
+    factor maps S to sum c * S << B*idx(e) with no carry between axes, and
+    one clear, ((S + O) & box) - (O & box), zeroes the padding past hi; O is
+    2^(B-1) per slot.  B is bit_length + 1 of the running product of the
+    factors' l1 norms in whole bytes, starting at one byte and repacked to
+    at least twice the width when the bound passes it."""
     if any(f.nvars != nvars for f in factors):
         raise ArityMismatch(f"factors must have {nvars} variables")
     out = {} if targets is None else dict.fromkeys(targets, 0)
@@ -232,51 +230,46 @@ def kronecker_product(
         if not targets:
             return out
         hi = [max(t[a] for t in targets) for a in axes]
-    radix = [h + 1 for h in hi]
+    kept = [[(e, c) for e, c in f.terms.items() if all(map(le, e[axes.start:], hi))] for f in factors]
+    pad = [max((e[a] for terms in kept[1:] for e, _ in terms), default=0) for a in axes]
+    radix = [h + 1 + s for h, s in zip(hi, pad)]
     nslots = prod(radix)
     stride = [prod(radix[i + 1:]) for i in range(len(radix))]
 
     def index(e: ExponentVector) -> int:
         return sum(e[a] * s for a, s in zip(axes, stride))
 
-    def mask(i: int, step: int) -> int:
-        # the slots whose i-th slotted exponent can still grow by `step`
-        if (i, step) not in masks:
-            run = stride[i]
-            block = b"\xff" * (w * (radix[i] - step) * run) + bytes(w * step * run)
-            masks[i, step] = int.from_bytes(block * (nslots // (radix[i] * run)), "little")
-        return masks[i, step]
-
-    def bias_of(width: int) -> int:
-        return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * nslots, "little")
+    def layout(width: int) -> Tuple[int, int, int]:
+        # the bias O, the mask of the slots inside hi, and O & box
+        box = b"\xff" * width
+        for h, s in zip(reversed(hi), reversed(pad)):
+            box = box * (h + 1) + bytes(len(box) * s)
+        bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * nslots, "little")
+        box = int.from_bytes(box, "little")
+        return bias, box, bias & box
 
     w, state, bound = 1, 1, 1
-    bias, masks = bias_of(w), {}
-    for f in factors:
+    bias, box, inner = layout(w)
+    for f, terms in zip(factors, kept):
         bound *= sum(map(abs, f.terms.values()))
         need = (bound.bit_length() + 8) // 8
         if need > w:
             wide = max(need, 2 * w)
-            masks.clear()
             raw = (state + bias).to_bytes(nslots * w, "little")
-            del state, bias
+            del state, bias, box, inner
             buf = bytearray(nslots * wide)
             for b in range(w):
                 buf[b::wide] = raw[b::w]
             del raw
-            bias = bias_of(wide)
+            bias, box, inner = layout(wide)
             state = int.from_bytes(buf, "little") - (bias >> 8 * (wide - w))
             del buf
             w = wide
-        shifted, acc = state + bias, 0
-        for e, c in f.terms.items():
-            steps = [(i, e[a]) for i, a in enumerate(axes) if e[a]]
-            if all(step <= hi[i] for i, step in steps):
-                keep = reduce(and_, [mask(*step) for step in steps]) if steps else None
-                part = state if keep is None else (shifted & keep) - (bias & keep)
-                acc += c * part << 8 * w * index(e)
-        shifted = keep = part = None  # free the temporaries before the next factor
-        state = acc
+        acc = 0
+        for e, c in terms:
+            acc += c * state << 8 * w * index(e)
+        state, acc = acc + bias, None  # free the old state before the clear
+        state = (state & box) - inner
 
     raw = (state + bias).to_bytes(nslots * w, "little")
     half = 1 << (8 * w - 1)
@@ -295,10 +288,8 @@ def kronecker_product(
 
 def product_of_linear_forms(rows: Sequence[Sequence[int]], nvars: int) -> SparsePoly:
     """Exact product of the linear forms given by coefficient vectors (the
-    empty product is 1): one `kronecker_product` with an open box, whose
-    slots hold the exponents of variables 2..nvars up to the number of forms,
-    signed through a 2^(B-1) bias per slot, with B growing by repacking as
-    the running l1 bound of the product passes it."""
+    empty product is 1): one `kronecker_product` with an open box, whose hi
+    is the number of forms, so no monomial ever lands in a padding slot."""
     return SparsePoly._raw(nvars, kronecker_product([SparsePoly.linear_form(row) for row in rows], nvars))
 
 

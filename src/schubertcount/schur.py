@@ -6,10 +6,9 @@ coefficient equals one coefficient of f multiplied by the plain (complex
 case) or squared-variable (real case) Vandermonde alternant, because the
 product is antisymmetric and its coefficients at permuted exponents agree up
 to sign.  f may be given as a list of its factors, which is never expanded:
-`polynomial.kronecker_product` multiplies them into one packed int, a B-bit
-slot per monomial in the box of the k! shifted targets (homogeneous factors
-fix the first exponent by degree), signed slots masked carry-free through a
-2^(B-1) bias, B growing by repacking with the running l1 bound.  A floating
+`polynomial.kronecker_product` multiplies them into one packed int, a
+signed slot per monomial in the box of the k! shifted targets, cleared of
+the monomials past that box once per factor.  A floating
 trapezoidal quadrature of the same integral is kept as an independent
 oracle: on a uniform torus grid the rule is exact for trigonometric
 polynomials once the grid passes the bandwidth threshold, so the two routes

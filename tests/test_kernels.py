@@ -97,7 +97,8 @@ def test_torus_extrema_against_pointwise(d):
     g = 64
     rows = linear_factor_rows("real", d, 2)
     ref_min, ref_max, ref_sign, ref_hits = _pointwise_extrema(d, g)
-    lo, hi, sign_constant, hits = kernels.torus_extrema(rows, len(rows) // 2, g)
+    lo, hi, sign_constant, residues = kernels.torus_extrema(rows, len(rows) // 2, g)
+    hits = kernels.torus_nodes(residues, g)
     assert abs(lo - ref_min) <= 1e-9 * ref_min
     assert abs(hi - ref_max) <= 1e-9 * ref_max
     assert sign_constant is ref_sign is True

@@ -117,9 +117,18 @@ def test_kronecker_slot_width_grows_through_repacks():
         expected = _sequential_product(factors, nvars)
         assert max(abs(c) for c in expected.terms.values()).bit_length() > 96
         assert kronecker_product(factors, nvars) == expected.terms
-        # a truncated box: the masks drop monomials that a full product keeps
+        # a truncated box drops monomials that a full product keeps
         targets = rng.sample(sorted(expected.terms), 4) + [(1,) * nvars]
         assert kronecker_product(factors, nvars, targets) == {t: expected.terms.get(t, 0) for t in targets}
+        # boxes narrower than the steps of 2 on one slotted axis: hi of 0 or 1 there,
+        # for all five factors and for the first two alone
+        pair = (factors[:2], _sequential_product(factors[:2], nvars))
+        for axis in range(int(homogeneous), nvars):
+            for top in (0, 1):
+                for some, product in ((factors, expected), pair):
+                    targets = [t for t in sorted(product.terms) if t[axis] <= top]
+                    targets.append(tuple(top if a == axis else 1 for a in range(nvars)))
+                    assert kronecker_product(some, nvars, targets) == {t: product.terms.get(t, 0) for t in targets}
 
 
 def test_kronecker_empty_and_zero_factors():
