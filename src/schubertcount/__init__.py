@@ -5,7 +5,9 @@ counts, and log-scale asymptotic diagnostics, all through exact symmetric
 polynomial arithmetic with a torus-quadrature oracle on the side.  The
 complex and real regimes share one exact path: `schur_polynomial`,
 `schur_coefficient`, `root_poly`, `plane_count`, `incidence` and
-`asymptote_table` take the regime (or the family) first.
+`asymptote_table` take the regime (or the family) first, and
+`combinatorics.rank` alone maps it to its rank, k or 2k.  `schur_coefficient`
+reads a list of factors, never their product.
 """
 
 __version__ = "0.1.0"
@@ -15,7 +17,6 @@ from .combinatorics import (
     InvalidLength,
     NotInRectangle,
     Partition,
-    PartitionParity,
     catalan,
     classify_partition,
     complement,

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from . import __version__
 from .asymptotics import asymptote_table, torus_scan
 from .cache import ResultCache, cache_key
-from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, feasibility
+from .combinatorics import REGIMES, Infeasible, OutOfDomain, Partition, catalan, feasibility
 from .counts import catalan_substitution, cubic_ci_real, incidence, linear_factors, plane_count, root_poly
 from .schur import numeric_schur_coefficient, schur_coefficient, schur_polynomial
 
@@ -72,7 +72,7 @@ def _arg(*flags, **options) -> tuple:
     return flags, options
 
 
-REGIME = _arg("--regime", required=True, choices=["complex", "real"])
+REGIME = _arg("--regime", required=True, choices=REGIMES)
 D = _arg("-d", type=int, required=True, help="hypersurface degree")
 K = _arg("-k", type=int, required=True, help="rank parameter (half-rank in the real regime)")
 ALPHA = _arg("--alpha", type=_partition, required=True, help="comma-separated partition")
@@ -253,7 +253,7 @@ COMMANDS = {
     ),
     "schur": Command(
         "print a (real) Schur polynomial",
-        (_arg("--regime", default="complex", choices=["complex", "real"]), ALPHA),
+        (_arg("--regime", default="complex", choices=REGIMES), ALPHA),
         _schur, cache=("regime", "alpha"),
     ),
     # --numeric reruns the quadrature oracle, whose purpose is to recompute: never served from the cache

@@ -1,4 +1,5 @@
-"""Partitions, compositions, parity classification, and feasibility arithmetic.
+"""Regimes and their ranks, partitions, compositions, parity classification,
+and feasibility arithmetic.
 
 Everything here is exact integer combinatorics on immutable values; all
 functions are pure and safe to call concurrently.
@@ -25,6 +26,18 @@ class InvalidLength(OutOfDomain):
 
 class NotInRectangle(OutOfDomain):
     """Partition sticks out of the k x m rectangle."""
+
+
+REGIMES = ("complex", "real")
+
+
+def rank(regime: str, k: int) -> int:
+    """Rank of the Grassmannian a count of the regime lives on: k (complex),
+    or 2k (real, in the squared variables of k Pontryagin roots).  The one
+    check of a regime name: anything outside REGIMES raises OutOfDomain."""
+    if regime not in REGIMES:
+        raise OutOfDomain(f"unknown regime {regime!r}")
+    return 2 * k if regime == "real" else k
 
 
 @dataclass(frozen=True)
@@ -61,27 +74,6 @@ class Partition:
 
     def size(self) -> int:
         return sum(self.parts)
-
-
-@dataclass(frozen=True)
-class PartitionParity:
-    """Parity class of a 2k-partition: even, odd, or neither.
-
-    An even 2k-partition doubles and duplicates a k-partition beta
-    (entries 2*b1, 2*b1, 2*b2, 2*b2, ...); an odd one adds 1 to every entry
-    of an even one. ``beta`` is the recovered witness, None for neither.
-    """
-
-    kind: str
-    beta: Optional[Partition] = None
-
-    @property
-    def is_even(self) -> bool:
-        return self.kind == "even"
-
-    @property
-    def is_odd(self) -> bool:
-        return self.kind == "odd"
 
 
 @dataclass(frozen=True)
@@ -130,20 +122,16 @@ def compositions(d: int, k: int) -> list[Tuple[int, ...]]:
     return out
 
 
-def classify_partition(alpha: Partition) -> PartitionParity:
-    """Classify a 2k-partition as even (2*beta doubled), odd, or neither."""
+def classify_partition(alpha: Partition) -> str:
+    """Classify a 2k-partition as "even" (entries 2*b1, 2*b1, 2*b2, 2*b2, ...
+    for a k-partition b), "odd" (1 more in every entry), or "neither"."""
     n = len(alpha)
     if n == 0 or n % 2 != 0:
         raise InvalidLength(f"need even positive length, got {n}")
     evens = alpha.parts[0::2]
-    odds = alpha.parts[1::2]
-    if evens != odds:
-        return PartitionParity("neither")
-    if all(p % 2 == 0 for p in evens):
-        return PartitionParity("even", Partition(tuple(p // 2 for p in evens)))
-    if all(p % 2 == 1 for p in evens):
-        return PartitionParity("odd", Partition(tuple((p - 1) // 2 for p in evens)))
-    return PartitionParity("neither")
+    if evens == alpha.parts[1::2] and len({p % 2 for p in evens}) == 1:
+        return "odd" if evens[0] % 2 else "even"
+    return "neither"
 
 
 def complement(alpha: Partition, m: int, k: int) -> Partition:
@@ -163,18 +151,11 @@ def catalan(n: int) -> int:
 
 
 def feasibility(d: int, k: int, regime: str) -> Feasibility:
-    """Check the zero-dimensionality condition and recover m when it holds."""
+    """Check the zero-dimensionality condition r*m = C(d+r-1, r-1) at the
+    regime's rank r, and recover m when it holds."""
     if d < 1 or k < 1:
         raise OutOfDomain("need d >= 1 and k >= 1")
-    if regime == "complex":
-        total = comb(d + k - 1, k - 1)
-        divisor = k
-        odd: Optional[bool] = None
-    elif regime == "real":
-        total = comb(d + 2 * k - 1, 2 * k - 1)
-        divisor = 2 * k
-        odd = d % 2 == 1
-    else:
-        raise OutOfDomain(f"unknown regime {regime!r}")
-    m = total // divisor if total % divisor == 0 else None
-    return Feasibility(d, k, regime, m, odd)
+    r = rank(regime, k)
+    total = comb(d + r - 1, r - 1)
+    m = total // r if total % r == 0 else None
+    return Feasibility(d, k, regime, m, d % 2 == 1 if regime == "real" else None)

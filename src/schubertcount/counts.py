@@ -4,15 +4,15 @@ problems, plus the orientability predicates guarding them.
 
 Every count is one Schur coefficient of a product of small factors, read
 by `schur` from the factors without expanding the product; the regime,
-taken first, picks the factors and the rank.  Complex counts use the
-top-Chern root polynomial, the product of all degree-d composition linear
-forms, at rank k.  Real counts use the real root polynomial, the product of
-one difference form from each pair {r, -r}, at rank 2k; the exact square
-root of the signed product of all difference forms (`real_square_poly`) is
-its cross-check.  Incidence counts use 2n copies of the regime's (2,2,0,0)
-Schur polynomial at rank 4.  All values are exact integers; real values
-are reported as absolute values because orientation conventions only pin
-them up to sign.
+taken first, picks the factors and, through `combinatorics.rank`, the rank.
+Complex counts use the top-Chern root polynomial, the product of all
+degree-d composition linear forms, at rank k.  Real counts use the real
+root polynomial, the product of one difference form from each pair
+{r, -r}, at rank 2k; the exact square root of the signed product of all
+difference forms (`real_square_poly`) is its cross-check.  Incidence counts
+use 2n copies of the regime's (2,2,0,0) Schur polynomial at rank 4.  All
+values are exact integers; real values are reported as absolute values
+because orientation conventions only pin them up to sign.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Tuple, Union
 
-from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility
+from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility, rank
 from .polynomial import SparsePoly, product_of_linear_forms
 from .schur import RootPolynomial, schur_coefficient, schur_polynomial
 
@@ -75,13 +75,13 @@ def euler_number_defined(d: int, k: int, m: int) -> bool:
     return comb(d + k - 1, k - 1) == k * m and (k + m - d * m) % 2 == 0
 
 
-def _orientability(d: int, rank: int, m: Optional[int]) -> Optional[Orientability]:
+def _orientability(d: int, r: int, m: Optional[int]) -> Optional[Orientability]:
     if m is None:
         return None
     return Orientability(
-        grassmannian=grassmannian_orientable(rank, m),
-        sym_power=sym_power_orientable(d, rank),
-        euler_defined=euler_number_defined(d, rank, m),
+        grassmannian=grassmannian_orientable(r, m),
+        sym_power=sym_power_orientable(d, r),
+        euler_defined=euler_number_defined(d, r, m),
     )
 
 
@@ -115,11 +115,10 @@ def linear_factor_rows(regime: str, d: int, k: int) -> Tuple[Tuple[int, ...], ..
     """
     if regime == "real":
         return tuple(r for r in _difference_forms(d, k) if next(x for x in r if x) > 0)
-    if regime != "complex":
-        raise OutOfDomain(f"unknown regime {regime!r}")
+    n = rank(regime, k)
     if d < 1:
         raise OutOfDomain("d must be >= 1")
-    return tuple(compositions(d, k))
+    return tuple(compositions(d, n))
 
 
 def linear_factors(regime: str, d: int, k: int) -> list[SparsePoly]:
@@ -142,14 +141,13 @@ def plane_count(regime: str, d: int, k: int) -> CountReport:
     on a generic real one of odd degree d, via the Euler class of Sym^d
     (real).  Checked in order: domain, even real degree, dimension."""
     feas = feasibility(d, k, regime)
-    rank = k
     if regime == "real":
         require_odd_degree(d)
-        rank = 2 * k
-    orient = _orientability(d, rank, feas.m)
+    r = rank(regime, k)
+    orient = _orientability(d, r, feas.m)
     if not feas.feasible:
         return CountReport(regime, d, k, None, None, False, orient)
-    value = schur_coefficient(regime, linear_factors(regime, d, k), Partition.constant(feas.m, rank))
+    value = schur_coefficient(regime, linear_factors(regime, d, k), Partition.constant(feas.m, r))
     return CountReport(regime, d, k, feas.m, abs(value), True, orient)
 
 

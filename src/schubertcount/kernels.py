@@ -22,6 +22,7 @@ commands never load numpy.
 from __future__ import annotations
 
 from math import factorial
+from operator import sub
 
 import numpy as np
 
@@ -33,30 +34,26 @@ def _powers(grid, exps):
     return np.exp(2j * np.pi * steps / grid)
 
 
-def torus_quadrature(terms, ga, gb, perm_data, grid):
+def torus_quadrature(terms, va, vb, grid):
     """Trapezoidal rule, on a grid^k torus lattice, for the integral of
     f(z) * V_a(z) * conj(V_b(z)) / k!, with f = sum c z^e over `terms`.
 
-    V_a and V_b are the alternants of the exponents `ga` and `gb` over the
-    (permutation, sign) pairs `perm_data`.  Their product expands into
-    monomials z^(sigma(ga) - tau(gb)); equal shifts merge by adding their
-    signs.  Each node sum of z^(e + shift) is the product over the axes of
-    the 1-D node sums line[u] = sum_t z_t^u, taken in floating point.
+    `va` and `vb` are the terms {exponents: sign} of the alternants V_a and
+    V_b.  Their product expands into monomials z^(ea - eb); equal shifts
+    merge by adding their signs.  Each node sum of z^(e + shift) is the
+    product over the axes of the 1-D node sums line[u] = sum_t z_t^u, taken
+    in floating point.
     """
     if not terms:
         return 0j
-    k = len(gb)
     shifts = {}
-    for sigma, sign_a in perm_data:
-        for tau, sign_b in perm_data:
-            shift = [0] * k
-            for i in range(k):
-                shift[sigma[i]] += ga[i]
-                shift[tau[i]] -= gb[i]
-            shift = tuple(shift)
+    for ea, sign_a in va.items():
+        for eb, sign_b in vb.items():
+            shift = tuple(map(sub, ea, eb))
             shifts[shift] = shifts.get(shift, 0) + sign_a * sign_b
     shifts = {shift: sign for shift, sign in shifts.items() if sign}
     exps = np.array(list(terms), np.int64).T
+    k = len(exps)
     lo = min(map(min, shifts))
     hi = int(exps.max()) + max(map(max, shifts))
     line = _powers(grid, range(lo, hi + 1)).sum(axis=0)  # line[u - lo] = sum_t z_t^u

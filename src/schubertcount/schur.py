@@ -5,7 +5,7 @@ Coefficient extraction is exact: the torus integral behind a Schur
 coefficient equals one coefficient of f multiplied by the plain (complex
 case) or squared-variable (real case) Vandermonde alternant, because the
 product is antisymmetric and its coefficients at permuted exponents agree up
-to sign.  f may be given as a list of its factors, which is never expanded:
+to sign.  f is given as a list of its factors, which is never expanded:
 `polynomial.kronecker_product` multiplies them into one packed int, a
 signed slot per monomial in the box of the k! shifted targets, cleared of
 the monomials past that box once per factor.  A floating
@@ -14,7 +14,8 @@ oracle: on a uniform torus grid the rule is exact for trigonometric
 polynomials once the grid passes the bandwidth threshold, so the two routes
 must agree to rounding.  The oracle reads no exact coefficient: it sums the
 same nodes as products of one-dimensional node sums, one per axis of each
-monomial of f * V_a * conj(V_b) (`kernels.torus_quadrature`).
+monomial of f * V_a * conj(V_b), with the terms of the two alternants
+expanded pairwise (`kernels.torus_quadrature`).
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ import itertools
 import sys
 from dataclasses import dataclass
 from operator import sub
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
-from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition
+from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition, rank
 from .polynomial import SparsePoly, exact_div, kronecker_product
-
-# a root polynomial, or a list of its factors
-Factorable = Union["RootPolynomial", SparsePoly, Sequence[SparsePoly]]
 
 
 class DegenerateAlternant(ValueError):
@@ -49,14 +47,6 @@ def delta(k: int) -> Tuple[int, ...]:
     return tuple(range(k - 1, -1, -1))
 
 
-def _perm_data(k: int) -> list[Tuple[Tuple[int, ...], int]]:
-    out = []
-    for perm in itertools.permutations(range(k)):
-        inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
-        out.append((perm, -1 if inv % 2 else 1))
-    return out
-
-
 def vandermonde(gamma: Sequence[int], k: int) -> SparsePoly:
     """Alternating sum over S_k of sign(tau) * prod_i z_{tau(i)}^{gamma_i}."""
     gamma = tuple(int(g) for g in gamma)
@@ -67,11 +57,12 @@ def vandermonde(gamma: Sequence[int], k: int) -> SparsePoly:
     if any(gamma[i] <= gamma[i + 1] for i in range(k - 1)):
         raise DegenerateAlternant(f"{gamma} is not strictly decreasing")
     terms = {}
-    for perm, sign in _perm_data(k):
+    for perm in itertools.permutations(range(k)):
+        inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
         e = [0] * k
         for i in range(k):
             e[perm[i]] = gamma[i]
-        terms[tuple(e)] = sign
+        terms[tuple(e)] = -1 if inv % 2 else 1
     return SparsePoly._raw(k, terms)
 
 
@@ -104,16 +95,14 @@ class RootPolynomial:
     regime: str
 
     def __post_init__(self) -> None:
-        if self.regime == "complex":
-            if not is_symmetric(self.poly):
-                raise ValueError("complex root polynomial must be symmetric")
-        elif self.regime == "real":
+        rank(self.regime, 1)  # refuses a regime outside REGIMES
+        if self.regime == "real":
             if not in_euler_pontryagin(self.poly):
                 raise NotEulerPontryagin(
                     "real root polynomial must lie in the Euler-Pontryagin ring"
                 )
-        else:
-            raise OutOfDomain(f"unknown regime {self.regime!r}")
+        elif not is_symmetric(self.poly):
+            raise ValueError("complex root polynomial must be symmetric")
 
     @property
     def variables(self) -> int:
@@ -124,22 +113,18 @@ class RootPolynomial:
 
 
 def _alternant_exponents(regime: str, alpha: Partition, k: Optional[int] = None):
-    """Alternant exponents ga and target gb: delta and alpha + delta (complex),
-    or 2*delta and beta + 2*delta with beta the half-length profile of an
-    even or odd 2k-partition alpha (real); alpha must fit k variables if given."""
-    if regime == "complex":
-        kk, parts, scale = len(alpha), alpha.parts, 1
-    elif regime == "real":
-        parity = classify_partition(alpha)
-        if not (parity.is_even or parity.is_odd):
-            raise NotEvenOrOdd(f"{alpha.parts} is neither an even nor an odd partition")
-        kk, parts, scale = len(alpha) // 2, alpha.parts[0::2], 2
-    else:
-        raise OutOfDomain(f"unknown regime {regime!r}")
-    if k is not None and kk != k:
+    """Alternant exponents ga = s*delta and target gb = beta + ga at the
+    regime's scale s = rank(regime, 1), with beta = alpha[::s]: alpha itself
+    (complex) or the half-length profile of an even or odd 2k-partition alpha
+    (real).  alpha must fit k variables if given."""
+    s = rank(regime, 1)
+    if regime == "real" and classify_partition(alpha) == "neither":
+        raise NotEvenOrOdd(f"{alpha.parts} is neither an even nor an odd partition")
+    beta = alpha.parts[::s]
+    if k is not None and len(beta) != k:
         raise InvalidLength(f"partition of length {len(alpha)} against {k} variables ({regime} regime)")
-    ga = tuple(scale * x for x in delta(kk))
-    return ga, tuple(a + b for a, b in zip(parts, ga))
+    ga = tuple(s * x for x in delta(len(beta)))
+    return ga, tuple(a + b for a, b in zip(beta, ga))
 
 
 def schur_polynomial(regime: str, alpha: Partition) -> RootPolynomial:
@@ -164,23 +149,14 @@ def _alternant_coefficient(factors: Sequence[SparsePoly], target: Tuple[int, ...
     return sum(c * coefficients[s] for s, c in shifted.items())
 
 
-def schur_coefficient(regime: str, f: Factorable, alpha: Partition) -> int:
-    """Exact Schur coefficient of f: the coefficient of z^{alpha+delta} in
-    f*V_delta (complex), or of x^{beta+2delta} in f*V_{2delta} for an even
-    or odd 2k-partition alpha with half-length profile beta (real, pinned
-    only up to a global sign by orientation conventions).  f is a root
-    polynomial of the regime or a list of factors of one, taken as it is,
-    since their product is never built."""
-    if isinstance(f, (list, tuple)):
-        factors, k = f, (f[0].nvars if f else None)
-    else:
-        if not isinstance(f, RootPolynomial):
-            f = RootPolynomial(f, regime)
-        elif f.regime != regime:
-            error = NotEulerPontryagin if regime == "real" else OutOfDomain
-            raise error(f"expected a {regime!r}-regime root polynomial, got a {f.regime!r} one")
-        factors, k = [f.poly], f.variables
-    ga, gb = _alternant_exponents(regime, alpha, k)
+def schur_coefficient(regime: str, factors: Sequence[SparsePoly], alpha: Partition) -> int:
+    """Exact Schur coefficient of f = prod(factors): the coefficient of
+    z^{alpha+delta} in f*V_delta (complex), or of x^{beta+2delta} in
+    f*V_{2delta} for an even or odd 2k-partition alpha with half-length
+    profile beta (real, pinned only up to a global sign by orientation
+    conventions).  The factors are taken as they are, since their product is
+    never built; a polynomial f is passed as [f]."""
+    ga, gb = _alternant_exponents(regime, alpha, factors[0].nvars if factors else None)
     return _alternant_coefficient(factors, gb, vandermonde(ga, len(ga)))
 
 
@@ -241,4 +217,5 @@ def numeric_schur_coefficient(f: RootPolynomial, alpha: Partition, grid: Optiona
         raise OutOfDomain("a coefficient of f exceeds the float range; the oracle cannot weigh it")
     from . import kernels  # numpy is loaded on the float paths only
 
-    return kernels.torus_quadrature(f.poly.terms, ga, gb, _perm_data(f.variables), grid)
+    k = f.variables
+    return kernels.torus_quadrature(f.poly.terms, vandermonde(ga, k).terms, vandermonde(gb, k).terms, grid)

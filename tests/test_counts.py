@@ -4,7 +4,7 @@ import math
 import pytest
 
 from schubertcount import cli, counts, polynomial
-from schubertcount.combinatorics import OutOfDomain, Partition, catalan
+from schubertcount.combinatorics import OutOfDomain, Partition, catalan, feasibility, rank
 from schubertcount.counts import (
     EvenDegree,
     catalan_substitution,
@@ -21,7 +21,7 @@ from schubertcount.counts import (
     sym_power_orientable,
 )
 from schubertcount.polynomial import SparsePoly, exact_sqrt
-from schubertcount.schur import in_euler_pontryagin, schur_coefficient, schur_polynomial
+from schubertcount.schur import RootPolynomial, in_euler_pontryagin, schur_coefficient, schur_polynomial
 
 # 9 x^3 y^3 (4(x^2+y^2)^2 - 25 x^2 y^2), the degree-3 real root polynomial
 F3_REAL = SparsePoly(2, {(7, 3): 36, (5, 5): -153, (3, 7): 36})
@@ -196,17 +196,21 @@ def test_positivity_of_complex_counts():
     assert plane_count("complex", 2, 3).value == 0
 
 
-def test_unknown_regime_is_refused():
+def test_unknown_regime_is_refused(capsys):
     # a regime is "complex" or "real"; any other name must not fall through to either
-    with pytest.raises(OutOfDomain, match="Complex"):
-        linear_factor_rows("Complex", 3, 1)
-    with pytest.raises(OutOfDomain, match="Complex"):
-        schur_polynomial("Complex", Partition((2, 2)))
-    root = root_poly("complex", 3, 2)
-    for f in (linear_factors("complex", 3, 2), root.poly, root):
-        with pytest.raises(OutOfDomain, match="Complex"):
-            schur_coefficient("Complex", f, Partition((2, 2)))
-    with pytest.raises(OutOfDomain, match="Complex"):
-        root_poly("Complex", 3, 2)
-    with pytest.raises(OutOfDomain, match="Complex"):
-        plane_count("Complex", 3, 2)
+    refusals = [
+        lambda: rank("Complex", 2),
+        lambda: feasibility(3, 2, "Complex"),
+        lambda: incidence("Complex", 2),
+        lambda: RootPolynomial(root_poly("complex", 3, 2).poly, "Complex"),
+        lambda: plane_count("Complex", 3, 2),
+        lambda: root_poly("Complex", 3, 2),
+        lambda: schur_polynomial("Complex", Partition((2, 2))),
+        lambda: linear_factor_rows("Complex", 3, 1),
+        lambda: schur_coefficient("Complex", linear_factors("complex", 3, 2), Partition((2, 2))),
+    ]
+    for refuse in refusals:
+        with pytest.raises(OutOfDomain, match="unknown regime 'Complex'"):
+            refuse()
+    assert cli.main(["count", "--regime", "Complex", "-d", "3", "-k", "2", "--no-cache"]) == cli.USAGE_EXIT
+    assert "invalid choice: 'Complex'" in capsys.readouterr().err
