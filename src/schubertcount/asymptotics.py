@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .combinatorics import Infeasible, OutOfDomain
 from .counts import incidence, linear_factor_rows, plane_count, require_odd_degree
 from .schur import MAX_GRID
 
 
-@dataclass(frozen=True)
-class TorusSample:
+class TorusSample(NamedTuple):
     """Extrema of |F_d| = |f_d / (x1 x2)^m| over a uniform torus grid.
 
     sign_constant says the real part never changes sign over the grid while
@@ -47,8 +45,7 @@ class TorusSample:
     argmax_angles = property(argmax_head)
 
 
-@dataclass(frozen=True)
-class AsymptoteRow:
+class AsymptoteRow(NamedTuple):
     """Log of an exact count against a predicted leading term."""
 
     parameter: int

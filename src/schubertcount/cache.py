@@ -3,12 +3,15 @@
 The cache key is a pure function of the request (command, sorted parameters,
 engine version, body schema), so a hit is byte-identical to a recomputation.
 Entries are written to a temporary file and renamed into place, so concurrent
-writers never corrupt each other; unreadable entries are treated as misses.
+writers never corrupt each other.  An entry that cannot be read or parsed,
+holds another key, or whose body is not the text of a JSON object is a miss:
+the result is recomputed and the entry overwritten.  An entry's file name is
+the sha256 of its key; `hashlib` is imported on the first lookup or store, so
+runs without a cache directory never load it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -33,20 +36,20 @@ class ResultCache:
         self.directory = directory
 
     def _path(self, key: str) -> str:
+        import hashlib
+
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
         return os.path.join(self.directory, f"{digest}.json")
 
-    def lookup(self, key: str) -> Optional[str]:
-        """Return the cached body for `key`, or None on miss/corruption."""
-        path = self._path(key)
+    def lookup(self, key: str) -> Optional[dict]:
+        """Return the decoded cached body for `key`, or None on a miss."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
-        except (OSError, ValueError):
+            body = json.loads(entry["body"]) if entry["key"] == key else None
+        except (OSError, ValueError, TypeError, KeyError):
             return None
-        if entry.get("key") != key or not isinstance(entry.get("body"), str):
-            return None
-        return entry["body"]
+        return body if isinstance(body, dict) else None
 
     def store(self, key: str, body: str, engine_version: str) -> None:
         os.makedirs(self.directory, exist_ok=True)

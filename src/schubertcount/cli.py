@@ -14,13 +14,11 @@ everything except `cached` and `elapsed_ms`.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .asymptotics import asymptote_table, torus_scan
@@ -215,8 +213,7 @@ def _feasibility_rows(body: dict) -> list[dict]:
     return body["rows"]
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One CLI command: its own flags, its cache parameters and its body.
 
     `compute(args)` returns the body, without `command` and
@@ -322,9 +319,9 @@ def _emit(command: Command, args) -> int:
     use_cache = directory and not args.no_cache and not (command.uncached_if and getattr(args, command.uncached_if))
     cache = ResultCache(directory) if use_cache else None
     key = cache_key(args.command, {n: _cache_text(getattr(args, n)) for n in command.cache}, __version__)
-    text = cache.lookup(key) if cache else None
-    cached, code = text is not None, 0
-    if text is None:
+    body = cache.lookup(key) if cache else None
+    cached, code = body is not None, 0
+    if body is None:
         body, code = command.compute(args)
         text = json.dumps({"command": args.command, "engine_version": __version__, **body})
         if cache and code == 0:
@@ -332,8 +329,10 @@ def _emit(command: Command, args) -> int:
                 cache.store(key, text, __version__)
             except OSError as exc:
                 print(f"warning: result not cached: {exc}", file=sys.stderr)
-    body = json.loads(text)
+        body = json.loads(text)
     if args.format == "csv":
+        import csv  # loaded by CSV runs only, to keep start-up short
+
         rows = command.csv_rows(body)
         writer = csv.writer(sys.stdout)
         writer.writerow(command.csv_header)

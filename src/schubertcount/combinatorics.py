@@ -7,9 +7,8 @@ functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 
 class OutOfDomain(ValueError):
@@ -40,24 +39,35 @@ def rank(regime: str, k: int) -> int:
     return 2 * k if regime == "real" else k
 
 
-@dataclass(frozen=True)
 class Partition:
     """Weakly decreasing tuple of non-negative integers.
 
     Trailing zeros are significant: a length-k and a length-2k partition with
     the same nonzero parts are distinct objects, so rank-k and rank-2k
-    contexts never alias.
+    contexts never alias.  Immutable, compared and hashed by its parts.
     """
 
-    parts: Tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Tuple[int, ...]) -> None:
+        parts = tuple(int(p) for p in parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {parts!r}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"not weakly decreasing: {parts!r}")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Partition is immutable")
+
+    def __eq__(self, other) -> bool:
+        return self.parts == other.parts if isinstance(other, Partition) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
     @classmethod
     def constant(cls, value: int, length: int) -> "Partition":
@@ -76,8 +86,7 @@ class Partition:
         return sum(self.parts)
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(NamedTuple):
     """Divisibility data for the zero-dimensionality condition.
 
     In the complex regime the count lives on a rank-k Grassmannian and needs

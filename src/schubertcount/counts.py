@@ -17,10 +17,9 @@ because orientation conventions only pin them up to sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility, rank
 from .polynomial import SparsePoly, product_of_linear_forms
@@ -31,8 +30,7 @@ class EvenDegree(Infeasible):
     """Real signed counts require odd degree; even degree is rejected."""
 
 
-@dataclass(frozen=True)
-class Orientability:
+class Orientability(NamedTuple):
     """The three predicates behind a well-defined signed count."""
 
     grassmannian: bool
@@ -40,8 +38,7 @@ class Orientability:
     euler_defined: bool
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """An exact enumerative answer with its parameters and feasibility data.
 
     `value` is absent when the dimension condition fails; in the real regime

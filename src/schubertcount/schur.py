@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from operator import sub
 from typing import Optional, Sequence, Tuple
 
@@ -82,27 +81,38 @@ def in_euler_pontryagin(poly: SparsePoly) -> bool:
     return is_symmetric(poly)
 
 
-@dataclass(frozen=True)
 class RootPolynomial:
     """A cohomology class represented by its root polynomial.
 
     Complex regime: symmetric polynomial in the Chern roots z_i.  Real
     regime: member of the Euler-Pontryagin ring (symmetric, every monomial
-    with all exponents even or all odd).
+    with all exponents even or all odd).  Immutable, compared by value.
     """
 
-    poly: SparsePoly
-    regime: str
+    __slots__ = ("poly", "regime")
 
-    def __post_init__(self) -> None:
-        rank(self.regime, 1)  # refuses a regime outside REGIMES
-        if self.regime == "real":
-            if not in_euler_pontryagin(self.poly):
+    def __init__(self, poly: SparsePoly, regime: str) -> None:
+        rank(regime, 1)  # refuses a regime outside REGIMES
+        if regime == "real":
+            if not in_euler_pontryagin(poly):
                 raise NotEulerPontryagin(
                     "real root polynomial must lie in the Euler-Pontryagin ring"
                 )
-        elif not is_symmetric(self.poly):
+        elif not is_symmetric(poly):
             raise ValueError("complex root polynomial must be symmetric")
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "regime", regime)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RootPolynomial is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RootPolynomial):
+            return NotImplemented
+        return self.poly == other.poly and self.regime == other.regime
+
+    def __repr__(self) -> str:
+        return f"RootPolynomial(poly={self.poly!r}, regime={self.regime!r})"
 
     @property
     def variables(self) -> int:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import schubertcount
-from schubertcount.asymptotics import asymptote_table, closed_form_max, torus_scan
+from schubertcount.asymptotics import TorusSample, asymptote_table, closed_form_max, torus_scan
 from schubertcount.combinatorics import catalan
 from schubertcount.counts import EvenDegree, linear_factor_rows
 
@@ -36,6 +36,14 @@ def test_torus_scan_degree_three():
         diff = (t1 - t2) % (2 * math.pi)
         dist = min(abs(diff - math.pi / 2), abs(diff - 3 * math.pi / 2))
         assert dist <= 2 * math.pi / 360 + 1e-9
+
+
+def test_torus_sample_fields_and_angles():
+    assert TorusSample._fields == ("d", "grid", "min_modulus", "max_modulus", "sign_constant", "argmax_residues")
+    assert isinstance(TorusSample.argmax_angles, property)
+    s = torus_scan(3, 64)
+    assert (s.argmax_angles == s.argmax_head()).all()
+    assert s.argmax_head(1).shape == (1, 2)
 
 
 def test_torus_scan_matches_closed_form():

@@ -218,6 +218,22 @@ def test_cache_corrupted_entry_recomputed(tmp_path, capsys):
     assert third["cached"] is True
 
 
+@pytest.mark.parametrize("corrupt", [lambda body: body[: len(body) // 2], lambda body: "[1,2]"],
+                         ids=["truncated JSON", "not a JSON object"])
+def test_cache_corrupted_body_recomputed(tmp_path, capsys, corrupt):
+    argv = ["count", "--regime", "complex", "-d", "3", "-k", "2",
+            "--cache-dir", str(tmp_path)]
+    first = run_json(capsys, argv)
+    entry = next(tmp_path.iterdir())
+    stored = json.loads(entry.read_text())
+    entry.write_text(json.dumps(dict(stored, body=corrupt(stored["body"]))))
+    again = run_json(capsys, argv)
+    assert again["cached"] is False
+    assert _strip_runtime(again) == _strip_runtime(first)
+    assert json.loads(entry.read_text())["body"] == stored["body"]
+    assert run_json(capsys, argv)["cached"] is True
+
+
 def test_no_cache_bypasses(tmp_path, capsys):
     argv = ["count", "--regime", "complex", "-d", "3", "-k", "2",
             "--cache-dir", str(tmp_path), "--no-cache"]

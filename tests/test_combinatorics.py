@@ -26,6 +26,20 @@ def test_partition_validation():
     assert len(Partition((0, 0))) == 2
 
 
+def test_partition_is_an_immutable_value():
+    a = Partition((3, 1, 0))
+    assert a == Partition([3, 1, 0]) and hash(a) == hash(Partition([3, 1, 0]))
+    assert a != Partition((3, 1)) and a != (3, 1, 0)
+    assert {a: "x"}[Partition((3, 1, 0))] == "x"
+    with pytest.raises(AttributeError):
+        a.parts = (4, 1, 0)
+    assert a.parts == (3, 1, 0)
+    with pytest.raises(ValueError, match=r"^negative part in \(2, -1\)$"):
+        Partition((2, -1))
+    with pytest.raises(ValueError, match=r"^not weakly decreasing: \(1, 2\)$"):
+        Partition((1, 2))
+
+
 def test_compositions_examples():
     assert compositions(1, 2) == [(1, 0), (0, 1)]
     assert len(compositions(3, 4)) == 20 == comb(6, 3)

@@ -6,7 +6,9 @@ import pytest
 from schubertcount import cli, counts, polynomial
 from schubertcount.combinatorics import OutOfDomain, Partition, catalan, feasibility, rank
 from schubertcount.counts import (
+    CountReport,
     EvenDegree,
+    Orientability,
     catalan_substitution,
     cubic_ci_real,
     euler_number_defined,
@@ -175,6 +177,11 @@ def test_orientability_predicates():
     assert euler_number_defined(3, 4, 5)
     assert euler_number_defined(3, 2, 2)
     assert not any(euler_number_defined(2, 4, m) for m in range(1, 40))
+
+
+def test_count_report_and_orientability_field_names():
+    assert CountReport._fields == ("regime", "d", "k", "m", "value", "feasible", "orientability")
+    assert Orientability._fields == ("grassmannian", "sym_power", "euler_defined")
 
 
 def test_count_report_orientability_fields():

@@ -4,6 +4,12 @@
 (`lambda --numeric` and a `scan` that computes) import `kernels`.  Each case
 runs `cli.main` in a fresh interpreter and reports which of the two modules
 ended up in `sys.modules`.
+
+The same probe guards the start-up cost of every command: no run loads
+`dataclasses` (nor `inspect`, which it pulls in), `hashlib` loads only when a
+cache directory is used, and `csv` only for `--format csv`.  The probe
+reports which of these modules importing and running schubertcount added to
+`sys.modules`.
 """
 
 import json
@@ -17,10 +23,12 @@ import schubertcount
 from schubertcount.cli import main
 
 FLOAT_MODULES = ["numpy", "schubertcount.kernels"]
+STARTUP_MODULES = ["csv", "dataclasses", "hashlib", "inspect"]
 
 # an empty argv imports the bare package instead of running a command
 PROBE = f"""
 import contextlib, io, json, sys
+before = set(sys.modules)
 argv = sys.argv[1:]
 out = io.StringIO()
 if argv:
@@ -31,7 +39,8 @@ else:
     import schubertcount
     code = 0
 loaded = [m for m in {FLOAT_MODULES!r} if m in sys.modules]
-print(json.dumps({{"code": code, "stdout": out.getvalue(), "loaded": loaded}}))
+added = [m for m in {STARTUP_MODULES!r} if m in sys.modules and m not in before]
+print(json.dumps({{"code": code, "stdout": out.getvalue(), "loaded": loaded, "added": added}}))
 """
 
 EXACT_ARGVS = [
@@ -72,6 +81,13 @@ def test_exact_commands_skip_numpy(argv):
     result = probe(argv.split() + ["--no-cache"])
     assert result["code"] == 0
     assert result["loaded"] == []
+    assert result["added"] == (["csv"] if "--format csv" in argv else [])
+
+
+def test_cache_directory_loads_hashlib(tmp_path):
+    result = probe(["count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir", str(tmp_path)])
+    assert result["code"] == 0
+    assert result["added"] == ["hashlib"]
 
 
 def test_scan_served_from_cache_skips_numpy(tmp_path, capsys):

@@ -207,6 +207,22 @@ def test_root_polynomial_validation():
     assert not is_symmetric(SparsePoly(2, {(1, 0): 2, (0, 1): 3}))
 
 
+def test_root_polynomial_is_an_immutable_value():
+    with pytest.raises(ValueError, match="must be symmetric"):
+        RootPolynomial(SparsePoly(2, {(2, 0): 1, (0, 2): 2}), "complex")
+    with pytest.raises(NotEulerPontryagin, match="Euler-Pontryagin ring"):
+        RootPolynomial(SparsePoly(2, {(2, 1): 1, (1, 2): 1}), "real")
+    f = SparsePoly(2, {(1, 0): 1, (0, 1): 1})
+    r = RootPolynomial(f, "complex")
+    assert r == RootPolynomial(SparsePoly(2, {(0, 1): 1, (1, 0): 1}), "complex")
+    assert r != RootPolynomial(f * f, "complex")
+    with pytest.raises(AttributeError):
+        r.poly = f * f
+    with pytest.raises(AttributeError):
+        r.regime = "real"
+    assert r.poly == f and r.regime == "complex"
+
+
 def test_is_symmetric_against_every_permutation():
     rng = random.Random(29)
     cases = [
