@@ -3,18 +3,20 @@
 The cache key is a pure function of the request (command, sorted parameters,
 engine version, body schema), so a hit is byte-identical to a recomputation.
 Entries are written to a temporary file and renamed into place, so concurrent
-writers never corrupt each other.  An entry that cannot be read or parsed,
-holds another key, or whose body is not the text of a JSON object is a miss:
-the result is recomputed and the entry overwritten.  An entry's file name is
-the sha256 of its key; `hashlib` is imported on the first lookup or store, so
-runs without a cache directory never load it.
+writers never corrupt each other.  An entry's file name is the crc32 of its
+key, only a bucket: the key stored in the entry and the body's `command` and
+`engine_version` decide a hit.  An entry that cannot be read or parsed, holds
+another key (a name collision), or whose body is not the text of a JSON
+object of the requested command and engine version is a miss: the result is
+recomputed and the entry overwritten.  `zlib` is imported on the first
+lookup or store and `tempfile` on the first store, so runs without a cache
+directory load neither.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from typing import Optional
 
@@ -36,12 +38,11 @@ class ResultCache:
         self.directory = directory
 
     def _path(self, key: str) -> str:
-        import hashlib
+        import zlib
 
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
-        return os.path.join(self.directory, f"{digest}.json")
+        return os.path.join(self.directory, f"{zlib.crc32(key.encode()):08x}.json")
 
-    def lookup(self, key: str) -> Optional[dict]:
+    def lookup(self, key: str, command: str, engine_version: str) -> Optional[dict]:
         """Return the decoded cached body for `key`, or None on a miss."""
         try:
             with open(self._path(key), "r", encoding="utf-8") as fh:
@@ -49,7 +50,8 @@ class ResultCache:
             body = json.loads(entry["body"]) if entry["key"] == key else None
         except (OSError, ValueError, TypeError, KeyError):
             return None
-        return body if isinstance(body, dict) else None
+        fields = (body.get("command"), body.get("engine_version")) if isinstance(body, dict) else None
+        return body if fields == (command, engine_version) else None
 
     def store(self, key: str, body: str, engine_version: str) -> None:
         os.makedirs(self.directory, exist_ok=True)
@@ -59,6 +61,8 @@ class ResultCache:
             "engine_version": engine_version,
             "body": body,
         }
+        import tempfile  # with shutil and random: only runs that store pay for it
+
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -21,11 +21,8 @@ import time
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
-from .asymptotics import asymptote_table, torus_scan
 from .cache import ResultCache, cache_key
 from .combinatorics import REGIMES, Infeasible, OutOfDomain, Partition, catalan, feasibility
-from .counts import catalan_substitution, cubic_ci_real, incidence, linear_factors, plane_count, root_poly
-from .schur import numeric_schur_coefficient, schur_coefficient, schur_polynomial
 
 USAGE_EXIT = 64
 INFEASIBLE_EXIT = 2
@@ -76,7 +73,11 @@ K = _arg("-k", type=int, required=True, help="rank parameter (half-rank in the r
 ALPHA = _arg("--alpha", type=_partition, required=True, help="comma-separated partition")
 
 
+# each handler imports its engine functions when it runs, so that a cache hit
+# loads no engine module and a command loads only the modules it uses
 def _count(args) -> tuple[dict, int]:
+    from .counts import plane_count, root_poly
+
     report = plane_count(args.regime, args.d, args.k)
     body = {"regime": args.regime, "d": args.d, "k": args.k, "m": report.m}
     if report.feasible:
@@ -92,6 +93,8 @@ def _count(args) -> tuple[dict, int]:
 
 
 def _incidence(args) -> tuple[dict, int]:
+    from .counts import incidence
+
     body = {"regime": args.regime, "n": args.n, "value": str(incidence(args.regime, args.n))}
     if args.regime == "real":
         body["catalan"] = str(catalan(args.n))
@@ -99,6 +102,8 @@ def _incidence(args) -> tuple[dict, int]:
 
 
 def _cubic_ci(args) -> tuple[dict, int]:
+    from .counts import catalan_substitution, cubic_ci_real
+
     report = cubic_ci_real(args.r)
     body = {
         "regime": "real",
@@ -113,6 +118,8 @@ def _cubic_ci(args) -> tuple[dict, int]:
 
 
 def _schur(args) -> tuple[dict, int]:
+    from .schur import schur_polynomial
+
     poly = schur_polynomial(args.regime, args.alpha)
     body = {
         "regime": args.regime,
@@ -125,6 +132,9 @@ def _schur(args) -> tuple[dict, int]:
 
 
 def _lambda(args) -> tuple[dict, int]:
+    from .counts import linear_factors, root_poly
+    from .schur import numeric_schur_coefficient, schur_coefficient
+
     value = schur_coefficient(args.regime, linear_factors(args.regime, args.d, args.k), args.alpha)
     # orientation conventions pin a real coefficient only up to a global sign
     sign_certain = args.regime == "complex"
@@ -147,6 +157,8 @@ def _lambda(args) -> tuple[dict, int]:
 
 
 def _scan(args) -> tuple[dict, int]:
+    from .asymptotics import torus_scan
+
     sample = torus_scan(args.d, args.grid)
     # the kernels have one (numpy) implementation; the field stays so that bodies keep their shape
     body = {
@@ -177,6 +189,8 @@ def _rows_to_dicts(rows) -> list[dict]:
 
 
 def _asymptote(args) -> tuple[dict, int]:
+    from .asymptotics import asymptote_table
+
     flag = "ns" if args.family == "incidence" else "ds"
     text = getattr(args, flag)
     if not text:
@@ -286,7 +300,11 @@ COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=None) -> _Parser:
+    """The parser of `argv`: when argv[0] names a command, only that
+    subparser is built; otherwise (help, no command, an unknown one) all of
+    them, so that help, usage and error texts are those of the full parser."""
+    names = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--cache-dir", default=None)
@@ -294,9 +312,9 @@ def build_parser() -> _Parser:
 
     parser = _Parser(prog="schubertcount", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True, parser_class=_Parser)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=command.help)
-        for flags, options in command.arguments:
+    for name in names:
+        p = sub.add_parser(name, parents=[common], help=COMMANDS[name].help)
+        for flags, options in COMMANDS[name].arguments:
             p.add_argument(*flags, **options)
     return parser
 
@@ -310,7 +328,8 @@ def _emit(command: Command, args) -> int:
 
     The body is serialized once, with `command` and `engine_version` first;
     only exit-code-0 bodies are stored, and a hit re-emits the stored bytes.
-    A failed cache write costs a warning, never the result.
+    The runtime fields are appended to that text, never stored.  A failed
+    cache write costs a warning, never the result.
     """
     if args.format == "csv" and not command.csv_header:
         raise OutOfDomain(f"CSV output is only available for tables, not `{args.command}`")
@@ -319,17 +338,17 @@ def _emit(command: Command, args) -> int:
     use_cache = directory and not args.no_cache and not (command.uncached_if and getattr(args, command.uncached_if))
     cache = ResultCache(directory) if use_cache else None
     key = cache_key(args.command, {n: _cache_text(getattr(args, n)) for n in command.cache}, __version__)
-    body = cache.lookup(key) if cache else None
+    body = cache.lookup(key, args.command, __version__) if cache else None
     cached, code = body is not None, 0
     if body is None:
         body, code = command.compute(args)
-        text = json.dumps({"command": args.command, "engine_version": __version__, **body})
-        if cache and code == 0:
-            try:
-                cache.store(key, text, __version__)
-            except OSError as exc:
-                print(f"warning: result not cached: {exc}", file=sys.stderr)
-        body = json.loads(text)
+        body = {"command": args.command, "engine_version": __version__, **body}
+    text = json.dumps(body)
+    if cache and not cached and code == 0:
+        try:
+            cache.store(key, text, __version__)
+        except OSError as exc:
+            print(f"warning: result not cached: {exc}", file=sys.stderr)
     if args.format == "csv":
         import csv  # loaded by CSV runs only, to keep start-up short
 
@@ -338,9 +357,8 @@ def _emit(command: Command, args) -> int:
         writer.writerow(command.csv_header)
         writer.writerows([["" if row[c] is None else row[c] for c in command.csv_header] for row in rows])
         return code
-    body["cached"] = cached
-    body["elapsed_ms"] = int((time.perf_counter() - start) * 1000)
-    print(json.dumps(body))
+    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    print(f'{text[:-1]}, "cached": {json.dumps(cached)}, "elapsed_ms": {elapsed_ms}}}')
     return code
 
 
@@ -350,9 +368,9 @@ def main(argv=None) -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return _emit(COMMANDS[args.command], args)
     except SystemExit as exc:  # from argparse: --help exits 0, a usage error USAGE_EXIT
         return exc.code or 0

@@ -211,9 +211,11 @@ def kronecker_product(
     of a kept term after the first factor (whose terms multiply S = 1), so a
     factor maps S to sum c * S << B*idx(e) with no carry between axes, and
     one clear, ((S + O) & box) - (O & box), zeroes the padding past hi; O is
-    2^(B-1) per slot.  B is bit_length + 1 of the running product of the
-    factors' l1 norms in whole bytes, starting at one byte and repacked to
-    at least twice the width when the bound passes it."""
+    2^(B-1) per slot.  An open box needs no padding (s_a = 0): there hi is
+    the full degree, which no partial product passes.  B is bit_length + 1
+    of the running product of the factors' l1 norms in whole bytes, starting
+    at one byte and repacked to at least twice the width when the bound
+    passes it."""
     if any(f.nvars != nvars for f in factors):
         raise ArityMismatch(f"factors must have {nvars} variables")
     out = {} if targets is None else dict.fromkeys(targets, 0)
@@ -231,7 +233,8 @@ def kronecker_product(
             return out
         hi = [max(t[a] for t in targets) for a in axes]
     kept = [[(e, c) for e, c in f.terms.items() if all(map(le, e[axes.start:], hi))] for f in factors]
-    pad = [max((e[a] for terms in kept[1:] for e, _ in terms), default=0) for a in axes]
+    steps = kept[1:] if targets is not None else []
+    pad = [max((e[a] for terms in steps for e, _ in terms), default=0) for a in axes]
     radix = [h + 1 + s for h, s in zip(hi, pad)]
     nslots = prod(radix)
     stride = [prod(radix[i + 1:]) for i in range(len(radix))]
@@ -288,8 +291,8 @@ def kronecker_product(
 
 def product_of_linear_forms(rows: Sequence[Sequence[int]], nvars: int) -> SparsePoly:
     """Exact product of the linear forms given by coefficient vectors (the
-    empty product is 1): one `kronecker_product` with an open box, whose hi
-    is the number of forms, so no monomial ever lands in a padding slot."""
+    empty product is 1): one `kronecker_product` with an open box, which has
+    no padding slots."""
     return SparsePoly._raw(nvars, kronecker_product([SparsePoly.linear_form(row) for row in rows], nvars))
 
 

@@ -7,7 +7,7 @@ import pytest
 from schubertcount import __version__
 from schubertcount import cache
 from schubertcount.cache import ResultCache, cache_key
-from schubertcount.cli import main, usable_cores
+from schubertcount.cli import COMMANDS, build_parser, main, usable_cores
 
 
 def run(capsys, argv):
@@ -121,9 +121,9 @@ def test_lambda_command(capsys):
 
 def test_numeric_match_keeps_a_certain_sign(capsys, monkeypatch):
     # an oracle that returns the negated value matches only where the sign is uncertain
-    from schubertcount import cli
-    oracle = cli.numeric_schur_coefficient
-    monkeypatch.setattr(cli, "numeric_schur_coefficient", lambda *a, **kw: -oracle(*a, **kw))
+    from schubertcount import schur
+    oracle = schur.numeric_schur_coefficient
+    monkeypatch.setattr(schur, "numeric_schur_coefficient", lambda *a, **kw: -oracle(*a, **kw))
     body = run_json(capsys, ["lambda", "--regime", "complex", "-d", "3", "-k", "2",
                              "--alpha", "2,2", "--numeric"])
     assert body["sign_certain"] is True
@@ -218,8 +218,13 @@ def test_cache_corrupted_entry_recomputed(tmp_path, capsys):
     assert third["cached"] is True
 
 
-@pytest.mark.parametrize("corrupt", [lambda body: body[: len(body) // 2], lambda body: "[1,2]"],
-                         ids=["truncated JSON", "not a JSON object"])
+@pytest.mark.parametrize("corrupt", [
+    lambda body: body[: len(body) // 2],
+    lambda body: "[1,2]",
+    lambda body: "{}",
+    lambda body: body.replace('"command": "count"', '"command": "lambda"'),
+    lambda body: body.replace(f'"engine_version": "{__version__}"', '"engine_version": "0.0.0"'),
+], ids=["truncated JSON", "not a JSON object", "empty object", "another command", "another engine version"])
 def test_cache_corrupted_body_recomputed(tmp_path, capsys, corrupt):
     argv = ["count", "--regime", "complex", "-d", "3", "-k", "2",
             "--cache-dir", str(tmp_path)]
@@ -232,6 +237,20 @@ def test_cache_corrupted_body_recomputed(tmp_path, capsys, corrupt):
     assert _strip_runtime(again) == _strip_runtime(first)
     assert json.loads(entry.read_text())["body"] == stored["body"]
     assert run_json(capsys, argv)["cached"] is True
+
+
+def test_cache_file_name_collision_misses(tmp_path, capsys):
+    # file names are only buckets: request B finds request A's entry under its name and recomputes
+    a = ["count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir"]
+    b = ["count", "--regime", "complex", "-d", "5", "-k", "2", "--cache-dir"]
+    run_json(capsys, a + [str(tmp_path / "a")])
+    run_json(capsys, b + [str(tmp_path / "b")])
+    (entry_a,), (entry_b,) = (tmp_path / "a").iterdir(), (tmp_path / "b").iterdir()
+    entry_a.rename(tmp_path / "a" / entry_b.name)
+    again = run_json(capsys, b + [str(tmp_path / "a")])
+    assert again["cached"] is False
+    assert again["value"] == "2875"
+    assert run_json(capsys, b + [str(tmp_path / "a")])["cached"] is True
 
 
 def test_no_cache_bypasses(tmp_path, capsys):
@@ -274,10 +293,10 @@ def test_big_values_are_decimal_strings(capsys):
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit before 3.10.7")
 def test_values_past_the_digit_limit_print(capsys, monkeypatch):
-    from schubertcount import cli
+    from schubertcount import counts
     from schubertcount.counts import CountReport
     big = 10**5001 - 1  # 5,001 nines, past the default limit of 4,300 digits
-    monkeypatch.setattr(cli, "plane_count", lambda regime, d, k: CountReport(regime, d, k, 5, big, True, None))
+    monkeypatch.setattr(counts, "plane_count", lambda regime, d, k: CountReport(regime, d, k, 5, big, True, None))
     limit = sys.get_int_max_str_digits()
     body = run_json(capsys, ["count", "--regime", "real", "-d", "3", "-k", "2", "--no-cache"])
     assert body["value"] == "9" * 5001
@@ -369,3 +388,31 @@ def test_flags_only_on_commands_that_read_them(capsys, argv):
     code, out, err = run(capsys, argv.split())
     assert code == 64
     assert "unrecognized arguments" in err
+
+
+def _parse_exit(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    "", "--help", "-h", "bogus", "bogus --help", "--format json",
+    *(f"{name} --help" for name in COMMANDS),
+    *COMMANDS,
+    "count --regime bad -d 3 -k 2",
+    "count --regime complex -d 3 -k 2 --grid 64",
+])
+def test_one_subparser_keeps_help_and_errors(capsys, argv):
+    # a parser built for argv holds only the named command; its texts and exit codes are the full parser's
+    argv = argv.split()
+    assert _parse_exit(build_parser(argv), argv, capsys) == _parse_exit(build_parser(), argv, capsys)
+
+
+def test_parser_builds_only_the_named_command():
+    def commands(parser):
+        return list(parser._subparsers._group_actions[0].choices)
+
+    assert commands(build_parser(["count", "--regime", "complex"])) == ["count"]
+    assert commands(build_parser(["--help"])) == commands(build_parser()) == list(COMMANDS)

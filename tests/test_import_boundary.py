@@ -6,10 +6,11 @@ runs `cli.main` in a fresh interpreter and reports which of the two modules
 ended up in `sys.modules`.
 
 The same probe guards the start-up cost of every command: no run loads
-`dataclasses` (nor `inspect`, which it pulls in), `hashlib` loads only when a
-cache directory is used, and `csv` only for `--format csv`.  The probe
-reports which of these modules importing and running schubertcount added to
-`sys.modules`.
+`dataclasses` (nor `inspect`, which it pulls in) or `hashlib`, and `csv`
+loads only for `--format csv`.  A run imports only the engine modules its
+command uses, and a cache hit none of them.  The probe reports every module
+that importing and running schubertcount added to `sys.modules`; the cases
+that check `tempfile` run under `python -S`, because `site` may import it.
 """
 
 import json
@@ -24,22 +25,24 @@ from schubertcount.cli import main
 
 FLOAT_MODULES = ["numpy", "schubertcount.kernels"]
 STARTUP_MODULES = ["csv", "dataclasses", "hashlib", "inspect"]
+ENGINE_MODULES = ["schubertcount.polynomial", "schubertcount.schur", "schubertcount.counts",
+                  "schubertcount.asymptotics", "schubertcount.kernels"]
 
-# an empty argv imports the bare package instead of running a command
+# `--import MODULE` imports MODULE instead of running a command
 PROBE = f"""
 import contextlib, io, json, sys
 before = set(sys.modules)
 argv = sys.argv[1:]
 out = io.StringIO()
-if argv:
+if argv[:1] == ["--import"]:
+    __import__(argv[1])
+    code = 0
+else:
     from schubertcount.cli import main
     with contextlib.redirect_stdout(out):
         code = main(argv)
-else:
-    import schubertcount
-    code = 0
 loaded = [m for m in {FLOAT_MODULES!r} if m in sys.modules]
-added = [m for m in {STARTUP_MODULES!r} if m in sys.modules and m not in before]
+added = sorted(set(sys.modules) - before)
 print(json.dumps({{"code": code, "stdout": out.getvalue(), "loaded": loaded, "added": added}}))
 """
 
@@ -62,18 +65,34 @@ EXACT_ARGVS = [
 ]
 
 
-def probe(argv):
+def probe(argv, flags=()):
     src = os.path.dirname(os.path.dirname(os.path.abspath(schubertcount.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "SCHUBERT_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def added(result, modules):
+    return [m for m in modules if m in result["added"]]
+
+
 def test_bare_package_import_skips_numpy():
-    assert probe([])["loaded"] == []
+    result = probe(["--import", "schubertcount"])
+    assert result["loaded"] == []
+    assert added(result, ENGINE_MODULES) == []
+
+
+def test_package_exports_load_on_first_use():
+    for name in schubertcount.__all__:
+        value = getattr(schubertcount, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name in dir(schubertcount)
+    assert schubertcount.plane_count("complex", 3, 2).value == 27
+    with pytest.raises(AttributeError):
+        schubertcount.no_such_name
 
 
 @pytest.mark.parametrize("argv", EXACT_ARGVS)
@@ -81,13 +100,35 @@ def test_exact_commands_skip_numpy(argv):
     result = probe(argv.split() + ["--no-cache"])
     assert result["code"] == 0
     assert result["loaded"] == []
-    assert result["added"] == (["csv"] if "--format csv" in argv else [])
+    assert added(result, STARTUP_MODULES) == (["csv"] if "--format csv" in argv else [])
 
 
-def test_cache_directory_loads_hashlib(tmp_path):
+def test_cache_directory_adds_no_startup_module(tmp_path):
     result = probe(["count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir", str(tmp_path)])
     assert result["code"] == 0
-    assert result["added"] == ["hashlib"]
+    assert added(result, STARTUP_MODULES) == []
+
+
+def test_cache_module_skips_tempfile():
+    result = probe(["--import", "schubertcount.cache"], flags=["-S"])
+    assert added(result, ["tempfile", "shutil", "random", "hashlib"]) == []
+
+
+def test_cache_hit_loads_no_engine_module(tmp_path, capsys):
+    argv = ["count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    result = probe(argv, flags=["-S"])
+    assert result["code"] == 0
+    assert json.loads(result["stdout"])["cached"] is True
+    assert added(result, ENGINE_MODULES + ["hashlib", "tempfile"]) == []
+
+
+def test_computed_count_skips_asymptotics():
+    result = probe(["count", "--regime", "complex", "-d", "3", "-k", "2", "--no-cache"])
+    assert result["code"] == 0
+    assert "schubertcount.counts" in result["added"]
+    assert "schubertcount.asymptotics" not in result["added"]
 
 
 def test_scan_served_from_cache_skips_numpy(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -153,6 +154,20 @@ def test_kronecker_one_variable():
         assert kronecker_product(factors, 1) == expected.terms
         targets = [(e,) for e in range(6)]
         assert kronecker_product(factors, 1, targets) == {t: expected.terms.get(t, 0) for t in targets}
+
+
+def test_open_box_has_no_padding(monkeypatch):
+    # with no targets hi is the full degree along each axis, which no partial product passes,
+    # so each slotted axis has radix hi + 1: 36^3 slots for complex root_poly(5, 4), not 37^3
+    from schubertcount import polynomial
+    from schubertcount.counts import linear_factor_rows
+
+    radices = []
+    monkeypatch.setattr(polynomial, "prod", lambda xs: radices.append(list(xs)) or math.prod(xs))
+    poly = product_of_linear_forms(linear_factor_rows("complex", 5, 4), 4)
+    assert radices[0] == [36, 36, 36]
+    assert math.prod(radices[0]) == 46656
+    assert len(poly.terms) == 20535
 
 
 def test_kronecker_degree_mismatch_is_zero():
