@@ -27,6 +27,10 @@ from .combinatorics import REGIMES, Infeasible, OutOfDomain, Partition, catalan,
 USAGE_EXIT = 64
 INFEASIBLE_EXIT = 2
 INTERNAL_EXIT = 1
+# the most rows one `feasibility --d-max` table holds: 100,000 rows print about 9 MB
+MAX_FEASIBILITY_ROWS = 100_000
+# the subcommand and the flags every command shares: they never change what a body holds
+FRONT_END = ("command", "format", "cache_dir", "no_cache")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,6 +207,8 @@ def _feasibility(args) -> tuple[dict, int]:
     last = args.d if args.d_max is None else args.d_max
     if last < args.d:
         raise OutOfDomain(f"--d-max {last} is below -d {args.d}")
+    if last - args.d + 1 > MAX_FEASIBILITY_ROWS:
+        raise OutOfDomain(f"-d {args.d} --d-max {last} spans more than {MAX_FEASIBILITY_ROWS} degrees")
     rows = []
     for d in range(args.d, last + 1):
         f = feasibility(d, args.k, args.regime)
@@ -228,19 +234,18 @@ def _feasibility_rows(body: dict) -> list[dict]:
 
 
 class Command(NamedTuple):
-    """One CLI command: its own flags, its cache parameters and its body.
+    """One CLI command: its own flags and its body.
 
     `compute(args)` returns the body, without `command` and
-    `engine_version`, and the exit code.  `cache` names the arguments that
-    key the result cache; `uncached_if` names a flag that keeps a run out of
-    the cache.  A command with a `csv_header` can print its table rows,
-    `csv_rows(body)`, as CSV.
+    `engine_version`, and the exit code.  Every one of the command's own
+    `arguments` keys the result cache; `uncached_if` names a flag that keeps
+    a run out of the cache.  A command with a `csv_header` can print its
+    table rows, `csv_rows(body)`, as CSV.
     """
 
     help: str
     arguments: tuple
     compute: Callable[[argparse.Namespace], tuple[dict, int]]
-    cache: tuple
     uncached_if: Optional[str] = None
     csv_header: tuple = ()
     csv_rows: Optional[Callable[[dict], list]] = None
@@ -250,22 +255,22 @@ COMMANDS = {
     "count": Command(
         "complex or real plane count",
         (REGIME, D, K, _arg("--dump-poly", action="store_true", help="include the root polynomial")),
-        _count, cache=("regime", "d", "k", "dump_poly"),
+        _count,
     ),
     "incidence": Command(
         "3-planes meeting 2n large subspaces along lines",
         (REGIME, _arg("-n", type=int, required=True)),
-        _incidence, cache=("regime", "n"),
+        _incidence,
     ),
     "cubic-ci": Command(
         "real 3-planes on an intersection of r cubics",
         (_arg("-r", type=int, required=True),),
-        _cubic_ci, cache=("r",),
+        _cubic_ci,
     ),
     "schur": Command(
         "print a (real) Schur polynomial",
         (_arg("--regime", default="complex", choices=REGIMES), ALPHA),
-        _schur, cache=("regime", "alpha"),
+        _schur,
     ),
     # --numeric reruns the quadrature oracle, whose purpose is to recompute: never served from the cache
     "lambda": Command(
@@ -274,12 +279,12 @@ COMMANDS = {
          _arg("--numeric", action="store_true", help="also run the quadrature oracle"),
          _arg("--grid", type=int, default=None, help="quadrature nodes per axis"),
          _arg("--threads", type=_thread_count, default=1, help="kept for existing command lines; does nothing")),
-        _lambda, cache=("regime", "d", "k", "alpha"), uncached_if="numeric",
+        _lambda, uncached_if="numeric",
     ),
     "scan": Command(
         "torus grid scan of F_d",
         (D, _arg("--grid", type=int, default=360, help="grid points per torus axis")),
-        _scan, cache=("d", "grid"),
+        _scan,
     ),
     "asymptote": Command(
         "log-scale asymptote tables",
@@ -287,14 +292,14 @@ COMMANDS = {
          _arg("--ds", default="", help="comma-separated degrees (real/complex family)"),
          _arg("--ns", default="", help="comma-separated n values (incidence family)"),
          _arg("-k", type=int, default=4, help="rank for the complex family")),
-        _asymptote, cache=("family", "ds", "ns", "k"),
+        _asymptote,
         csv_header=("family", "parameter", "exact_log", "exact_log10", "prediction", "ratio", "degenerate"),
         csv_rows=lambda body: [dict(r, family=name) for name, rows in body["tables"].items() for r in rows],
     ),
     "feasibility": Command(
         "dimension-condition check",
         (REGIME, D, K, _arg("--d-max", type=int, default=None, help="tabulate degrees d..d-max")),
-        _feasibility, cache=("regime", "d", "k", "d_max"),
+        _feasibility,
         csv_header=("regime", "d", "k", "feasible", "m", "odd_degree"), csv_rows=_feasibility_rows,
     ),
 }
@@ -326,10 +331,11 @@ def _cache_text(value):
 def _emit(command: Command, args) -> int:
     """Fetch or compute a body, print it as JSON or CSV, return the exit code.
 
-    The body is serialized once, with `command` and `engine_version` first;
-    only exit-code-0 bodies are stored, and a hit re-emits the stored bytes.
-    The runtime fields are appended to that text, never stored.  A failed
-    cache write costs a warning, never the result.
+    The key holds every argument of the command's own subparser.  A computed
+    body is serialized once, `command` and `engine_version` first; only
+    exit-code-0 bodies are stored, and a hit prints the stored text.  The
+    runtime fields are appended to it, never stored.  A failed cache write
+    costs a warning, never the result.
     """
     if args.format == "csv" and not command.csv_header:
         raise OutOfDomain(f"CSV output is only available for tables, not `{args.command}`")
@@ -337,18 +343,18 @@ def _emit(command: Command, args) -> int:
     directory = args.cache_dir or os.environ.get("SCHUBERT_CACHE")
     use_cache = directory and not args.no_cache and not (command.uncached_if and getattr(args, command.uncached_if))
     cache = ResultCache(directory) if use_cache else None
-    key = cache_key(args.command, {n: _cache_text(getattr(args, n)) for n in command.cache}, __version__)
-    body = cache.lookup(key, args.command, __version__) if cache else None
-    cached, code = body is not None, 0
-    if body is None:
+    key = cache_key(args.command, {n: _cache_text(v) for n, v in vars(args).items() if n not in FRONT_END}, __version__)
+    hit = cache.lookup(key, args.command, __version__) if cache else None
+    if hit:
+        (text, body), code = hit, 0
+    else:
         body, code = command.compute(args)
-        body = {"command": args.command, "engine_version": __version__, **body}
-    text = json.dumps(body)
-    if cache and not cached and code == 0:
-        try:
-            cache.store(key, text, __version__)
-        except OSError as exc:
-            print(f"warning: result not cached: {exc}", file=sys.stderr)
+        text = json.dumps({"command": args.command, "engine_version": __version__, **body})
+        if cache and code == 0:
+            try:
+                cache.store(key, text)
+            except OSError as exc:
+                print(f"warning: result not cached: {exc}", file=sys.stderr)
     if args.format == "csv":
         import csv  # loaded by CSV runs only, to keep start-up short
 
@@ -358,7 +364,7 @@ def _emit(command: Command, args) -> int:
         writer.writerows([["" if row[c] is None else row[c] for c in command.csv_header] for row in rows])
         return code
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    print(f'{text[:-1]}, "cached": {json.dumps(cached)}, "elapsed_ms": {elapsed_ms}}}')
+    print(f'{text[:-1]}, "cached": {json.dumps(hit is not None)}, "elapsed_ms": {elapsed_ms}}}')
     return code
 
 

@@ -17,7 +17,6 @@ because orientation conventions only pin them up to sign.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -98,7 +97,6 @@ def _difference_forms(d: int, k: int) -> list[Tuple[int, ...]]:
     return [tuple(c[2 * i] - c[2 * i + 1] for i in range(k)) for c in compositions(d, 2 * k)]
 
 
-@lru_cache(maxsize=None)
 def linear_factor_rows(regime: str, d: int, k: int) -> Tuple[Tuple[int, ...], ...]:
     """Coefficient rows of the linear factors of the degree-d root polynomial.
 
@@ -123,7 +121,6 @@ def linear_factors(regime: str, d: int, k: int) -> list[SparsePoly]:
     return [SparsePoly.linear_form(row) for row in linear_factor_rows(regime, d, k)]
 
 
-@lru_cache(maxsize=None)
 def root_poly(regime: str, d: int, k: int) -> RootPolynomial:
     """Root polynomial of the top Chern class of Sym^d (complex) or of its
     Euler class at rank 2k (real, leading coefficient positive by
@@ -148,7 +145,6 @@ def plane_count(regime: str, d: int, k: int) -> CountReport:
     return CountReport(regime, d, k, feas.m, abs(value), True, orient)
 
 
-@lru_cache(maxsize=None)
 def real_square_poly(d: int, k: int) -> SparsePoly:
     """The signed square of the real root polynomial, rank 2k (an oracle).
 
@@ -164,7 +160,6 @@ def real_square_poly(d: int, k: int) -> SparsePoly:
     return poly
 
 
-@lru_cache(maxsize=None)
 def factored_real_root_poly(d: int) -> RootPolynomial:
     """Closed factored form of the k=2 real root polynomial.
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from schubertcount import __version__
-from schubertcount import cache
+from schubertcount import cache, cli
 from schubertcount.cache import ResultCache, cache_key
 from schubertcount.cli import COMMANDS, build_parser, main, usable_cores
 
@@ -219,24 +219,82 @@ def test_cache_corrupted_entry_recomputed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda body: body[: len(body) // 2],
-    lambda body: "[1,2]",
-    lambda body: "{}",
-    lambda body: body.replace('"command": "count"', '"command": "lambda"'),
-    lambda body: body.replace(f'"engine_version": "{__version__}"', '"engine_version": "0.0.0"'),
-], ids=["truncated JSON", "not a JSON object", "empty object", "another command", "another engine version"])
+    lambda key, body: f"{key}\n{body[: len(body) // 2]}",
+    lambda key, body: f"{key}\n[1,2]",
+    lambda key, body: f"{key}\n{{}}",
+    lambda key, body: f"{key}\n" + body.replace('"command": "count"', '"command": "lambda"'),
+    lambda key, body: f"{key}\n" + body.replace(f'"engine_version": "{__version__}"', '"engine_version": "0.0.0"'),
+    # text[:-1] of a body that does not end in its closing brace would print a broken line
+    lambda key, body: f"{key}\n{body}\n",
+    lambda key, body: f"{key}\n{body} ",
+    lambda key, body: json.dumps({"key": json.loads(key), "created": "2026-01-01T00:00:00Z",
+                                  "engine_version": __version__, "body": body}),
+], ids=["truncated JSON", "not a JSON object", "empty object", "another command", "another engine version",
+        "trailing newline", "trailing space", "JSON wrapper of earlier versions"])
 def test_cache_corrupted_body_recomputed(tmp_path, capsys, corrupt):
     argv = ["count", "--regime", "complex", "-d", "3", "-k", "2",
             "--cache-dir", str(tmp_path)]
     first = run_json(capsys, argv)
     entry = next(tmp_path.iterdir())
-    stored = json.loads(entry.read_text())
-    entry.write_text(json.dumps(dict(stored, body=corrupt(stored["body"]))))
+    stored = entry.read_text()
+    key, body = stored.split("\n")
+    entry.write_text(corrupt(key, body))
     again = run_json(capsys, argv)
     assert again["cached"] is False
     assert _strip_runtime(again) == _strip_runtime(first)
-    assert json.loads(entry.read_text())["body"] == stored["body"]
+    assert entry.read_text() == stored
     assert run_json(capsys, argv)["cached"] is True
+
+
+def test_cache_hit_prints_the_stored_text(tmp_path, capsys, monkeypatch):
+    argv = ["count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir", str(tmp_path)]
+    first = run_json(capsys, argv)
+    entry = next(tmp_path.iterdir())
+    key, body = entry.read_text().split("\n")
+    spaced = body.replace(", ", " ,  ")
+    entry.write_text(f"{key}\n{spaced}")
+    dumped, dumps = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(obj) or dumps(obj, **kw))
+    code, out, err = run(capsys, argv)
+    monkeypatch.undo()
+    assert dumped == [True]  # the runtime suffix only: the body is printed as stored
+    assert code == 0, err
+    assert out.startswith(spaced[:-1] + ', "cached": true, "elapsed_ms": ')
+    assert _strip_runtime(json.loads(out)) == _strip_runtime(first)
+
+
+# one cheap command line per command; a command missing here fails the key test
+KEY_ARGVS = {
+    "count": "count --regime complex -d 3 -k 2",
+    "incidence": "incidence --regime real -n 2",
+    "cubic-ci": "cubic-ci -r 1",
+    "schur": "schur --alpha 2,1",
+    "lambda": "lambda --regime complex -d 3 -k 2 --alpha 2,2",
+    "scan": "scan -d 3 --grid 64",
+    "asymptote": "asymptote --family real --ds 3",
+    "feasibility": "feasibility --regime real -d 3 -k 2",
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_cache_key_names_every_argument_of_the_command(tmp_path, capsys, monkeypatch, name):
+    keys = []
+
+    def recorded_key(*key_args):
+        keys.append(cache_key(*key_args))
+        return keys[-1]
+
+    monkeypatch.setattr(cli, "cache_key", recorded_key)
+    subparser = build_parser([name])._subparsers._group_actions[0].choices[name]
+    own = [a.dest for a in subparser._actions if a.dest not in ("help", "format", "cache_dir", "no_cache")]
+    assert len(own) == len(COMMANDS[name].arguments)
+    argv = KEY_ARGVS[name].split()
+    assert main(argv + ["--no-cache"]) == 0
+    assert main(argv + ["--format", "json", "--cache-dir", str(tmp_path), "--no-cache"]) == 0
+    capsys.readouterr()
+    plain, with_front_end_flags = keys
+    assert plain == with_front_end_flags
+    assert [dest for dest in own if f" {dest}=" not in plain] == []
 
 
 def test_cache_file_name_collision_misses(tmp_path, capsys):
@@ -278,7 +336,7 @@ def test_cache_entry_of_another_body_schema_misses(tmp_path, capsys, monkeypatch
         patch.setattr(cache, "BODY_SCHEMA", cache.BODY_SCHEMA + 1)
         stale = cache_key("count", params, __version__)
     assert stale != current
-    ResultCache(str(tmp_path)).store(stale, '{"value": "stale"}', __version__)
+    ResultCache(str(tmp_path)).store(stale, '{"value": "stale"}')
     body = run_json(capsys, argv)
     assert body["cached"] is False
     assert body["value"] == "27"
@@ -326,10 +384,33 @@ def _assert_same_json(got, want, where="body"):
 def test_readme_example_bodies_unchanged(capsys, example):
     code, out, err = run(capsys, example["args"].split() + ["--no-cache"])
     assert code == 0, err
+    _assert_readme_stdout(out, example)
+
+
+def _assert_readme_stdout(out, example):
     if "csv" in example["args"].split():
         assert out == example["stdout"]
     else:
         _assert_same_json(_strip_runtime(json.loads(out)), _strip_runtime(json.loads(example["stdout"])))
+
+
+@pytest.mark.parametrize("example", README_BODIES, ids=[e["args"] for e in README_BODIES])
+def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
+    argv = example["args"].split() + ["--cache-dir", str(tmp_path)]
+    stored = "--numeric" not in argv  # the quadrature oracle always recomputes
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    _assert_readme_stdout(out, example)
+    entries = list(tmp_path.iterdir())
+    assert len(entries) == (1 if stored else 0)
+    inodes = [e.stat().st_ino for e in entries]
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    _assert_readme_stdout(out, example)
+    if "csv" not in argv:
+        assert json.loads(out)["cached"] is stored
+    # a hit leaves its entry in place; a miss would have replaced it
+    assert [e.stat().st_ino for e in tmp_path.iterdir()] == inodes
 
 
 @pytest.mark.parametrize("argv,expect_code", [
@@ -357,6 +438,8 @@ def test_readme_example_bodies_unchanged(capsys, example):
     ("count --regime real -d 4 -k 2", 2),
     ("scan -d 4", 2),
     ("asymptote --family complex --ds 2 -k 3", 64),
+    ("feasibility --regime real -d 1 -k 2 --d-max 100001", 64),
+    ("feasibility --regime real -d 2 -k 2 --d-max 100000000", 64),
     pytest.param(f"lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric --threads {usable_cores() + 1}",
                  64, id="lambda --numeric --threads above the core count"),
 ])
@@ -365,6 +448,15 @@ def test_bad_input_exit_codes(capsys, argv, expect_code):
     assert code == expect_code, err
     assert out == ""
     assert "internal error" not in err
+
+
+def test_feasibility_table_at_the_row_cap(capsys):
+    code, out, err = run(capsys, ["feasibility", "--regime", "real", "-d", "2", "-k", "2",
+                                  "--d-max", str(cli.MAX_FEASIBILITY_ROWS + 1), "--format", "csv", "--no-cache"])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 1 + cli.MAX_FEASIBILITY_ROWS
+    assert lines[-1].startswith(f"real,{cli.MAX_FEASIBILITY_ROWS + 1},2,")
 
 
 def test_cache_write_failure_keeps_the_result(tmp_path, capsys):
