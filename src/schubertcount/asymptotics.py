@@ -5,14 +5,16 @@ Exact big integers carry the enumerative content; this module only takes
 logarithms and scans grids.  The closed-form torus maximum uses the
 corrected reading of the factored maximum (unordered pairs, double-factorial
 prefactor); the grid scan is the ground-truth oracle for it.  The scan takes
-F_d from its linear factors, as a product on one angle, so it never expands
-the root polynomial.
+F_d from its linear factors, as a product on one angle in plain Python
+complex arithmetic, so it never expands the root polynomial and never loads
+numpy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
@@ -34,13 +36,15 @@ class TorusSample(NamedTuple):
     min_modulus: float
     max_modulus: float
     sign_constant: bool
-    argmax_residues: "numpy.ndarray"  # the residues (i - j) mod grid of the argmax nodes (i, j)
+    argmax_residues: tuple[int, ...]  # the residues (i - j) mod grid of the argmax nodes (i, j)
 
-    def argmax_head(self, count: Optional[int] = None) -> "numpy.ndarray":
-        """The first `count` argmax nodes, or all, row-major, as (n, 2) angle pairs."""
-        from . import kernels
-
-        return kernels.torus_nodes(self.argmax_residues, self.grid, count) * (2.0 * math.pi / self.grid)
+    def argmax_head(self, count: Optional[int] = None) -> list[list[float]]:
+        """The first `count` argmax nodes, or all, row-major and sorted within
+        each row, as [theta1, theta2] angle pairs."""
+        grid, residues = self.grid, self.argmax_residues
+        rows = grid if count is None else -(-count // len(residues))
+        step = 2.0 * math.pi / grid
+        return [[i * step, j * step] for i in range(rows) for j in sorted((i - t) % grid for t in residues)][:count]
 
     argmax_angles = property(argmax_head)
 
@@ -55,11 +59,26 @@ class AsymptoteRow(NamedTuple):
     degenerate: bool = False
 
 
+def _root(e: int, grid: int) -> complex:
+    """exp(2 pi i e / grid), for an exponent already reduced mod grid."""
+    angle = 2.0 * math.pi * e / grid
+    return complex(math.cos(angle), math.sin(angle))
+
+
 def torus_scan(d: int, grid: int) -> TorusSample:
     """Evaluate F_d on a grid x grid torus lattice and report extrema.
 
     f_d is the product of 2m linear forms a x1 + b x2, so on the torus
-    F_d = z^(-m) * prod (a z + b) with z = exp(i (theta1 - theta2)).  The
+    F_d = z^(-m) * prod (a z + b) with z = exp(i (theta1 - theta2)): the node
+    (i, j) takes the value at the residue t = (i - j) mod grid, and F_d is
+    evaluated once per residue, as a product, with z^(-m) at the exactly
+    reduced angle (-t m) mod grid.  The rows are integers, so F_d at grid - t
+    is the conjugate of F_d at t: only t = 0 .. grid // 2 are evaluated, and
+    their moduli and real parts stand for the mirrored half too.
+
+    Reports the least and greatest modulus; whether the real part keeps one
+    sign while the imaginary part stays below 1e-8 of the greatest modulus;
+    and the residues whose modulus is within 1e-9 of the maximum.  The
     maximum sits on the curves theta1 - theta2 = +-pi/2; grids divisible by
     4 hit those curves exactly.  Degrees whose |F_d| can pass the largest
     float are refused: for odd d every factor has modulus at least 1 on the
@@ -73,9 +92,19 @@ def torus_scan(d: int, grid: int) -> TorusSample:
     rows = linear_factor_rows("real", d, 2)
     if math.prod(abs(a) + abs(b) for a, b in rows) > sys.float_info.max:
         raise OutOfDomain(f"|F_{d}| can exceed the largest float on the torus; scan a smaller degree")
-    from . import kernels  # numpy is loaded on the float paths only
-
-    return TorusSample(d, grid, *kernels.torus_extrema(rows, len(rows) // 2, grid))
+    m, factors = len(rows) // 2, Counter(rows).items()  # a repeated factor is taken as one power
+    values = []
+    for t in range(grid // 2 + 1):
+        z, value = _root(t, grid), _root(-t * m % grid, grid)
+        for (a, b), n in factors:
+            value *= (a * z + b) ** n
+        values.append(value)
+    moduli = [abs(v) for v in values]
+    top = max(moduli)
+    reals = [v.real for v in values]
+    sign_constant = (min(reals) > 0.0 or max(reals) < 0.0) and max(abs(v.imag) for v in values) <= 1e-8 * top
+    hits = [t for t, r in enumerate(moduli) if r >= top * (1.0 - 1e-9)]
+    return TorusSample(d, grid, min(moduli), top, sign_constant, tuple(sorted({*hits, *(-t % grid for t in hits)})))
 
 
 def closed_form_max(d: int) -> int:

@@ -164,7 +164,8 @@ def _scan(args) -> tuple[dict, int]:
     from .asymptotics import torus_scan
 
     sample = torus_scan(args.d, args.grid)
-    # the kernels have one (numpy) implementation; the field stays so that bodies keep their shape
+    # "backend": "numpy" is a fixed label of the body schema, kept so that bodies do not change;
+    # it no longer names the implementation, which is plain Python
     body = {
         "d": args.d,
         "grid": args.grid,
@@ -173,7 +174,7 @@ def _scan(args) -> tuple[dict, int]:
         "max_modulus": sample.max_modulus,
         "sign_constant": sample.sign_constant,
         "argmax_count": args.grid * len(sample.argmax_residues),
-        "argmax_angles": sample.argmax_head(8).tolist(),
+        "argmax_angles": sample.argmax_head(8),
     }
     return body, 0
 
@@ -196,10 +197,10 @@ def _asymptote(args) -> tuple[dict, int]:
     from .asymptotics import asymptote_table
 
     flag = "ns" if args.family == "incidence" else "ds"
-    text = getattr(args, flag)
-    if not text:
+    params = _int_list(getattr(args, flag))
+    if not params:
         raise OutOfDomain(f"--{flag} is required for the {args.family} family")
-    tables = asymptote_table(args.family, _int_list(text), args.k)
+    tables = asymptote_table(args.family, params, args.k)
     return {"family": args.family, "tables": {name: _rows_to_dicts(rows) for name, rows in tables.items()}}, 0
 
 

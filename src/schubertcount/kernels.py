@@ -1,22 +1,16 @@
-"""Hot numeric kernels, written in numpy; the only module that imports it.
+"""The hot numeric kernel, written in numpy; the only module that imports it.
 
-Two kernels live here, both floating-point:
-
-* ``torus_quadrature`` - the torus quadrature oracle: the trapezoidal sum of
-  f(z) * V_a(z) * conj(V_b(z)), where V_a and V_b are generalized
-  Vandermonde alternants.  On the uniform torus grid the node sum of a
-  monomial is the product of its one-dimensional node sums, so the sum is
-  taken term by term from one table of those.
-* ``torus_extrema`` - the extrema of a torus scan.  The scanned function is
-  a product of linear forms in x1, x2 over (x1 x2)^shift, so on the torus it
-  depends on theta1 - theta2 alone: it is evaluated as a product, once per
-  residue (i - j) mod grid, never expanded and never on the grid^2 lattice;
-  ``torus_nodes`` lists the lattice nodes of its argmax residues.
+One kernel lives here, in floating point: ``torus_quadrature``, the torus
+quadrature oracle.  It takes the trapezoidal sum of f(z) * V_a(z) *
+conj(V_b(z)), where V_a and V_b are generalized Vandermonde alternants.  On
+the uniform torus grid the node sum of a monomial is the product of its
+one-dimensional node sums, so the sum is taken term by term from one table
+of those.
 
 The exact integer arithmetic elsewhere in the package never goes through
-this module, and imports it only on the float paths
-(`schur.numeric_schur_coefficient` and `asymptotics.torus_scan`), so exact
-commands never load numpy.
+this module, and only `schur.numeric_schur_coefficient` (`lambda --numeric`)
+imports it, so no other command loads numpy.  The torus scan is plain Python,
+in `asymptotics.torus_scan`.
 """
 
 from __future__ import annotations
@@ -66,40 +60,3 @@ def torus_quadrature(terms, va, vb, grid):
         acc += sign * node_sums
     coeffs = np.array([float(c) for c in terms.values()])
     return complex(coeffs @ acc) / (factorial(k) * grid**k)
-
-
-def torus_extrema(rows, shift, grid):
-    """Extrema of |F| = |f(x) / (x1 x2)^shift| over the grid x grid torus lattice,
-    f = prod (a x1 + b x2) over the linear factors `rows` (a, b), 2 * shift of them.
-
-    On the torus F = z^(-shift) * prod (a z + b) with z = x1 / x2, so the node
-    (i, j) takes the value at the residue t = (i - j) mod grid, and F is
-    evaluated once per residue, as a product.  Returns the least and
-    greatest modulus, whether the real part keeps one sign while the
-    imaginary part stays below 1e-8 of the greatest modulus, and the residues
-    where the modulus is within 1e-9 of its maximum, as one int array.
-    """
-    powers = _powers(grid, (1, -shift))
-    z, values = powers[:, 0], powers[:, 1]
-    for a, b in rows:
-        values *= a * z + b
-    modulus = np.abs(values)
-    max_mod = float(modulus.max())
-    re = values.real
-    sign_constant = bool(
-        (np.all(re > 0.0) or np.all(re < 0.0))
-        and np.abs(values.imag).max() <= 1e-8 * max_mod
-    )
-    residues = np.flatnonzero(modulus >= max_mod * (1.0 - 1e-9))
-    return float(modulus.min()), max_mod, sign_constant, residues
-
-
-def torus_nodes(residues, grid, count=None):
-    """The lattice nodes (i, j) with (i - j) mod grid in `residues`, row-major,
-    as the rows of one int array: the first `count` of them, or all."""
-    rows = grid if count is None else -(-count // len(residues))
-    hits = np.empty((rows, len(residues), 2), np.int64)
-    hits[..., 0] = np.arange(rows)[:, None]
-    hits[..., 1] = (hits[..., 0] - residues) % grid
-    hits[..., 1].sort(axis=1)
-    return hits.reshape(-1, 2)[:count]

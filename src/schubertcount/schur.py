@@ -225,7 +225,7 @@ def numeric_schur_coefficient(f: RootPolynomial, alpha: Partition, grid: Optiona
         raise OutOfDomain(f"grid {grid} above the largest accepted grid {MAX_GRID}")
     if max(map(abs, f.poly.terms.values()), default=0) > sys.float_info.max:
         raise OutOfDomain("a coefficient of f exceeds the float range; the oracle cannot weigh it")
-    from . import kernels  # numpy is loaded on the float paths only
+    from . import kernels  # numpy is loaded by `lambda --numeric` only
 
     k = f.variables
     return kernels.torus_quadrature(f.poly.terms, vandermonde(ga, k).terms, vandermonde(gb, k).terms, grid)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 import schubertcount
 from schubertcount.asymptotics import TorusSample, asymptote_table, closed_form_max, torus_scan
 from schubertcount.combinatorics import catalan
-from schubertcount.counts import EvenDegree, linear_factor_rows
+from schubertcount.counts import EvenDegree, linear_factor_rows, root_poly
 
 
 def test_closed_form_max():
@@ -42,8 +43,77 @@ def test_torus_sample_fields_and_angles():
     assert TorusSample._fields == ("d", "grid", "min_modulus", "max_modulus", "sign_constant", "argmax_residues")
     assert isinstance(TorusSample.argmax_angles, property)
     s = torus_scan(3, 64)
-    assert (s.argmax_angles == s.argmax_head()).all()
-    assert s.argmax_head(1).shape == (1, 2)
+    assert s.argmax_angles == s.argmax_head()
+    (pair,) = s.argmax_head(1)
+    assert len(pair) == 2 and all(type(angle) is float for angle in pair)
+
+
+def _extrema(values):
+    """min and max modulus, sign constancy and the indices of the argmax values,
+    by the definitions of `torus_scan`."""
+    moduli = [abs(v) for v in values]
+    top = max(moduli)
+    sign_constant = (
+        (all(v.real > 0 for v in values) or all(v.real < 0 for v in values))
+        and max(abs(v.imag) for v in values) <= 1e-8 * top
+    )
+    hits = [n for n, r in enumerate(moduli) if r >= top * (1.0 - 1e-9)]
+    return min(moduli), top, sign_constant, hits
+
+
+def _pointwise_extrema(d, g):
+    """Extrema of F_d = f_d / (x1 x2)^m over all g^2 torus nodes, with its argmax
+    nodes row-major, from the expanded root polynomial evaluated node by node
+    in plain Python."""
+    terms = root_poly("real", d, 2).poly.terms
+    m = sum(next(iter(terms))) // 2
+    roots = [cmath.exp(2j * cmath.pi * t / g) for t in range(g)]
+    values = [
+        sum(c * roots[((e1 - m) * i + (e2 - m) * j) % g] for (e1, e2), c in terms.items())
+        for i in range(g)
+        for j in range(g)
+    ]
+    lo, top, sign_constant, hits = _extrema(values)
+    return lo, top, sign_constant, [divmod(n, g) for n in hits]
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_torus_extrema_against_pointwise(d):
+    g = 64
+    ref_min, ref_max, ref_sign, ref_hits = _pointwise_extrema(d, g)
+    s = torus_scan(d, g)
+    assert abs(s.min_modulus - ref_min) <= 1e-9 * ref_min
+    assert abs(s.max_modulus - ref_max) <= 1e-9 * ref_max
+    assert s.sign_constant is ref_sign is True
+    step = 2.0 * math.pi / g
+    assert s.argmax_head() == [[i * step, j * step] for i, j in ref_hits]
+
+
+def _residue_extrema(d, grid):
+    """Extrema of F_d = z^(-m) * prod (a z + b) with z = exp(2 pi i t / grid),
+    evaluated in cmath at every residue t, with no mirror, no grouping of
+    repeated factors and no reduction of the angle."""
+    rows = linear_factor_rows("real", d, 2)
+    values = []
+    for t in range(grid):
+        z = cmath.exp(2j * cmath.pi * t / grid)
+        value = z ** -(len(rows) // 2)
+        for a, b in rows:
+            value *= a * z + b
+        values.append(value)
+    lo, top, sign_constant, residues = _extrema(values)
+    return lo, top, sign_constant, tuple(residues)
+
+
+@pytest.mark.parametrize("grid", [64, 65, 361, 720])  # odd grids have no residue grid/2 to mirror onto itself
+@pytest.mark.parametrize("d", [1, 3, 5, 7])
+def test_torus_scan_against_every_residue(d, grid):
+    ref_min, ref_max, ref_sign, ref_residues = _residue_extrema(d, grid)
+    s = torus_scan(d, grid)
+    assert abs(s.min_modulus - ref_min) <= 1e-12 * ref_min
+    assert abs(s.max_modulus - ref_max) <= 1e-12 * ref_max
+    assert s.sign_constant is ref_sign
+    assert s.argmax_residues == ref_residues
 
 
 def test_torus_scan_matches_closed_form():

@@ -433,6 +433,8 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
     ("count --regime real -d 0 -k 2", 64),
     ("scan -d 0", 64),
     ("asymptote --family real --ds 0", 64),
+    ("asymptote --family real --ds ,,", 64),
+    ("asymptote --family incidence --ns ,", 64),
     ("feasibility --regime real -d 5 -k 2 --d-max 3", 64),
     ("asymptote --family complex --ds 3 -k 5", 64),
     ("count --regime real -d 4 -k 2", 2),

@@ -1,9 +1,9 @@
 """The import boundary: exact commands never load numpy.
 
-`kernels` is the only module that imports numpy, and only the float paths
-(`lambda --numeric` and a `scan` that computes) import `kernels`.  Each case
-runs `cli.main` in a fresh interpreter and reports which of the two modules
-ended up in `sys.modules`.
+`kernels` is the only module that imports numpy, and only the float path
+`lambda --numeric` imports `kernels`; a `scan` computes in plain Python.
+Each case runs `cli.main` in a fresh interpreter and reports which of the
+two modules ended up in `sys.modules`.
 
 The same probe guards the start-up cost of every command: no run loads
 `dataclasses` (nor `inspect`, which it pulls in) or `hashlib`, and `csv`
@@ -141,8 +141,14 @@ def test_scan_served_from_cache_skips_numpy(tmp_path, capsys):
     assert result["loaded"] == []
 
 
+def test_computed_scan_skips_numpy():
+    result = probe(["scan", "-d", "3", "--no-cache"])
+    assert result["code"] == 0
+    assert json.loads(result["stdout"])["cached"] is False
+    assert result["loaded"] == []
+
+
 @pytest.mark.parametrize("argv", [
-    "scan -d 3",
     "lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric",
 ])
 def test_float_paths_load_numpy(argv):

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from schubertcount import kernels
-from schubertcount.counts import linear_factor_rows, root_poly
 from schubertcount.schur import vandermonde
 
 
@@ -69,38 +68,3 @@ def test_torus_quadrature_against_pointwise(k, spower, above):
     assert abs(ref) > 0.1
     assert k < 3 or len(set(max_exponents[1:])) > 1
     assert abs(out - ref) <= 1e-9 * max(1.0, abs(ref)), (out, ref)
-
-
-def _pointwise_extrema(d, g):
-    """min, max and sign constancy of F_d = f_d / (x1 x2)^m over all g^2 torus
-    nodes, and its argmax nodes row-major, from the expanded root polynomial
-    evaluated node by node in plain Python."""
-    terms = root_poly("real", d, 2).poly.terms
-    m = sum(next(iter(terms))) // 2
-    roots = [cmath.exp(2j * cmath.pi * t / g) for t in range(g)]
-    values = [
-        sum(c * roots[((e1 - m) * i + (e2 - m) * j) % g] for (e1, e2), c in terms.items())
-        for i in range(g)
-        for j in range(g)
-    ]
-    moduli = [abs(v) for v in values]
-    top = max(moduli)
-    sign_constant = (
-        (all(v.real > 0 for v in values) or all(v.real < 0 for v in values))
-        and max(abs(v.imag) for v in values) <= 1e-8 * top
-    )
-    hits = [divmod(n, g) for n, r in enumerate(moduli) if r >= top * (1.0 - 1e-9)]
-    return min(moduli), top, sign_constant, hits
-
-
-@pytest.mark.parametrize("d", [1, 3, 5])
-def test_torus_extrema_against_pointwise(d):
-    g = 64
-    rows = linear_factor_rows("real", d, 2)
-    ref_min, ref_max, ref_sign, ref_hits = _pointwise_extrema(d, g)
-    lo, hi, sign_constant, residues = kernels.torus_extrema(rows, len(rows) // 2, g)
-    hits = kernels.torus_nodes(residues, g)
-    assert abs(lo - ref_min) <= 1e-9 * ref_min
-    assert abs(hi - ref_max) <= 1e-9 * ref_max
-    assert sign_constant is ref_sign is True
-    assert [tuple(hit) for hit in hits.tolist()] == ref_hits
