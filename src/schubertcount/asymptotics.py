@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .combinatorics import Infeasible, OutOfDomain
 from .counts import incidence, linear_factor_rows, plane_count, require_odd_degree
-from .schur import MAX_GRID
+from .schur import MAX_GRID, root_of_unity
 
 
 class TorusSample(NamedTuple):
@@ -59,12 +59,6 @@ class AsymptoteRow(NamedTuple):
     degenerate: bool = False
 
 
-def _root(e: int, grid: int) -> complex:
-    """exp(2 pi i e / grid), for an exponent already reduced mod grid."""
-    angle = 2.0 * math.pi * e / grid
-    return complex(math.cos(angle), math.sin(angle))
-
-
 def torus_scan(d: int, grid: int) -> TorusSample:
     """Evaluate F_d on a grid x grid torus lattice and report extrema.
 
@@ -95,7 +89,7 @@ def torus_scan(d: int, grid: int) -> TorusSample:
     m, factors = len(rows) // 2, Counter(rows).items()  # a repeated factor is taken as one power
     values = []
     for t in range(grid // 2 + 1):
-        z, value = _root(t, grid), _root(-t * m % grid, grid)
+        z, value = root_of_unity(t, grid), root_of_unity(-t * m % grid, grid)
         for (a, b), n in factors:
             value *= (a * z + b) ** n
         values.append(value)

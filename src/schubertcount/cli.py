@@ -155,6 +155,8 @@ def _lambda(args) -> tuple[dict, int]:
         signs = (1,) if sign_certain else (1, -1)
         err = min(abs(num - s * value) for s in signs)
         body["numeric"] = [num.real, num.imag]
+        # "numeric_backend": "numpy" is a fixed label of the body schema, kept so that bodies do not change;
+        # it no longer names the implementation, which is plain Python
         body["numeric_backend"] = "numpy"
         body["numeric_matches"] = bool(err <= 1e-6 * max(1.0, abs(value)))
     return body, 0

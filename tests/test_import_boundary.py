@@ -1,9 +1,9 @@
-"""The import boundary: exact commands never load numpy.
+"""The import boundary: no command loads numpy.
 
-`kernels` is the only module that imports numpy, and only the float path
-`lambda --numeric` imports `kernels`; a `scan` computes in plain Python.
-Each case runs `cli.main` in a fresh interpreter and reports which of the
-two modules ended up in `sys.modules`.
+Every command computes in plain Python, the float paths too: the torus
+quadrature of `lambda --numeric` and the torus scan.  Each case runs
+`cli.main` in a fresh interpreter and reports whether numpy ended up in
+`sys.modules`; `--no-numpy` first makes any import of numpy fail.
 
 The same probe guards the start-up cost of every command: no run loads
 `dataclasses` (nor `inspect`, which it pulls in) or `hashlib`, and `csv`
@@ -23,16 +23,20 @@ import pytest
 import schubertcount
 from schubertcount.cli import main
 
-FLOAT_MODULES = ["numpy", "schubertcount.kernels"]
+FLOAT_MODULES = ["numpy"]
 STARTUP_MODULES = ["csv", "dataclasses", "hashlib", "inspect"]
 ENGINE_MODULES = ["schubertcount.polynomial", "schubertcount.schur", "schubertcount.counts",
-                  "schubertcount.asymptotics", "schubertcount.kernels"]
+                  "schubertcount.asymptotics"]
 
-# `--import MODULE` imports MODULE instead of running a command
+# `--import MODULE` imports MODULE instead of running a command; a leading
+# `--no-numpy` sets sys.modules["numpy"] = None, so that importing it raises
 PROBE = f"""
 import contextlib, io, json, sys
-before = set(sys.modules)
 argv = sys.argv[1:]
+if argv[:1] == ["--no-numpy"]:
+    sys.modules["numpy"] = None
+    argv = argv[1:]
+before = set(sys.modules)
 out = io.StringIO()
 if argv[:1] == ["--import"]:
     __import__(argv[1])
@@ -41,7 +45,7 @@ else:
     from schubertcount.cli import main
     with contextlib.redirect_stdout(out):
         code = main(argv)
-loaded = [m for m in {FLOAT_MODULES!r} if m in sys.modules]
+loaded = [m for m in {FLOAT_MODULES!r} if sys.modules.get(m) is not None]
 added = sorted(set(sys.modules) - before)
 print(json.dumps({{"code": code, "stdout": out.getvalue(), "loaded": loaded, "added": added}}))
 """
@@ -148,10 +152,22 @@ def test_computed_scan_skips_numpy():
     assert result["loaded"] == []
 
 
-@pytest.mark.parametrize("argv", [
+NUMERIC_ARGVS = [
     "lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric",
-])
-def test_float_paths_load_numpy(argv):
+    "lambda --regime real -d 3 -k 2 --alpha 5,5,5,5 --numeric",
+]
+
+
+@pytest.mark.parametrize("argv", NUMERIC_ARGVS[:1])
+def test_numeric_lambda_skips_numpy(argv):
     result = probe(argv.split() + ["--no-cache"])
     assert result["code"] == 0
-    assert result["loaded"] == FLOAT_MODULES
+    assert json.loads(result["stdout"])["numeric_matches"] is True
+    assert result["loaded"] == []
+
+
+@pytest.mark.parametrize("argv", NUMERIC_ARGVS)
+def test_numeric_lambda_runs_without_numpy(argv):
+    result = probe(["--no-numpy"] + argv.split() + ["--no-cache"])
+    assert result["code"] == 0
+    assert json.loads(result["stdout"])["numeric_matches"] is True

@@ -1,12 +1,35 @@
+"""The torus quadrature kernel, `schur.torus_quadrature`, against a node by
+node sum, and its sorted-shift table against the expanded one."""
+
 import cmath
 import itertools
 import math
 import random
+from operator import sub
 
 import pytest
 
-from schubertcount import kernels
-from schubertcount.schur import vandermonde
+from schubertcount.combinatorics import Partition
+from schubertcount.counts import root_poly
+from schubertcount.schur import (
+    _alternant_exponents,
+    _sorted_shifts,
+    numeric_schur_coefficient,
+    quadrature_threshold,
+    torus_quadrature,
+    vandermonde,
+)
+
+
+def _expanded_shifts(va, vb):
+    """The monomials z^(ea - eb) of V_a * conj(V_b) as they are, unsorted:
+    equal shifts merged by adding their signs, cancelled ones dropped."""
+    shifts = {}
+    for ea, sign_a in va.items():
+        for eb, sign_b in vb.items():
+            shift = tuple(map(sub, ea, eb))
+            shifts[shift] = shifts.get(shift, 0) + sign_a * sign_b
+    return {shift: sign for shift, sign in shifts.items() if sign}
 
 
 def _quadrature_case(k, spower, seed):
@@ -64,7 +87,35 @@ def test_torus_quadrature_against_pointwise(k, spower, above):
     # the threshold of `schur.quadrature_threshold`
     g = max(gb[0], max(max_exponents) + ga[0] - gb[-1]) + 1 + above
     ref = _pointwise_quadrature(terms, gb, perm_data, spower, g)
-    out = kernels.torus_quadrature(terms, vandermonde(ga, k).terms, vandermonde(gb, k).terms, g)
+    # f is not symmetric, so its shifts are passed unsorted
+    out = torus_quadrature(terms, _expanded_shifts(vandermonde(ga, k).terms, vandermonde(gb, k).terms), g)
     assert abs(ref) > 0.1
     assert k < 3 or len(set(max_exponents[1:])) > 1
     assert abs(out - ref) <= 1e-9 * max(1.0, abs(ref)), (out, ref)
+
+
+# every root polynomial that a `lambda --numeric` of the benchmark or the README runs
+SORTED_SHIFT_CASES = [
+    ("complex", 3, 4, (5, 5, 5, 5), None),
+    ("complex", 3, 4, (5, 5, 5, 5), 61),
+    ("real", 5, 2, (14, 14, 14, 14), None),
+    ("real", 3, 2, (5, 5, 5, 5), None),
+    ("complex", 3, 2, (2, 2), None),
+]
+
+
+@pytest.mark.parametrize("regime,d,k,parts,grid", SORTED_SHIFT_CASES,
+                         ids=[f"{r}-{d}-{k}-{','.join(map(str, p))}-grid{g}" for r, d, k, p, g in SORTED_SHIFT_CASES])
+def test_sorted_shifts_match_expanded_shifts(regime, d, k, parts, grid):
+    f, alpha = root_poly(regime, d, k), Partition(parts)
+    ga, gb = _alternant_exponents(regime, alpha, k)
+    va, vb = vandermonde(ga, k).terms, vandermonde(gb, k).terms
+    grid = grid or quadrature_threshold(f, alpha)
+    sorted_shifts, expanded_shifts = _sorted_shifts(va, vb), _expanded_shifts(va, vb)
+    assert all(list(s) == sorted(s) for s in sorted_shifts)
+    assert len(sorted_shifts) < len(expanded_shifts)
+    merged = torus_quadrature(f.poly.terms, sorted_shifts, grid)
+    expanded = torus_quadrature(f.poly.terms, expanded_shifts, grid)
+    assert abs(expanded) > 1.0
+    assert abs(merged - expanded) <= 1e-12 * abs(expanded), (merged, expanded)
+    assert numeric_schur_coefficient(f, alpha, grid=grid) == merged
