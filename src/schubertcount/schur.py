@@ -234,8 +234,9 @@ def torus_quadrature(terms, shifts, grid):
     Each node sum of z^(e + shift) is the product over the axes of the 1-D
     node sums line[u] = sum_t z_t^u, taken in floating point from one table
     of the grid's roots, with the angle reduced exactly, (t * u) mod grid, so
-    exponents past the grid wrap.  One sweep per shift runs over the
-    per-axis exponent columns of f, weighed by its coefficients as floats.
+    line[u] depends only on u mod grid and is summed once per residue.  One
+    sweep per shift runs over the per-axis exponent columns of f, weighed by
+    its coefficients as floats.
     """
     if not terms:
         return 0j
@@ -243,7 +244,8 @@ def torus_quadrature(terms, shifts, grid):
     lo = min(map(min, shifts))
     hi = max(map(max, columns)) + max(map(max, shifts))
     roots = [root_of_unity(t, grid) for t in range(grid)]
-    line = [sum(roots[t * u % grid] for t in range(grid)) for u in range(lo, hi + 1)]  # line[u - lo]
+    residue = [sum(roots[t * r % grid] for t in range(grid)) for r in range(grid)]
+    line = [residue[u % grid] for u in range(lo, hi + 1)]  # line[u - lo]
     coeffs = [float(c) for c in terms.values()]
     total = 0j
     for shift, sign in shifts.items():

@@ -1,11 +1,12 @@
 """The torus quadrature kernel, `schur.torus_quadrature`, against a node by
-node sum, and its sorted-shift table against the expanded one."""
+node sum and against a line table summed per exponent, and its sorted-shift
+table against the expanded one."""
 
 import cmath
 import itertools
 import math
 import random
-from operator import sub
+from operator import mul, sub
 
 import pytest
 
@@ -16,6 +17,7 @@ from schubertcount.schur import (
     _sorted_shifts,
     numeric_schur_coefficient,
     quadrature_threshold,
+    root_of_unity,
     torus_quadrature,
     vandermonde,
 )
@@ -119,3 +121,38 @@ def test_sorted_shifts_match_expanded_shifts(regime, d, k, parts, grid):
     assert abs(expanded) > 1.0
     assert abs(merged - expanded) <= 1e-12 * abs(expanded), (merged, expanded)
     assert numeric_schur_coefficient(f, alpha, grid=grid) == merged
+
+
+def _per_exponent_quadrature(terms, shifts, grid):
+    """`torus_quadrature` with a grid-long sum of roots for every exponent u
+    in lo…hi of its line table, instead of one per residue u mod grid."""
+    columns = list(zip(*terms))
+    lo = min(map(min, shifts))
+    hi = max(map(max, columns)) + max(map(max, shifts))
+    roots = [root_of_unity(t, grid) for t in range(grid)]
+    line = [sum(roots[t * u % grid] for t in range(grid)) for u in range(lo, hi + 1)]
+    coeffs = [float(c) for c in terms.values()]
+    total = 0j
+    for shift, sign in shifts.items():
+        values = coeffs
+        for column, s in zip(columns, shift):
+            values = map(mul, values, map(line[s - lo:].__getitem__, column))
+        total += sign * sum(values)
+    return total / (math.factorial(len(columns)) * grid ** len(columns))
+
+
+# at the default grid every exponent range is wider than the grid, so the line table wraps:
+# real (11,2) at α 91⁴ spans 166 exponents at grid 94
+PER_RESIDUE_CASES = [("real", 11, 2, (91, 91, 91, 91))] + [case[:4] for case in SORTED_SHIFT_CASES if case[4] is None]
+
+
+@pytest.mark.parametrize("regime,d,k,parts", PER_RESIDUE_CASES,
+                         ids=[f"{r}-{d}-{k}-{','.join(map(str, p))}" for r, d, k, p in PER_RESIDUE_CASES])
+def test_line_table_per_residue_matches_per_exponent(regime, d, k, parts):
+    f, alpha = root_poly(regime, d, k), Partition(parts)
+    ga, gb = _alternant_exponents(regime, alpha, k)
+    shifts = _sorted_shifts(vandermonde(ga, k).terms, vandermonde(gb, k).terms)
+    grid = quadrature_threshold(f, alpha)
+    span = max(max(e) for e in f.poly.terms) + max(map(max, shifts)) - min(map(min, shifts)) + 1
+    assert span > grid
+    assert torus_quadrature(f.poly.terms, shifts, grid) == _per_exponent_quadrature(f.poly.terms, shifts, grid)
