@@ -119,16 +119,19 @@ def compositions(d: int, k: int) -> list[Tuple[int, ...]]:
     if d < 0:
         raise OutOfDomain("d must be non-negative")
     out: list[Tuple[int, ...]] = []
-
-    def rec(prefix: Tuple[int, ...], rem: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (rem,))
-            return
-        for v in range(rem, -1, -1):
-            rec(prefix + (v,), rem - v, slots - 1)
-
-    rec((), d, k)
-    return out
+    c = [d] + [0] * (k - 1)
+    while True:
+        out.append(tuple(c))
+        # the successor moves one unit out of the last nonzero part before the
+        # final one, into the next part, which also takes the final part's units
+        i = k - 2
+        while i >= 0 and not c[i]:
+            i -= 1
+        if i < 0:
+            return out
+        c[i] -= 1
+        rest, c[-1] = c[-1] + 1, 0
+        c[i + 1] = rest
 
 
 def classify_partition(alpha: Partition) -> str:

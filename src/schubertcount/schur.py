@@ -5,10 +5,13 @@ Coefficient extraction is exact: the torus integral behind a Schur
 coefficient equals one coefficient of f multiplied by the plain (complex
 case) or squared-variable (real case) Vandermonde alternant, because the
 product is antisymmetric and its coefficients at permuted exponents agree up
-to sign.  f is given as a list of its factors, which is never expanded:
-`polynomial.kronecker_product` multiplies them into one packed int, a
-signed slot per monomial in the box of the k! shifted targets, cleared of
-the monomials past that box once per factor.  A floating
+to sign.  f is given as a list of its factors, which is never expanded.
+Single-term factors fold into a scalar and a shift of the targets, and each
+axis's common exponent step is divided out of the rest (a step of 2 on
+every axis of a real count), before `polynomial.kronecker_product`
+multiplies them into one packed int, a signed slot per monomial in the box
+of the k! shifted targets, cleared of the monomials past that box once per
+factor.  A floating
 trapezoidal quadrature of the same integral is kept as an independent
 oracle: on a uniform torus grid the rule is exact for trigonometric
 polynomials once the grid passes the bandwidth threshold, so the two routes
@@ -24,11 +27,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from operator import mul, sub
+from operator import floordiv, mod, mul, sub
 from typing import Optional, Sequence, Tuple
 
 from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition, rank
-from .polynomial import SparsePoly, exact_div, kronecker_product
+from .polynomial import ArityMismatch, SparsePoly, exact_div, kronecker_product
 
 
 class DegenerateAlternant(ValueError):
@@ -41,6 +44,20 @@ class NotEvenOrOdd(OutOfDomain):
 
 class NotEulerPontryagin(ValueError):
     """Polynomial is outside the Euler-Pontryagin ring."""
+
+
+# the most variables an alternant may have: `vandermonde` sums k! terms, which
+# took 0.24 s at k = 8 and 2.5 s at k = 9 (in process, on a 2-vCPU VM)
+MAX_ALTERNANT_VARIABLES = 8
+
+
+def require_alternant_variables(k: int) -> None:
+    """Refuse (OutOfDomain) a count or class whose alternant has more than
+    MAX_ALTERNANT_VARIABLES variables, before anything of its size is built."""
+    if k > MAX_ALTERNANT_VARIABLES:
+        raise OutOfDomain(
+            f"an alternant in {k} variables sums {k}! terms; at most {MAX_ALTERNANT_VARIABLES} variables are accepted"
+        )
 
 
 def delta(k: int) -> Tuple[int, ...]:
@@ -133,6 +150,7 @@ def _alternant_exponents(regime: str, alpha: Partition, k: Optional[int] = None)
     if regime == "real" and classify_partition(alpha) == "neither":
         raise NotEvenOrOdd(f"{alpha.parts} is neither an even nor an odd partition")
     beta = alpha.parts[::s]
+    require_alternant_variables(len(beta))
     if k is not None and len(beta) != k:
         raise InvalidLength(f"partition of length {len(alpha)} against {k} variables ({regime} regime)")
     ga = tuple(s * x for x in delta(len(beta)))
@@ -151,14 +169,49 @@ def schur_polynomial(regime: str, alpha: Partition) -> RootPolynomial:
 def _alternant_coefficient(factors: Sequence[SparsePoly], target: Tuple[int, ...], van: SparsePoly) -> int:
     """Coefficient of x^target in prod(factors) * van: the sum over the terms
     c*x^e of van of c times the coefficient of x^(target - e) in the product,
-    all read from one `kronecker_product` of the factors."""
+    all read from one `kronecker_product` of the reduced factors.
+
+    Each distinct factor object is reduced once, however often it repeats.
+    A single term c*x^e leaves the product: it multiplies a scalar by c and
+    shifts the targets by e.  Every other factor is x^o * h(x^g), with o its
+    componentwise least exponent and g_a the gcd, over all of them, of
+    e_a - o_a (1 where that is 0), so a target t reads the coefficient of
+    x^((t - shift - sum o) / g) in prod h, and 0 where that is negative or
+    fractional.  With g = 1 and o = 0, h is the factor itself."""
+    k = len(target)
+    copies = {}
+    for f in factors:
+        if f.nvars != k:
+            raise ArityMismatch(f"factors must have {k} variables")
+        copies.setdefault(id(f), [f, 0])[1] += 1
+    scalar, low, step, multi = 1, (0,) * k, (0,) * k, {}
+    for f, m in copies.values():
+        if not f:
+            return 0
+        if len(f.terms) == 1:
+            ((o, c),) = f.terms.items()
+            scalar *= c**m
+        else:
+            o = tuple(map(min, *f.terms))
+            multi[id(f)] = f, o
+            step = tuple(map(math.gcd, step, *(map(sub, e, o) for e in f.terms)))
+        low = tuple(x + m * y for x, y in zip(low, o))
+    step = tuple(g or 1 for g in step)
+    flat = all(g == 1 for g in step)
+    reduced = {}
+    for i, (f, o) in multi.items():
+        if flat and not any(o):
+            reduced[i] = f
+        else:
+            reduced[i] = SparsePoly._raw(k, {tuple(map(floordiv, map(sub, e, o), step)): c for e, c in f.terms.items()})
+    base = tuple(map(sub, target, low))
     shifted = {}
     for e, c in van.terms.items():
-        s = tuple(map(sub, target, e))
-        if min(s, default=0) >= 0:
-            shifted[s] = c
-    coefficients = kronecker_product(factors, len(target), list(shifted))
-    return sum(c * coefficients[s] for s, c in shifted.items())
+        s = tuple(map(sub, base, e))
+        if min(s, default=0) >= 0 and (flat or not any(map(mod, s, step))):
+            shifted[s if flat else tuple(map(floordiv, s, step))] = c
+    coefficients = kronecker_product([reduced[id(f)] for f in factors if id(f) in reduced], k, list(shifted))
+    return scalar * sum(c * coefficients[s] for s, c in shifted.items())
 
 
 def schur_coefficient(regime: str, factors: Sequence[SparsePoly], alpha: Partition) -> int:

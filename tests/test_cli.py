@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -444,9 +445,18 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
     ("feasibility --regime real -d 2 -k 2 --d-max 100000000", 64),
     pytest.param(f"lambda --regime complex -d 3 -k 2 --alpha 2,2 --numeric --threads {usable_cores() + 1}",
                  64, id="lambda --numeric --threads above the core count"),
+    # ranks whose k!-term alternant is too slow, and an incidence count too large, are refused up front
+    ("count --regime complex -d 1 -k 1000", 64),
+    ("count --regime real -d 1 -k 300", 64),
+    pytest.param("lambda --regime complex -d 1 -k 30 --alpha " + ",".join(["1"] * 30), 64,
+                 id="lambda --regime complex -d 1 -k 30 --alpha 1,...,1"),
+    ("schur --alpha 30,29,28,27,26,25,24,23,22,21", 64),
+    ("incidence --regime complex -n 100000", 64),
 ])
 def test_bad_input_exit_codes(capsys, argv, expect_code):
+    start = time.perf_counter()
     code, out, err = run(capsys, argv.split() + ["--no-cache"])
+    assert time.perf_counter() - start < 1.0, "a refusal must come before any work of the input's size"
     assert code == expect_code, err
     assert out == ""
     assert "internal error" not in err

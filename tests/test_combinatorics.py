@@ -44,6 +44,9 @@ def test_compositions_examples():
     assert compositions(1, 2) == [(1, 0), (0, 1)]
     assert len(compositions(3, 4)) == 20 == comb(6, 3)
     assert compositions(0, 3) == [(0, 0, 0)]
+    # more parts than the interpreter's recursion limit
+    deep = compositions(1, 1000)
+    assert len(deep) == 1000 and deep[0] == (1,) + (0,) * 999 and deep[-1] == (0,) * 999 + (1,)
 
 
 def test_compositions_order_and_cardinality():

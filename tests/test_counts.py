@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from helpers import partitions_of
 from schubertcount import cli, counts, polynomial
 from schubertcount.combinatorics import OutOfDomain, Partition, catalan, feasibility, rank
 from schubertcount.counts import (
@@ -136,6 +138,43 @@ def test_real_count():
         "1733450117954880390805621603598935087084424859210061280447552769138816171875000")
 
 
+def test_real_count_21_2_pin():
+    # the engine's value before real counts took one factor per sign-flip orbit
+    value = str(plane_count("real", 21, 2).value)
+    assert len(value) == 917
+    assert hashlib.sha256(value.encode()).hexdigest() == (
+        "cc377344a63537ec20e2641f633c6462a807ecad12cd510acb2b807e0d6ca786")
+
+
+def _real_alphas(d, k):
+    """Up to three even and three odd 2k-partitions whose half-length
+    profile has the root polynomial's degree: the first, middle and last
+    of each parity."""
+    degree = math.comb(d + 2 * k - 1, 2 * k - 1) // 2
+    for parity in (0, 1):
+        betas = [b for b in partitions_of(degree, k) if all(x % 2 == parity for x in b)]
+        for beta in dict.fromkeys(betas[i] for i in (0, len(betas) // 2, -1) if betas):
+            yield Partition(tuple(x for b in beta for x in (b, b)))
+
+
+ORBIT_LADDER = [(d, 1) for d in range(1, 14, 2)] + [(d, 2) for d in range(1, 14, 2)] + [(1, 3), (3, 3), (5, 3)]
+
+
+@pytest.mark.parametrize("d,k", ORBIT_LADDER)
+def test_orbit_factors_match_the_rows(d, k):
+    # one product per sign-flip orbit gives the signed coefficients of one linear form per row
+    orbits = linear_factors("real", d, k)
+    forms = [SparsePoly.linear_form(row) for row in linear_factor_rows("real", d, k)]
+    # every factor is a single term or even in every variable, so the engine divides out a step of 2
+    assert all(len(f.terms) == 1 or not any(x % 2 for e in f.terms for x in e) for f in orbits)
+    if k <= 2:
+        assert polynomial.kronecker_product(orbits, k) == polynomial.kronecker_product(forms, k)
+    alphas = list(_real_alphas(d, k))
+    assert alphas
+    for alpha in alphas:
+        assert schur_coefficient("real", orbits, alpha) == schur_coefficient("real", forms, alpha), alpha
+
+
 def test_real_lines_double_factorial():
     for d, lines in PUBLISHED_REAL_LINES.items():
         assert lines == math.prod(range(d, 0, -2)), d
@@ -147,7 +186,7 @@ def test_cubic_ci_and_catalan_substitution():
     assert cubic_ci_real(1).value == 189
     assert catalan_substitution(1) == 189
     assert catalan_substitution(2) == 81 * (625 - 200 + 2 * 16)
-    for r in range(1, 5):
+    for r in range(1, 7):
         assert cubic_ci_real(r).value == catalan_substitution(r), r
     report = cubic_ci_real(2)
     assert report.d == (3, 3) and report.m == 10

@@ -381,3 +381,33 @@ def test_engine_degree_mismatch_and_empty_box():
     van = vandermonde((2, 1, 0), 3)
     product = factors[0] * factors[1] * factors[2]
     assert _alternant_coefficient(factors, (1, 1, 0), van) == (product * van).terms.get((1, 1, 0), 0) == 0
+
+
+# multi-term factors whose exponents step by 2 on the first axis only; v's least exponent is (2, 0, 0)
+STEP_TWO_U = SparsePoly(3, {(2, 1, 0): 1, (0, 0, 1): -2, (0, 1, 0): 3})
+STEP_TWO_V = SparsePoly(3, {(4, 0, 1): 3, (2, 1, 0): -1})
+MONOMIAL = SparsePoly(3, {(3, 1, 0): -3})
+CONSTANT = SparsePoly(3, {(0, 0, 0): 5})
+
+
+@pytest.mark.parametrize("factors", [
+    [MONOMIAL, STEP_TWO_U, STEP_TWO_V],
+    [STEP_TWO_U, MONOMIAL, STEP_TWO_V],
+    [STEP_TWO_U, STEP_TWO_V, MONOMIAL],
+    [STEP_TWO_U, STEP_TWO_U, STEP_TWO_V, MONOMIAL, CONSTANT, STEP_TWO_U, MONOMIAL],
+    [STEP_TWO_V] * 3,
+    [MONOMIAL, CONSTANT, MONOMIAL],
+    [STEP_TWO_U, SparsePoly.zero(3), STEP_TWO_V],
+], ids=["monomial first", "monomial between", "monomial last", "repeated objects", "shifted only",
+        "single terms only", "zero factor"])
+def test_engine_reduction_against_expansion(factors):
+    # single-term factors leave the product as a scalar and a shift; the rest are divided by their common step
+    top = sum(max(map(sum, f.terms), default=0) for f in factors)
+    values = []
+    for size in range(top + 1):
+        for parts in partitions_of(size, 3):
+            alpha = Partition(parts)
+            value = schur_coefficient("complex", factors, alpha)
+            assert value == _expanded_coefficient(factors, alpha, "complex"), parts
+            values.append(value)
+    assert any(values) == all(factors)
