@@ -170,9 +170,9 @@ def _orbit_product(size: Tuple[int, ...], first: int, rest: list[int]) -> Sparse
 def root_poly(regime: str, d: int, k: int) -> RootPolynomial:
     """Root polynomial of the top Chern class of Sym^d (complex) or of its
     Euler class at rank 2k (real, leading coefficient positive by
-    convention), expanded for --dump-poly and the oracles; counts use the
-    factors."""
-    return RootPolynomial(product_of_linear_forms(linear_factor_rows(regime, d, k), k), regime)
+    convention), expanded for --dump-poly and the oracles from the factors
+    that the count reads."""
+    return RootPolynomial(SparsePoly._raw(k, kronecker_product(linear_factors(regime, d, k), k)), regime)
 
 
 def plane_count(regime: str, d: int, k: int) -> CountReport:

@@ -5,15 +5,17 @@ The monomial order used everywhere (leading terms, canonical text, division)
 is graded lexicographic: total degree first, then the exponent tuple,
 largest first.  All arithmetic is exact; there are no modular or floating
 shortcuts.  Products of many small factors go through `kronecker_product`,
-which holds the product as one packed Python int.
+which decides their box and holds the product as one packed Python int.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import isqrt, prod
-from operator import add, le, sub
+from math import gcd, isqrt, prod
+from operator import add, floordiv, le, mod, sub
 from typing import Dict, Iterable, Optional, Sequence, Tuple
+
+from .combinatorics import OutOfDomain
 
 ExponentVector = Tuple[int, ...]
 
@@ -197,47 +199,84 @@ class SparsePoly:
         return f"SparsePoly({self.nvars}, {text})"
 
 
+# the largest final packed state accepted, in bytes: complex (13,4) needs 710 MiB
+MAX_STATE_BYTES = 1 << 30
+
+
 def kronecker_product(
     factors: Sequence[SparsePoly], nvars: int, targets: Optional[Sequence[ExponentVector]] = None
 ) -> Dict[ExponentVector, int]:
     """Coefficients of prod(factors) at `targets` (every nonzero one if None)
     by Kronecker substitution into one Python int, truncated to their box.
 
-    A monomial x^e is a signed B-bit slot at index sum_a e_a * stride_a over
-    the slotted coordinates a: all of them, or all but the first when every
-    factor is homogeneous (the degree fixes it; targets of another degree are
-    0).  A term past hi (the largest target exponent, or the full degree) is
-    skipped.  Axis a has radix hi_a + 1 + s_a, s_a the largest step along a
-    of a kept term after the first factor (whose terms multiply S = 1), so a
-    factor maps S to sum c * S << B*idx(e) with no carry between axes, and
-    one clear, ((S + O) & box) - (O & box), zeroes the padding past hi; O is
-    2^(B-1) per slot.  An open box needs no padding (s_a = 0): there hi is
-    the full degree, which no partial product passes.  B is bit_length + 1
-    of the running product of the factors' l1 norms in whole bytes, starting
-    at one byte and repacked to at least twice the width when the bound
-    passes it."""
+    Each distinct factor object is reduced once: a single term c*x^e
+    multiplies a scalar by c and adds e to a shift; any other factor is
+    x^o * h(x^g), o its least exponent on each axis and g_a the gcd over all
+    of them of e_a - o_a (1 where that is 0).  A target t reads x^u in
+    prod h, u = (t - shift - sum o) / g, and 0 where u is negative or
+    fractional; an open box maps each u back to shift + sum o + g*u, which
+    keeps the terms' order.  On the h's, a monomial x^u is a signed B-bit
+    slot at index sum_a u_a * stride_a over the slotted coordinates a: all
+    of them, or all but the first when every h is homogeneous (the degree
+    fixes it; targets of another degree are 0).  A term past hi (the largest
+    target exponent, or the full degree) is skipped.  Axis a has radix
+    hi_a + 1 + s_a, s_a the largest step along a of a kept term after the
+    first factor (whose terms multiply S = 1), so a factor maps S to
+    sum c * S << B*idx(u) with no carry between axes, and one clear,
+    ((S + O) & box) - (O & box), zeroes the padding past hi; O is 2^(B-1)
+    per slot; an open box needs none (s_a = 0), as no partial product
+    passes its full degree.  B is bit_length + 1 of the running product of
+    the factors' l1 norms in whole bytes (one at first), repacked to at
+    least twice the width when the bound passes it; a final state above
+    MAX_STATE_BYTES is refused (OutOfDomain) before it is built."""
     if any(f.nvars != nvars for f in factors):
         raise ArityMismatch(f"factors must have {nvars} variables")
     out = {} if targets is None else dict.fromkeys(targets, 0)
     if not all(factors):
         return out
-    degrees = [{sum(e) for e in f.terms} for f in factors]
+    copies = {}
+    for f in factors:
+        copies.setdefault(id(f), [f, 0])[1] += 1
+    scalar, low, step, multi = 1, (0,) * nvars, (0,) * nvars, {}
+    for f, m in copies.values():
+        if len(f.terms) == 1:
+            ((o, c),) = f.terms.items()
+            scalar *= c**m
+        else:
+            o = tuple(map(min, *f.terms))
+            multi[id(f)] = f, o
+            step = tuple(map(gcd, step, *(map(sub, e, o) for e in f.terms)))
+        low = tuple(x + m * y for x, y in zip(low, o))
+    step = tuple(g or 1 for g in step)
+    for i, (f, o) in multi.items():
+        multi[i] = {tuple(map(floordiv, map(sub, e, o), step)): c for e, c in f.terms.items()}
+    hs = [multi[id(f)] for f in factors if id(f) in multi]
+    degrees = [{sum(e) for e in h} for h in hs]
     lead = nvars > 0 and all(len(d) == 1 for d in degrees)
     total = sum(min(d) for d in degrees)
     axes = range(int(lead), nvars)
     if targets is None:
-        hi = [sum(max(e[a] for e in f.terms) for f in factors) for a in axes]
+        hi = [sum(max(e[a] for e in h) for h in hs) for a in axes]
     else:
-        targets = [t for t in targets if not lead or sum(t) == total]
-        if not targets:
+        reads = {}
+        for t in targets:
+            s = tuple(map(sub, t, low))
+            u = tuple(map(floordiv, s, step))
+            if min(s, default=0) >= 0 and not any(map(mod, s, step)) and (not lead or sum(u) == total):
+                reads[t] = u
+        if not reads:
             return out
-        hi = [max(t[a] for t in targets) for a in axes]
-    kept = [[(e, c) for e, c in f.terms.items() if all(map(le, e[axes.start:], hi))] for f in factors]
-    steps = kept[1:] if targets is not None else []
-    pad = [max((e[a] for terms in steps for e, _ in terms), default=0) for a in axes]
+        hi = [max(u[a] for u in reads.values()) for a in axes]
+    kept = [[(e, c) for e, c in h.items() if all(map(le, e[axes.start:], hi))] for h in hs]
+    later = kept[1:] if targets is not None else []
+    pad = [max((e[a] for terms in later for e, _ in terms), default=0) for a in axes]
     radix = [h + 1 + s for h, s in zip(hi, pad)]
     nslots = prod(radix)
     stride = [prod(radix[i + 1:]) for i in range(len(radix))]
+    norms = [sum(map(abs, h.values())) for h in hs]
+    width = (prod(norms).bit_length() + 8) // 8
+    if nslots * width > MAX_STATE_BYTES:
+        raise OutOfDomain(f"the packed product needs {nslots} slots of {width} bytes, above {MAX_STATE_BYTES} in all")
 
     def index(e: ExponentVector) -> int:
         return sum(e[a] * s for a, s in zip(axes, stride))
@@ -253,8 +292,8 @@ def kronecker_product(
 
     w, state, bound = 1, 1, 1
     bias, box, inner = layout(w)
-    for f, terms in zip(factors, kept):
-        bound *= sum(map(abs, f.terms.values()))
+    for norm, terms in zip(norms, kept):
+        bound *= norm
         need = (bound.bit_length() + 8) // 8
         if need > w:
             wide = max(need, 2 * w)
@@ -277,15 +316,18 @@ def kronecker_product(
     raw = (state + bias).to_bytes(nslots * w, "little")
     half = 1 << (8 * w - 1)
     if targets is not None:
-        for t in targets:
-            x = index(t) * w
-            out[t] = int.from_bytes(raw[x:x + w], "little") - half
+        for t, u in reads.items():
+            x = index(u) * w
+            out[t] = scalar * (int.from_bytes(raw[x:x + w], "little") - half)
         return out
     zero = half.to_bytes(w, "little")
-    for x, e in enumerate(itertools.product(*map(range, radix))):
+    images = itertools.product(*(range(low[a], low[a] + step[a] * n, step[a]) for a, n in zip(axes, radix)))
+    first = low[0] + step[0] * total if lead else 0
+    for x, (e, image) in enumerate(zip(itertools.product(*map(range, radix)), images)):
         chunk = raw[x * w:(x + 1) * w]
         if chunk != zero:
-            out[(total - sum(e),) + e if lead else e] = int.from_bytes(chunk, "little") - half
+            key = (first - step[0] * sum(e),) + image if lead else image
+            out[key] = scalar * (int.from_bytes(chunk, "little") - half)
     return out
 
 

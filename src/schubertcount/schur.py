@@ -5,21 +5,17 @@ Coefficient extraction is exact: the torus integral behind a Schur
 coefficient equals one coefficient of f multiplied by the plain (complex
 case) or squared-variable (real case) Vandermonde alternant, because the
 product is antisymmetric and its coefficients at permuted exponents agree up
-to sign.  f is given as a list of its factors, which is never expanded.
-Single-term factors fold into a scalar and a shift of the targets, and each
-axis's common exponent step is divided out of the rest (a step of 2 on
-every axis of a real count), before `polynomial.kronecker_product`
-multiplies them into one packed int, a signed slot per monomial in the box
-of the k! shifted targets, cleared of the monomials past that box once per
-factor.  A floating
-trapezoidal quadrature of the same integral is kept as an independent
-oracle: on a uniform torus grid the rule is exact for trigonometric
-polynomials once the grid passes the bandwidth threshold, so the two routes
-must agree to rounding.  The oracle reads no exact coefficient: it sums the
-same nodes as products of one-dimensional node sums, one per axis of each
-monomial of f * V_a * conj(V_b), with the terms of the two alternants
-expanded pairwise into shifts that are sorted and merged, since f is
-symmetric (`torus_quadrature`, in plain Python).
+to sign.  f is given as a list of its factors, which is never expanded:
+`polynomial.kronecker_product` reads the product's coefficients at the k!
+shifted targets from one packed int.  A floating trapezoidal quadrature
+of the same integral is kept as an independent oracle: on a uniform torus
+grid the rule is exact for trigonometric polynomials once the grid passes
+the bandwidth threshold, so the two routes must agree to rounding.  The
+oracle reads no exact coefficient: it sums the same nodes as products of
+one-dimensional node sums, one per axis of each monomial of
+f * V_a * conj(V_b), with the terms of the two alternants expanded pairwise
+into shifts that are sorted and merged, since f is symmetric
+(`torus_quadrature`, in plain Python).
 """
 
 from __future__ import annotations
@@ -27,11 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from operator import floordiv, mod, mul, sub
+from operator import mul, sub
 from typing import Optional, Sequence, Tuple
 
 from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition, rank
-from .polynomial import ArityMismatch, SparsePoly, exact_div, kronecker_product
+from .polynomial import SparsePoly, exact_div, kronecker_product
 
 
 class DegenerateAlternant(ValueError):
@@ -169,49 +165,10 @@ def schur_polynomial(regime: str, alpha: Partition) -> RootPolynomial:
 def _alternant_coefficient(factors: Sequence[SparsePoly], target: Tuple[int, ...], van: SparsePoly) -> int:
     """Coefficient of x^target in prod(factors) * van: the sum over the terms
     c*x^e of van of c times the coefficient of x^(target - e) in the product,
-    all read from one `kronecker_product` of the reduced factors.
-
-    Each distinct factor object is reduced once, however often it repeats.
-    A single term c*x^e leaves the product: it multiplies a scalar by c and
-    shifts the targets by e.  Every other factor is x^o * h(x^g), with o its
-    componentwise least exponent and g_a the gcd, over all of them, of
-    e_a - o_a (1 where that is 0), so a target t reads the coefficient of
-    x^((t - shift - sum o) / g) in prod h, and 0 where that is negative or
-    fractional.  With g = 1 and o = 0, h is the factor itself."""
-    k = len(target)
-    copies = {}
-    for f in factors:
-        if f.nvars != k:
-            raise ArityMismatch(f"factors must have {k} variables")
-        copies.setdefault(id(f), [f, 0])[1] += 1
-    scalar, low, step, multi = 1, (0,) * k, (0,) * k, {}
-    for f, m in copies.values():
-        if not f:
-            return 0
-        if len(f.terms) == 1:
-            ((o, c),) = f.terms.items()
-            scalar *= c**m
-        else:
-            o = tuple(map(min, *f.terms))
-            multi[id(f)] = f, o
-            step = tuple(map(math.gcd, step, *(map(sub, e, o) for e in f.terms)))
-        low = tuple(x + m * y for x, y in zip(low, o))
-    step = tuple(g or 1 for g in step)
-    flat = all(g == 1 for g in step)
-    reduced = {}
-    for i, (f, o) in multi.items():
-        if flat and not any(o):
-            reduced[i] = f
-        else:
-            reduced[i] = SparsePoly._raw(k, {tuple(map(floordiv, map(sub, e, o), step)): c for e, c in f.terms.items()})
-    base = tuple(map(sub, target, low))
-    shifted = {}
-    for e, c in van.terms.items():
-        s = tuple(map(sub, base, e))
-        if min(s, default=0) >= 0 and (flat or not any(map(mod, s, step))):
-            shifted[s if flat else tuple(map(floordiv, s, step))] = c
-    coefficients = kronecker_product([reduced[id(f)] for f in factors if id(f) in reduced], k, list(shifted))
-    return scalar * sum(c * coefficients[s] for s, c in shifted.items())
+    all read from one `kronecker_product`."""
+    shifted = {tuple(map(sub, target, e)): c for e, c in van.terms.items()}
+    coefficients = kronecker_product(factors, len(target), list(shifted))
+    return sum(c * coefficients[s] for s, c in shifted.items())
 
 
 def schur_coefficient(regime: str, factors: Sequence[SparsePoly], alpha: Partition) -> int:

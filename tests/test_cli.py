@@ -452,6 +452,14 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
                  id="lambda --regime complex -d 1 -k 30 --alpha 1,...,1"),
     ("schur --alpha 30,29,28,27,26,25,24,23,22,21", 64),
     ("incidence --regime complex -n 100000", 64),
+    # boxes whose packed state passes polynomial.MAX_STATE_BYTES (tens of GB) are refused before they are built
+    ("count --regime complex -d 3 -k 8", 64),
+    ("count --regime complex -d 5 -k 6", 64),
+    ("count --regime complex -d 101 -k 3", 64),
+    # degrees with more than combinatorics.MAX_COMPOSITIONS compositions are refused before they are enumerated
+    ("count --regime real -d 2001 -k 2", 64),
+    ("scan -d 2001", 64),
+    ("asymptote --family real --ds 301", 64),
 ])
 def test_bad_input_exit_codes(capsys, argv, expect_code):
     start = time.perf_counter()

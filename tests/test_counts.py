@@ -90,6 +90,13 @@ def test_real_root_poly_is_the_square_root(d, k):
     assert root_poly("real", d, k).poly == exact_sqrt(real_square_poly(d, k))
 
 
+@pytest.mark.parametrize("regime,d,k", [("real", 5, 3), ("real", 3, 4), ("real", 9, 2), ("complex", 5, 4)])
+def test_root_poly_expands_the_count_factors(regime, d, k):
+    # the count's own factors, through the reduced open box, give the product of one linear form per row, in order
+    rows = polynomial.product_of_linear_forms(linear_factor_rows(regime, d, k), k)
+    assert list(root_poly(regime, d, k).poly.terms.items()) == list(rows.terms.items())
+
+
 def test_counts_never_expand_the_product(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a count built a full product, a power or a square root")

@@ -158,15 +158,16 @@ def test_kronecker_one_variable():
 
 def test_open_box_has_no_padding(monkeypatch):
     # with no targets hi is the full degree along each axis, which no partial product passes,
-    # so each slotted axis has radix hi + 1: 36^3 slots for complex root_poly(5, 4), not 37^3
+    # so each slotted axis has radix hi + 1: complex root_poly(5, 4) has 35 forms with z_a, and
+    # 5*z_a folds into the scalar and shift, so hi is 34 and the box has 35^3 slots, not 36^3
     from schubertcount import polynomial
     from schubertcount.counts import linear_factor_rows
 
     radices = []
     monkeypatch.setattr(polynomial, "prod", lambda xs: radices.append(list(xs)) or math.prod(xs))
     poly = product_of_linear_forms(linear_factor_rows("complex", 5, 4), 4)
-    assert radices[0] == [36, 36, 36]
-    assert math.prod(radices[0]) == 46656
+    assert radices[0] == [35, 35, 35]
+    assert math.prod(radices[0]) == 42875
     assert len(poly.terms) == 20535
 
 

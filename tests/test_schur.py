@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import is_symmetric_by_permutations, partitions_of, random_poly, symmetrize
 from schubertcount.combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition
 from schubertcount.counts import root_poly
-from schubertcount.polynomial import ArityMismatch, SparsePoly
+from schubertcount.polynomial import ArityMismatch, SparsePoly, kronecker_product
 from schubertcount.schur import (
     MAX_GRID,
     DegenerateAlternant,
@@ -402,6 +402,11 @@ CONSTANT = SparsePoly(3, {(0, 0, 0): 5})
         "single terms only", "zero factor"])
 def test_engine_reduction_against_expansion(factors):
     # single-term factors leave the product as a scalar and a shift; the rest are divided by their common step
+    product = SparsePoly.one(3)
+    for f in factors:
+        product = product * f
+    # the open box is reduced the same way and maps every term back
+    assert kronecker_product(factors, 3) == product.terms
     top = sum(max(map(sum, f.terms), default=0) for f in factors)
     values = []
     for size in range(top + 1):
