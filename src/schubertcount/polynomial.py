@@ -5,14 +5,15 @@ The monomial order used everywhere (leading terms, canonical text, division)
 is graded lexicographic: total degree first, then the exponent tuple,
 largest first.  All arithmetic is exact; there are no modular or floating
 shortcuts.  Products of many small factors go through `kronecker_product`,
-which decides their box and holds the product as one packed Python int.
+which plans their box and widths once (`packed_layout`) and packs one int.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from math import gcd, isqrt, prod
-from operator import add, floordiv, le, mod, sub
+from operator import add, floordiv, le, mod, mul, sub
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .combinatorics import OutOfDomain
@@ -199,41 +200,46 @@ class SparsePoly:
         return f"SparsePoly({self.nvars}, {text})"
 
 
-# the largest final packed state accepted, in bytes: complex (13,4) needs 710 MiB
+# the largest final packed state accepted, in bytes: slots times the layout's final width, the widest
+# state the run builds (complex (13,4): 704.5 MiB); a run's max-RSS rises 9-10 times its final state
+# above the interpreter's (complex (7,4): 1.3 MiB state, 25.1 MiB; complex (9,4): 15.2 MiB, 158 MiB)
 MAX_STATE_BYTES = 1 << 30
 
 
-def kronecker_product(
-    factors: Sequence[SparsePoly], nvars: int, targets: Optional[Sequence[ExponentVector]] = None
-) -> Dict[ExponentVector, int]:
-    """Coefficients of prod(factors) at `targets` (every nonzero one if None)
-    by Kronecker substitution into one Python int, truncated to their box.
+class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad radix stride nslots widths width")):
+    """The plan of one packed product, made by `packed_layout` before anything is built."""
 
-    Each distinct factor object is reduced once: a single term c*x^e
-    multiplies a scalar by c and adds e to a shift; any other factor is
-    x^o * h(x^g), o its least exponent on each axis and g_a the gcd over all
-    of them of e_a - o_a (1 where that is 0).  A target t reads x^u in
-    prod h, u = (t - shift - sum o) / g, and 0 where u is negative or
-    fractional; an open box maps each u back to shift + sum o + g*u, which
-    keeps the terms' order.  On the h's, a monomial x^u is a signed B-bit
-    slot at index sum_a u_a * stride_a over the slotted coordinates a: all
-    of them, or all but the first when every h is homogeneous (the degree
-    fixes it; targets of another degree are 0).  A term past hi (the largest
-    target exponent, or the full degree) is skipped.  Axis a has radix
-    hi_a + 1 + s_a, s_a the largest step along a of a kept term after the
-    first factor (whose terms multiply S = 1), so a factor maps S to
-    sum c * S << B*idx(u) with no carry between axes, and one clear,
-    ((S + O) & box) - (O & box), zeroes the padding past hi; O is 2^(B-1)
-    per slot; an open box needs none (s_a = 0), as no partial product
-    passes its full degree.  B is bit_length + 1 of the running product of
-    the factors' l1 norms in whole bytes (one at first), repacked to at
-    least twice the width when the bound passes it; a final state above
-    MAX_STATE_BYTES is refused (OutOfDomain) before it is built."""
+    def index(self, e: ExponentVector) -> int:
+        return sum(e[a] * s for a, s in zip(self.axes, self.stride))
+
+    def masks(self, width: int) -> Tuple[int, int, int]:
+        # the bias O (2^(B-1) in each slot of B = 8*width bits), the mask of the slots inside hi, and O & box
+        box = b"\xff" * width
+        for h, s in zip(reversed(self.hi), reversed(self.pad)):
+            box = box * (h + 1) + bytes(len(box) * s)
+        bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * self.nslots, "little")
+        box = int.from_bytes(box, "little")
+        return bias, box, bias & box
+
+
+def packed_layout(factors: Sequence[SparsePoly], nvars: int,
+                  targets: Optional[Sequence[ExponentVector]] = None) -> Optional[Layout]:
+    """The Layout of `kronecker_product(factors, nvars, targets)`, or None if
+    every coefficient asked for is 0 (a zero factor, or no target in reach).
+    Each factor object is reduced once: c*x^e goes into the scalar and the
+    shift, any other factor is x^o * h(x^g) (o its least exponents, g_a the
+    gcd of all e_a - o_a, or 1), and target t reads x^((t - shift - sum o)/g)
+    in prod h, or 0 where that is negative or fractional.  The degree `total`
+    fixes the first axis when every h is homogeneous.  Terms past hi (the
+    largest target exponent, or the full degree) are dropped, and axis a has
+    radix hi_a + 1 + pad_a, pad_a its largest step after the first factor
+    (none in an open box).  `widths` holds the slot bytes while each h is
+    multiplied in: bit_length + 1 of the running product of their l1 norms
+    in whole bytes, at least doubled where it grows, capped at `width`."""
     if any(f.nvars != nvars for f in factors):
         raise ArityMismatch(f"factors must have {nvars} variables")
-    out = {} if targets is None else dict.fromkeys(targets, 0)
     if not all(factors):
-        return out
+        return None
     copies = {}
     for f in factors:
         copies.setdefault(id(f), [f, 0])[1] += 1
@@ -254,79 +260,79 @@ def kronecker_product(
     degrees = [{sum(e) for e in h} for h in hs]
     lead = nvars > 0 and all(len(d) == 1 for d in degrees)
     total = sum(min(d) for d in degrees)
-    axes = range(int(lead), nvars)
+    axes, reads = range(int(lead), nvars), {}
     if targets is None:
         hi = [sum(max(e[a] for e in h) for h in hs) for a in axes]
     else:
-        reads = {}
         for t in targets:
             s = tuple(map(sub, t, low))
             u = tuple(map(floordiv, s, step))
             if min(s, default=0) >= 0 and not any(map(mod, s, step)) and (not lead or sum(u) == total):
                 reads[t] = u
         if not reads:
-            return out
+            return None
         hi = [max(u[a] for u in reads.values()) for a in axes]
     kept = [[(e, c) for e, c in h.items() if all(map(le, e[axes.start:], hi))] for h in hs]
-    later = kept[1:] if targets is not None else []
-    pad = [max((e[a] for terms in later for e, _ in terms), default=0) for a in axes]
+    pad = [max((e[a] for terms in kept[1:] for e, _ in terms), default=0) if targets is not None else 0 for a in axes]
     radix = [h + 1 + s for h, s in zip(hi, pad)]
-    nslots = prod(radix)
     stride = [prod(radix[i + 1:]) for i in range(len(radix))]
     norms = [sum(map(abs, h.values())) for h in hs]
     width = (prod(norms).bit_length() + 8) // 8
-    if nslots * width > MAX_STATE_BYTES:
-        raise OutOfDomain(f"the packed product needs {nslots} slots of {width} bytes, above {MAX_STATE_BYTES} in all")
-
-    def index(e: ExponentVector) -> int:
-        return sum(e[a] * s for a, s in zip(axes, stride))
-
-    def layout(width: int) -> Tuple[int, int, int]:
-        # the bias O, the mask of the slots inside hi, and O & box
-        box = b"\xff" * width
-        for h, s in zip(reversed(hi), reversed(pad)):
-            box = box * (h + 1) + bytes(len(box) * s)
-        bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * nslots, "little")
-        box = int.from_bytes(box, "little")
-        return bias, box, bias & box
-
-    w, state, bound = 1, 1, 1
-    bias, box, inner = layout(w)
-    for norm, terms in zip(norms, kept):
-        bound *= norm
+    widths, w = [], 1
+    for bound in itertools.accumulate(norms, mul):
         need = (bound.bit_length() + 8) // 8
-        if need > w:
-            wide = max(need, 2 * w)
+        w = min(max(need, 2 * w), width) if need > w else w
+        widths.append(w)
+    return Layout(scalar, low, step, total, reads, kept, axes, hi, pad, radix, stride, prod(radix), widths, width)
+
+
+def kronecker_product(factors: Sequence[SparsePoly], nvars: int,
+                      targets: Optional[Sequence[ExponentVector]] = None) -> Dict[ExponentVector, int]:
+    """Coefficients of prod(factors) at `targets` (every nonzero one if None)
+    by Kronecker substitution into one Python int, on the box and widths that
+    `packed_layout` plans.  A monomial x^u of the h's is a signed B-bit slot
+    at index(u): the state S starts as 1, each h maps it to sum c*S << B*index(u),
+    and ((S + O) & box) - (O & box), O being 2^(B-1) per slot, clears the
+    padding past hi.  S is repacked where the schedule widens; a final state
+    above MAX_STATE_BYTES is refused (OutOfDomain) before anything is built."""
+    out = {} if targets is None else dict.fromkeys(targets, 0)
+    layout = packed_layout(factors, nvars, targets)
+    if layout is None:
+        return out
+    nslots, index, w = layout.nslots, layout.index, layout.width
+    if nslots * w > MAX_STATE_BYTES:
+        raise OutOfDomain(f"the packed product needs {nslots} slots of {w} bytes, above {MAX_STATE_BYTES} in all")
+    state, w = 1, layout.widths[0] if layout.widths else w
+    bias, box, inner = layout.masks(w)
+    for width, terms in zip(layout.widths, layout.terms):
+        if width > w:
             raw = (state + bias).to_bytes(nslots * w, "little")
             del state, bias, box, inner
-            buf = bytearray(nslots * wide)
+            buf = bytearray(nslots * width)
             for b in range(w):
-                buf[b::wide] = raw[b::w]
+                buf[b::width] = raw[b::w]
             del raw
-            bias, box, inner = layout(wide)
-            state = int.from_bytes(buf, "little") - (bias >> 8 * (wide - w))
+            bias, box, inner = layout.masks(width)
+            state = int.from_bytes(buf, "little") - (bias >> 8 * (width - w))
             del buf
-            w = wide
+            w = width
         acc = 0
         for e, c in terms:
             acc += c * state << 8 * w * index(e)
         state, acc = acc + bias, None  # free the old state before the clear
         state = (state & box) - inner
-
     raw = (state + bias).to_bytes(nslots * w, "little")
-    half = 1 << (8 * w - 1)
+    half, scalar, low, step, axes = 1 << (8 * w - 1), layout.scalar, layout.low, layout.step, layout.axes
     if targets is not None:
-        for t, u in reads.items():
-            x = index(u) * w
-            out[t] = scalar * (int.from_bytes(raw[x:x + w], "little") - half)
-        return out
+        return out | {t: scalar * (int.from_bytes(raw[index(u) * w:(index(u) + 1) * w], "little") - half)
+                      for t, u in layout.reads.items()}
     zero = half.to_bytes(w, "little")
-    images = itertools.product(*(range(low[a], low[a] + step[a] * n, step[a]) for a, n in zip(axes, radix)))
-    first = low[0] + step[0] * total if lead else 0
-    for x, (e, image) in enumerate(zip(itertools.product(*map(range, radix)), images)):
+    images = itertools.product(*(range(low[a], low[a] + step[a] * n, step[a]) for a, n in zip(axes, layout.radix)))
+    first = low[0] + step[0] * layout.total if axes.start else 0
+    for x, (e, image) in enumerate(zip(itertools.product(*map(range, layout.radix)), images)):
         chunk = raw[x * w:(x + 1) * w]
         if chunk != zero:
-            key = (first - step[0] * sum(e),) + image if lead else image
+            key = (first - step[0] * sum(e),) + image if axes.start else image
             out[key] = scalar * (int.from_bytes(chunk, "little") - half)
     return out
 
@@ -412,19 +418,13 @@ def exact_sqrt(f: SparsePoly) -> SparsePoly:
         if key >= prev:
             raise NotAPerfectSquare("root terms stopped decreasing")
         prev = key
-        # maintain res = f - (current root)^2: subtract 2*t*root + t^2
-        for e2, c2 in list(root.items()):
+        # maintain res = f - root^2: with t now in root, subtract 2*t*(root - t) + t^2
+        root[te] = tc
+        for e2, c2 in root.items():
             e = tuple(map(add, te, e2))
-            v = res.get(e, 0) - 2 * tc * c2
+            v = res.get(e, 0) - tc * (c2 if e2 == te else 2 * c2)
             if v:
                 res[e] = v
             else:
                 res.pop(e, None)
-        e = tuple(2 * x for x in te)
-        v = res.get(e, 0) - tc * tc
-        if v:
-            res[e] = v
-        else:
-            res.pop(e, None)
-        root[te] = tc
     return SparsePoly._raw(f.nvars, root)

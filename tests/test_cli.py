@@ -452,6 +452,13 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
                  id="lambda --regime complex -d 1 -k 30 --alpha 1,...,1"),
     ("schur --alpha 30,29,28,27,26,25,24,23,22,21", 64),
     ("incidence --regime complex -n 100000", 64),
+    # Schur polynomials whose alternant division passes schur.MAX_DIVISION_STEPS (7.6 s to hours) are refused
+    ("schur --alpha 5,4,3,2,1,0", 64),
+    ("schur --alpha 2,2,2,2,1,1,1,0", 64),
+    ("schur --alpha 4,4,4,0,0,0,0", 64),
+    ("schur --alpha 8,7,6,5,4,3,2,1", 64),
+    ("schur --alpha 6,5,4,3,2,1,0", 64),
+    ("schur --regime real --alpha 10,10,6,6,4,4,2,2,0,0,0,0", 64),
     # boxes whose packed state passes polynomial.MAX_STATE_BYTES (tens of GB) are refused before they are built
     ("count --regime complex -d 3 -k 8", 64),
     ("count --regime complex -d 5 -k 6", 64),

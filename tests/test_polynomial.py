@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import naive_product_of_linear_forms, random_poly
+from schubertcount.combinatorics import OutOfDomain
 from schubertcount.polynomial import (
     ArityMismatch,
     NotAPerfectSquare,
@@ -12,6 +13,7 @@ from schubertcount.polynomial import (
     exact_div,
     exact_sqrt,
     kronecker_product,
+    packed_layout,
     product_of_linear_forms,
 )
 
@@ -111,12 +113,14 @@ def _random_factor(rng, nvars, homogeneous, size):
 
 
 def test_kronecker_slot_width_grows_through_repacks():
-    # l1 norms near 4*10^6 widen the slots from 1 byte to 3, 6, 12 and 24
+    # l1 norms near 4*10^6 need 3, 6, 9, 12 and 14 bytes as the factors go in: the planned
+    # slots double to 3, 6 and 12 bytes, hold at 12, and end capped at the final 14
     rng = random.Random(7)
     for nvars, homogeneous in ((3, True), (3, False), (2, True), (1, False)):
         factors = [_random_factor(rng, nvars, homogeneous, 10**6) for _ in range(5)]
         expected = _sequential_product(factors, nvars)
         assert max(abs(c) for c in expected.terms.values()).bit_length() > 96
+        assert packed_layout(factors, nvars).widths == [3, 6, 12, 12, 14]
         assert kronecker_product(factors, nvars) == expected.terms
         # a truncated box drops monomials that a full product keeps
         targets = rng.sample(sorted(expected.terms), 4) + [(1,) * nvars]
@@ -130,6 +134,33 @@ def test_kronecker_slot_width_grows_through_repacks():
                     targets = [t for t in sorted(product.terms) if t[axis] <= top]
                     targets.append(tuple(top if a == axis else 1 for a in range(nvars)))
                     assert kronecker_product(some, nvars, targets) == {t: product.terms.get(t, 0) for t in targets}
+
+
+@pytest.mark.parametrize("size", [2000, 10**6, 10**30])
+def test_width_schedule(monkeypatch, size):
+    # one width per multi-term factor, never decreasing, each wide enough for the running
+    # product of l1 norms, the last being the final width the refusal prices
+    from schubertcount import polynomial
+
+    rng = random.Random(size)
+    for nvars, homogeneous in ((3, True), (3, False), (2, True), (1, False)):
+        factors = [_random_factor(rng, nvars, homogeneous, size) for _ in range(6)]
+        factors[2] = SparsePoly(nvars, {(1,) * nvars: -7})
+        for targets in (None, sorted(_sequential_product(factors, nvars).terms)[::3]):
+            layout = packed_layout(factors, nvars, targets)
+            norms = [sum(map(abs, f.terms.values())) for f in factors if len(f.terms) > 1]
+            needs = [(math.prod(norms[:i + 1]).bit_length() + 8) // 8 for i in range(len(norms))]
+            assert len(layout.widths) == len(layout.terms) == 5
+            assert layout.widths == sorted(layout.widths)
+            assert all(w >= need for w, need in zip(layout.widths, needs))
+            assert layout.widths[-1] == layout.width == needs[-1]
+            expected = kronecker_product(factors, nvars, targets)
+            monkeypatch.setattr(polynomial, "MAX_STATE_BYTES", layout.nslots * layout.width)
+            assert kronecker_product(factors, nvars, targets) == expected
+            monkeypatch.setattr(polynomial, "MAX_STATE_BYTES", layout.nslots * layout.width - 1)
+            with pytest.raises(OutOfDomain):
+                kronecker_product(factors, nvars, targets)
+            monkeypatch.undo()
 
 
 def test_kronecker_empty_and_zero_factors():
@@ -156,19 +187,19 @@ def test_kronecker_one_variable():
         assert kronecker_product(factors, 1, targets) == {t: expected.terms.get(t, 0) for t in targets}
 
 
-def test_open_box_has_no_padding(monkeypatch):
+def test_open_box_has_no_padding():
     # with no targets hi is the full degree along each axis, which no partial product passes,
     # so each slotted axis has radix hi + 1: complex root_poly(5, 4) has 35 forms with z_a, and
     # 5*z_a folds into the scalar and shift, so hi is 34 and the box has 35^3 slots, not 36^3
-    from schubertcount import polynomial
     from schubertcount.counts import linear_factor_rows
 
-    radices = []
-    monkeypatch.setattr(polynomial, "prod", lambda xs: radices.append(list(xs)) or math.prod(xs))
-    poly = product_of_linear_forms(linear_factor_rows("complex", 5, 4), 4)
-    assert radices[0] == [35, 35, 35]
-    assert math.prod(radices[0]) == 42875
-    assert len(poly.terms) == 20535
+    forms = [SparsePoly.linear_form(row) for row in linear_factor_rows("complex", 5, 4)]
+    layout = packed_layout(forms, 4)
+    assert layout.hi == [34, 34, 34]
+    assert layout.pad == [0, 0, 0]
+    assert layout.radix == [35, 35, 35]
+    assert layout.nslots == 42875
+    assert len(kronecker_product(forms, 4)) == 20535
 
 
 def test_kronecker_degree_mismatch_is_zero():
