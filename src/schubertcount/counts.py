@@ -31,6 +31,8 @@ from .schur import RootPolynomial, require_alternant_variables, schur_coefficien
 # the largest incidence -n: the complex count took 7.5 s at n = 30, and at
 # n = 32 it passed 10 s (10.3 s, 197 MiB), in a fresh process on a 2-vCPU VM
 MAX_INCIDENCE_N = 31
+# the largest cubic-ci -r: r = 1850 took 9.6 s and r = 1900 10.1 s, in a fresh process on a 2-vCPU VM
+MAX_CUBIC_CI_R = 1850
 
 
 class EvenDegree(Infeasible):
@@ -234,9 +236,12 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
 def cubic_ci_real(r: int) -> CountReport:
     """Absolute signed count of real 3-planes on an intersection of r generic
     real cubics (m = 5r), from the 10 linear factors of the cubic's real root
-    polynomial taken r times; r=0 degenerates to the empty intersection."""
+    polynomial taken r times; r=0 degenerates to the empty intersection.
+    r above MAX_CUBIC_CI_R is refused before any factor is built."""
     if r < 0:
         raise OutOfDomain("r must be >= 0")
+    if r > MAX_CUBIC_CI_R:
+        raise OutOfDomain(f"r = {r} is above {MAX_CUBIC_CI_R}, the largest accepted cubic count")
     m = 5 * r
     value = schur_coefficient("real", linear_factors("real", 3, 2) * r, Partition.constant(m, 4))
     orient = _orientability(3, 4, m) if r else None

@@ -1,7 +1,7 @@
 """Exact sparse multivariate polynomial arithmetic over Python integers.
 
 A polynomial is a dict from exponent tuples to nonzero integer coefficients.
-The monomial order used everywhere (leading terms, canonical text, division)
+The monomial order used everywhere (leading terms, canonical text, square root)
 is graded lexicographic: total degree first, then the exponent tuple,
 largest first.  All arithmetic is exact; there are no modular or floating
 shortcuts.  Products of many small factors go through `kronecker_product`,
@@ -23,10 +23,6 @@ ExponentVector = Tuple[int, ...]
 
 class ArityMismatch(ValueError):
     """Operands disagree on the number of variables."""
-
-
-class NotDivisible(ValueError):
-    """Multivariate long division left a nonzero remainder."""
 
 
 class NotAPerfectSquare(ValueError):
@@ -342,41 +338,6 @@ def product_of_linear_forms(rows: Sequence[Sequence[int]], nvars: int) -> Sparse
     empty product is 1): one `kronecker_product` with an open box, which has
     no padding slots."""
     return SparsePoly._raw(nvars, kronecker_product([SparsePoly.linear_form(row) for row in rows], nvars))
-
-
-def exact_div(f: SparsePoly, g: SparsePoly) -> SparsePoly:
-    """Exact quotient f/g; raises NotDivisible if the remainder is nonzero.
-
-    Multivariate long division in graded-lex order with a single divisor:
-    when g divides f, the leading term of the running remainder is always
-    divisible by the leading term of g, so the division runs to zero; the
-    first failure of that divisibility proves f is not a multiple of g.
-    """
-    f._check_arity(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ge, gc = g.leading_term()
-    gitems = [(e, c) for e, c in g.terms.items() if e != ge]
-    rem = dict(f.terms)
-    quo: Dict[ExponentVector, int] = {}
-    while rem:
-        re = max(rem, key=grlex_key)
-        rc = rem.pop(re)
-        de = tuple(map(sub, re, ge))
-        if any(x < 0 for x in de):
-            raise NotDivisible(f"leading monomial {re} not divisible by {ge}")
-        dc, r = divmod(rc, gc)
-        if r:
-            raise NotDivisible(f"coefficient {rc} not divisible by {gc}")
-        quo[de] = dc
-        for e2, c2 in gitems:
-            e = tuple(map(add, de, e2))
-            v = rem.get(e, 0) - dc * c2
-            if v:
-                rem[e] = v
-            else:
-                rem.pop(e, None)
-    return SparsePoly._raw(f.nvars, quo)
 
 
 def exact_sqrt(f: SparsePoly) -> SparsePoly:

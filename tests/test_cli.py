@@ -459,6 +459,12 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
     ("schur --alpha 8,7,6,5,4,3,2,1", 64),
     ("schur --alpha 6,5,4,3,2,1,0", 64),
     ("schur --regime real --alpha 10,10,6,6,4,4,2,2,0,0,0,0", 64),
+    # cubic counts above counts.MAX_CUBIC_CI_R (-r 2000 took 11.4 s) are refused before any factor is built
+    ("cubic-ci -r 10000", 64),
+    ("cubic-ci -r 1000000", 64),
+    # binomials past combinatorics.MAX_BINOMIAL_BITS (C(599999, 299999) took 2.5 s) are refused before they are taken
+    ("feasibility --regime complex -d 1000000 -k 1000000", 64),
+    ("count --regime complex -d 300000 -k 300000", 64),
     # boxes whose packed state passes polynomial.MAX_STATE_BYTES (tens of GB) are refused before they are built
     ("count --regime complex -d 3 -k 8", 64),
     ("count --regime complex -d 5 -k 6", 64),

@@ -8,9 +8,7 @@ from schubertcount.combinatorics import OutOfDomain
 from schubertcount.polynomial import (
     ArityMismatch,
     NotAPerfectSquare,
-    NotDivisible,
     SparsePoly,
-    exact_div,
     exact_sqrt,
     kronecker_product,
     packed_layout,
@@ -219,28 +217,6 @@ def test_coefficient_at():
     assert f.terms.get((1, 1), 0) == 0
     f3 = product_of_linear_forms([(3, 0), (2, 1), (1, 2), (0, 3)], 2)
     assert f3.terms.get((2, 2), 0) == 45
-
-
-def test_exact_div_examples():
-    num = P(2, {(3, 0): 1, (0, 3): -1})
-    den = P(2, {(1, 0): 1, (0, 1): -1})
-    assert exact_div(num, den).terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
-    assert exact_div(P(2, {(2, 2): 1}), P(2, {(1, 1): 1})).terms == {(1, 1): 1}
-    with pytest.raises(NotDivisible):
-        exact_div(P(2, {(2, 0): 1, (0, 2): 1}), den)
-    with pytest.raises(ZeroDivisionError):
-        exact_div(num, SparsePoly.zero(2))
-
-
-def test_exact_div_round_trip():
-    rng = random.Random(5)
-    for _ in range(40):
-        k = rng.randint(1, 4)
-        f = random_poly(rng, k, 10, 5)
-        g = random_poly(rng, k, 6, 4)
-        if g.is_zero():
-            continue
-        assert exact_div(f * g, g) == f
 
 
 def test_exact_sqrt_examples():

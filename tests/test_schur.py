@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import is_symmetric_by_permutations, partitions_of, random_poly, symmetrize
+from helpers import is_symmetric_by_permutations, partitions_in_box, partitions_of, random_poly, symmetrize
 from schubertcount.combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition
 from schubertcount.counts import root_poly
 from schubertcount.polynomial import ArityMismatch, SparsePoly, kronecker_product
@@ -15,6 +15,7 @@ from schubertcount.schur import (
     NotEvenOrOdd,
     RootPolynomial,
     _alternant_coefficient,
+    _divide_binomial,
     delta,
     duality_pairing,
     in_euler_pontryagin,
@@ -54,6 +55,40 @@ def test_schur_polynomial_examples():
     s22 = schur_polynomial("complex", Partition((2, 2, 0, 0)))
     assert sum(s22.poly.terms.values()) == 20
     assert s22.poly.degree() == 4
+
+
+def _bialternant_ladder():
+    yield "complex", ()
+    for k in range(1, 5):
+        for parts in partitions_in_box(k, 4):
+            yield "complex", parts
+    yield from (("complex", p) for p in [(3, 2, 2, 1, 0), (5, 3, 1, 0, 0), (2, 2, 1, 1, 0, 0), (3, 1, 1, 0, 0, 0)])
+    for k in range(1, 4):
+        for beta in partitions_in_box(k, 3):
+            for shift in (0, 1):  # the even partition (2b, 2b, ...) and the odd one (2b+1, 2b+1, ...)
+                yield "real", tuple(x for b in beta for x in (2 * b + shift,) * 2)
+
+
+@pytest.mark.parametrize("regime,parts", list(_bialternant_ladder()))
+def test_schur_polynomial_times_the_denominator_is_the_numerator(regime, parts):
+    # checked by SparsePoly multiplication, a route independent of the binomial division
+    s = 2 if regime == "real" else 1
+    beta = parts[::s]
+    k = len(beta)
+    ga = tuple(s * x for x in delta(k))
+    gb = tuple(b + g for b, g in zip(beta, ga))
+    assert schur_polynomial(regime, Partition(parts)).poly * vandermonde(ga, k) == vandermonde(gb, k)
+
+
+def test_divide_binomial_exactness_check():
+    assert _divide_binomial({(3, 0, 1): 1, (0, 3, 1): -1}, 0, 1) == {(2, 0, 1): 1, (1, 1, 1): 1, (0, 2, 1): 1}
+    assert _divide_binomial({(1, 1, 0): 1, (0, 1, 1): -1}, 0, 2) == {(0, 1, 0): 1}
+    # x1^2 + x2^2 is symmetric, not an alternant: over x1 - x2 it leaves 2 x2^2
+    with pytest.raises(ValueError, match="not a multiple"):
+        _divide_binomial({(2, 0): 1, (0, 2): 1}, 0, 1)
+    # x1 x3 - x2 x3 + x1: the slice of x3 divides, the slice of 1 does not
+    with pytest.raises(ValueError, match="not a multiple"):
+        _divide_binomial({(1, 0, 1): 1, (0, 1, 1): -1, (1, 0, 0): 1}, 0, 1)
 
 
 def test_schur_elementary_and_rectangular():
