@@ -9,34 +9,36 @@ Caching is enabled by --cache-dir or the SCHUBERT_CACHE environment
 variable and bypassed by --no-cache.  The cached payload is the JSON body
 without the timing fields, so a cache hit re-emits byte-identical bytes for
 everything except `cached` and `elapsed_ms`.
+
+A plainly spelled command line (each flag spelled out, each value the next
+token, every value valid) is read straight from the command table.
+Anything else, help and usage errors among it, goes to argparse, which is
+imported only then and writes every usage, help and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .cache import ResultCache, cache_key
-from .combinatorics import REGIMES, Infeasible, OutOfDomain, Partition, catalan, feasibility
+from .combinatorics import REGIMES, Infeasible, OutOfDomain, Partition, catalan, feasibility, rank
 
 USAGE_EXIT = 64
 INFEASIBLE_EXIT = 2
 INTERNAL_EXIT = 1
 # the most rows one `feasibility --d-max` table holds: 100,000 rows print about 9 MB
 MAX_FEASIBILITY_ROWS = 100_000
+# the most bits, summed over a table's rows, of combinatorics.MAX_BINOMIAL_BITS's per-row bound:
+# rows at k = 150001 took 0.41 s for d = 1..2000 at 3.6e7 and 3.7 s for d = 99990..100000 at 2.0e7
+MAX_FEASIBILITY_BITS = 10**7
 # the subcommand and the flags every command shares: they never change what a body holds
 FRONT_END = ("command", "format", "cache_dir", "no_cache")
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits with 2; the contract is 64
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
 def _int_list(text: str) -> list[int]:
@@ -50,7 +52,9 @@ def _partition(text: str) -> Partition:
     try:
         return Partition(tuple(_int_list(text)))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}") from None
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"bad partition {text!r}: {exc}") from None
 
 
 def usable_cores() -> int:
@@ -63,7 +67,9 @@ def usable_cores() -> int:
 def _thread_count(text: str) -> int:
     value, cores = int(text), usable_cores()
     if not 1 <= value <= cores:
-        raise argparse.ArgumentTypeError(f"must be between 1 and the {cores} available cores, got {value}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"must be between 1 and the {cores} available cores, got {value}")
     return value
 
 
@@ -75,6 +81,12 @@ REGIME = _arg("--regime", required=True, choices=REGIMES)
 D = _arg("-d", type=int, required=True, help="hypersurface degree")
 K = _arg("-k", type=int, required=True, help="rank parameter (half-rank in the real regime)")
 ALPHA = _arg("--alpha", type=_partition, required=True, help="comma-separated partition")
+# the flags every command shares
+SHARED = (
+    _arg("--format", choices=["json", "csv"], default="json"),
+    _arg("--cache-dir", default=None),
+    _arg("--no-cache", action="store_true"),
+)
 
 
 # each handler imports its engine functions when it runs, so that a cache hit
@@ -212,6 +224,11 @@ def _feasibility(args) -> tuple[dict, int]:
         raise OutOfDomain(f"--d-max {last} is below -d {args.d}")
     if last - args.d + 1 > MAX_FEASIBILITY_ROWS:
         raise OutOfDomain(f"-d {args.d} --d-max {last} spans more than {MAX_FEASIBILITY_ROWS} degrees")
+    r = rank(args.regime, args.k)
+    bits = sum(min(d, r - 1) * (d + r - 1).bit_length() for d in range(args.d, last + 1))
+    if args.d_max is not None and bits > MAX_FEASIBILITY_BITS:  # feasibility() bounds a single row
+        raise OutOfDomain(f"the binomials of -d {args.d} --d-max {last} at k = {args.k} may have {bits} bits "
+                          f"in all, above {MAX_FEASIBILITY_BITS}")
     rows = []
     for d in range(args.d, last + 1):
         f = feasibility(d, args.k, args.regime)
@@ -248,7 +265,7 @@ class Command(NamedTuple):
 
     help: str
     arguments: tuple
-    compute: Callable[[argparse.Namespace], tuple[dict, int]]
+    compute: Callable[..., tuple[dict, int]]
     uncached_if: Optional[str] = None
     csv_header: tuple = ()
     csv_rows: Optional[Callable[[dict], list]] = None
@@ -308,23 +325,72 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> _Parser:
-    """The parser of `argv`: when argv[0] names a command, only that
+def build_parser(argv=None):
+    """The argparse parser of `argv`: when argv[0] names a command, only that
     subparser is built; otherwise (help, no command, an unknown one) all of
     them, so that help, usage and error texts are those of the full parser."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse default exits with 2; the contract is 64
+            self.print_usage(sys.stderr)
+            self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
     names = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--cache-dir", default=None)
-    common.add_argument("--no-cache", action="store_true")
+    for flags, options in SHARED:
+        common.add_argument(*flags, **options)
 
-    parser = _Parser(prog="schubertcount", description=__doc__)
+    # the docstring's last paragraph tells how a command line is parsed: it is for readers of the code, not of --help
+    parser = _Parser(prog="schubertcount", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True, parser_class=_Parser)
     for name in names:
         p = sub.add_parser(name, parents=[common], help=COMMANDS[name].help)
         for flags, options in COMMANDS[name].arguments:
             p.add_argument(*flags, **options)
     return parser
+
+
+def parse_plain(argv: list) -> Optional[SimpleNamespace]:
+    """The namespace argparse gives for a plainly spelled `argv`, read from
+    the command table, or None for any other command line.
+
+    Plain means: argv[0] is a command; every other token is the exact
+    spelling of one of its flags or of a shared one; a value is the next
+    token, does not start with `-`, and passes the flag's type and choices;
+    every required flag is there.  A repeated flag keeps its last value.
+    Help, abbreviations, `--flag=value`, `-d5`, negative numbers, missing or
+    bad values are None, left to argparse with its texts and exit codes.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    spec = {flags[0]: options for flags, options in command.arguments + SHARED}
+    dest = {flag: flag.lstrip("-").replace("-", "_") for flag in spec}
+    values = {"command": argv[0]}
+    for flag, options in spec.items():
+        values[dest[flag]] = options.get("default", False if options.get("action") == "store_true" else None)
+    missing = {flag for flag, options in spec.items() if options.get("required")}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        options = spec.get(flag)
+        if options is None:
+            return None
+        missing.discard(flag)
+        if options.get("action") == "store_true":
+            values[dest[flag]] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = options["type"](text) if "type" in options else text
+        except Exception:  # argparse reports the error, or raises it, itself
+            return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[dest[flag]] = value
+    return None if missing else SimpleNamespace(**values)
 
 
 def _cache_text(value):
@@ -379,7 +445,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = parse_plain(argv) or build_parser(argv).parse_args(argv)
         return _emit(COMMANDS[args.command], args)
     except SystemExit as exc:  # from argparse: --help exits 0, a usage error USAGE_EXIT
         return exc.code or 0

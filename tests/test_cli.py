@@ -1,9 +1,13 @@
+import contextlib
+import importlib.util
+import io
 import json
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubertcount import __version__
 from schubertcount import cache, cli
@@ -464,6 +468,8 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
     ("cubic-ci -r 1000000", 64),
     # binomials past combinatorics.MAX_BINOMIAL_BITS (C(599999, 299999) took 2.5 s) are refused before they are taken
     ("feasibility --regime complex -d 1000000 -k 1000000", 64),
+    # tables whose binomials pass cli.MAX_FEASIBILITY_BITS in all (d = 99990..100000 at k = 150001 took 3.7 s)
+    ("feasibility --regime complex -d 1 --d-max 100000 -k 150001", 64),
     ("count --regime complex -d 300000 -k 300000", 64),
     # boxes whose packed state passes polynomial.MAX_STATE_BYTES (tens of GB) are refused before they are built
     ("count --regime complex -d 3 -k 8", 64),
@@ -541,3 +547,71 @@ def test_parser_builds_only_the_named_command():
 
     assert commands(build_parser(["count", "--regime", "complex"])) == ["count"]
     assert commands(build_parser(["--help"])) == commands(build_parser()) == list(COMMANDS)
+
+
+# a value each flag accepts, so that generated command lines are often plain
+GOOD_VALUES = {"--regime": "real", "-d": "3", "-k": "2", "-n": "2", "-r": "2", "--alpha": "2,2", "--grid": "64",
+               "--threads": "1", "--family": "real", "--ds": "3,5", "--ns": "1,2", "--d-max": "7",
+               "--format": "json", "--cache-dir": "cache"}
+# any flag's value may also be one of these: negative numbers, bad types and choices, empty and dash-only tokens
+OTHER_VALUES = ["3", "0", "-1", "-3", "x", "", "-", "1.5", "1,x", "5,5,5,5", "complex", "bad", "csv", "incidence"]
+# tokens that are no flag of any command: help, an unknown flag, the end of options and a stray word
+STRAY_TOKENS = ["-h", "--help", "--bogus", "--", "extra"]
+
+
+@st.composite
+def command_lines(draw):
+    # at noise 0 every token is plain, at noise 10 every one is drawn from all the forms and values
+    noise = draw(st.sampled_from([0, 1, 3, 10]))
+    name = draw(st.sampled_from([*COMMANDS, "bogus", "coun", "-h"] if noise else list(COMMANDS)))
+    arguments = COMMANDS[name].arguments if name in COMMANDS else ()
+    tokens = []
+    for flag in draw(st.permutations([flags[0] for flags, _ in arguments + cli.SHARED])):
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):  # given once, dropped, or repeated
+            plain = draw(st.integers(0, 9)) >= noise
+            value = GOOD_VALUES.get(flag, "") if plain else draw(st.sampled_from(OTHER_VALUES))
+            form = "plain" if plain else draw(st.sampled_from(["plain", "equals", "joined", "abbreviated", "bare"]))
+            spelling = flag[:-1] if form == "abbreviated" and flag.startswith("--") else flag
+            if form == "equals":
+                tokens.append(f"{flag}={value}")
+            elif form == "joined":
+                tokens.append(flag + value)
+            else:
+                takes_value = form != "bare" and flag not in ("--dump-poly", "--numeric", "--no-cache")
+                tokens += [spelling, value] if takes_value else [spelling]
+    for token in draw(st.lists(st.sampled_from(STRAY_TOKENS), max_size=1 if noise else 0)):
+        tokens.insert(draw(st.integers(0, len(tokens))), token)
+    return [name, *tokens]
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_plain_parser_agrees_with_argparse(argv):
+    # where the table parser answers, argparse gives the same namespace; where argparse exits, it answers None
+    plain = cli.parse_plain(argv)
+    assert plain is None or vars(plain) == _argparse_vars(argv)
+
+
+def _benchmark_argvs():
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclasses look it up there
+    spec.loader.exec_module(workloads)
+    return {query.argv for name in workloads.WORKLOADS for query in workloads.queries(name, 1)}
+
+
+@pytest.mark.parametrize("argv", sorted(_benchmark_argvs() | {tuple(e["args"].split()) for e in README_BODIES}),
+                         ids=" ".join)
+def test_benchmark_and_readme_command_lines_are_plain(argv):
+    plain = cli.parse_plain(list(argv))
+    assert plain is not None
+    assert vars(plain) == _argparse_vars(list(argv))

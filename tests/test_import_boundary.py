@@ -7,10 +7,13 @@ quadrature of `lambda --numeric` and the torus scan.  Each case runs
 
 The same probe guards the start-up cost of every command: no run loads
 `dataclasses` (nor `inspect`, which it pulls in) or `hashlib`, and `csv`
-loads only for `--format csv`.  A run imports only the engine modules its
-command uses, and a cache hit none of them.  The probe reports every module
-that importing and running schubertcount added to `sys.modules`; the cases
-that check `tempfile` run under `python -S`, because `site` may import it.
+loads only for `--format csv`.  A plainly spelled command line is parsed
+from the command table, so `argparse` (and `gettext` and `locale`, which it
+pulls in) loads only for help and usage errors.  A run imports only the
+engine modules its command uses, and a cache hit none of them.  The probe
+reports every module that importing and running schubertcount added to
+`sys.modules`; the cases that check `tempfile` run under `python -S`,
+because `site` may import it.
 """
 
 import json
@@ -25,6 +28,7 @@ from schubertcount.cli import main
 
 FLOAT_MODULES = ["numpy"]
 STARTUP_MODULES = ["csv", "dataclasses", "hashlib", "inspect"]
+PARSER_MODULES = ["argparse", "gettext", "locale"]
 ENGINE_MODULES = ["schubertcount.polynomial", "schubertcount.schur", "schubertcount.counts",
                   "schubertcount.asymptotics"]
 
@@ -76,7 +80,7 @@ def probe(argv, flags=()):
     proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return dict(json.loads(proc.stdout.splitlines()[-1]), stderr=proc.stderr)
 
 
 def added(result, modules):
@@ -95,6 +99,15 @@ def test_exact_commands_skip_numpy(argv):
     assert result["code"] == 0
     assert result["loaded"] == []
     assert added(result, STARTUP_MODULES) == (["csv"] if "--format csv" in argv else [])
+    assert added(result, PARSER_MODULES) == []
+
+
+def test_usage_error_loads_argparse_for_its_texts():
+    result = probe(["count", "--regime", "bad", "-d", "3", "-k", "2"])
+    assert result["code"] == 64
+    assert result["stderr"].startswith("usage: schubertcount count [-h]")
+    assert "error: argument --regime: invalid choice: 'bad'" in result["stderr"]
+    assert added(result, ["argparse"]) == ["argparse"]
 
 
 def test_cache_directory_adds_no_startup_module(tmp_path):
@@ -115,7 +128,7 @@ def test_cache_hit_loads_no_engine_module(tmp_path, capsys):
     result = probe(argv, flags=["-S"])
     assert result["code"] == 0
     assert json.loads(result["stdout"])["cached"] is True
-    assert added(result, ENGINE_MODULES + ["hashlib", "tempfile"]) == []
+    assert added(result, ENGINE_MODULES + ["hashlib", "tempfile"] + PARSER_MODULES) == []
 
 
 def test_computed_count_skips_asymptotics():
