@@ -11,7 +11,7 @@ root polynomial, the product of one difference form from each pair
 {r, -r}, at rank 2k, taken as one product per sign-flip orbit of those
 forms, which is even in every variable; the exact square root of the signed
 product of all difference forms (`real_square_poly`) is its cross-check.  Incidence counts
-use 2n copies of the regime's (2,2,0,0) Schur polynomial at rank 4.  All
+use the regime's (2,2,0,0) Schur polynomial at rank 4, to the power 2n.  All
 values are exact integers; real values are reported as absolute values
 because orientation conventions only pin them up to sign.
 """
@@ -21,18 +21,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from math import comb
+from operator import mul
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility, rank
 from .polynomial import SparsePoly, kronecker_product, product_of_linear_forms
 from .schur import RootPolynomial, require_alternant_variables, schur_coefficient, schur_polynomial
-
-
-# the largest incidence -n: the complex count took 7.5 s at n = 30, and at
-# n = 32 it passed 10 s (10.3 s, 197 MiB), in a fresh process on a 2-vCPU VM
-MAX_INCIDENCE_N = 31
-# the largest cubic-ci -r: r = 1850 took 9.6 s and r = 1900 10.1 s, in a fresh process on a 2-vCPU VM
-MAX_CUBIC_CI_R = 1850
 
 
 class EvenDegree(Infeasible):
@@ -128,12 +122,12 @@ def linear_factor_rows(regime: str, d: int, k: int) -> Tuple[Tuple[int, ...], ..
     return tuple(compositions(d, n))
 
 
-def linear_factors(regime: str, d: int, k: int) -> list[SparsePoly]:
-    """Factors whose product is the degree-d root polynomial, sign included.
+def linear_factors(regime: str, d: int, k: int) -> list[Tuple[SparsePoly, int]]:
+    """(factor, exponent) pairs whose product is the degree-d root polynomial, sign included.
 
-    Complex: one linear form per row.  Real: one product per sign-flip orbit
-    of the rows, repeated by its multiplicity.  Swapping l_{2j-1} with l_{2j}
-    flips coordinate j of a difference form, so the multiset of rows is
+    Complex: (form, 1) per row.  Real: (orbit product, multiplicity) per
+    sign-flip orbit of the rows.  Swapping l_{2j-1} with l_{2j} flips
+    coordinate j of a difference form, so the multiset of rows is
     invariant under every coordinate sign flip (followed by normalization),
     each row of an orbit occurring equally often; the orbit of a row is every
     sign pattern on its nonzero entries with the first one positive, and its
@@ -142,31 +136,14 @@ def linear_factors(regime: str, d: int, k: int) -> list[SparsePoly]:
     """
     rows = linear_factor_rows(regime, d, k)
     if regime != "real":
-        return [SparsePoly.linear_form(row) for row in rows]
+        return [(SparsePoly.linear_form(row), 1) for row in rows]
     factors = []
     for size, count in Counter(tuple(map(abs, row)) for row in rows).items():
-        first, *rest = [i for i, x in enumerate(size) if x]
-        factors += [_orbit_product(size, first, rest)] * (count >> len(rest))
+        first = next(i for i, x in enumerate(size) if x)
+        signs = itertools.product(*[(1, -1) if x and i > first else (1,) for i, x in enumerate(size)])
+        orbit = [(SparsePoly.linear_form(tuple(map(mul, size, s))), 1) for s in signs]
+        factors.append((SparsePoly._raw(k, kronecker_product(orbit, k)), count // len(orbit)))
     return factors
-
-
-def _orbit_product(size: Tuple[int, ...], first: int, rest: list[int]) -> SparsePoly:
-    """Product of the linear forms with coefficients +-size, the entry at
-    `first` positive and those at `rest` of either sign, every other zero."""
-    k = len(size)
-    if not rest:
-        return SparsePoly.linear_form(size)
-    if len(rest) == 1:  # (a x_i + b x_j)(a x_i - b x_j) = a^2 x_i^2 - b^2 x_j^2
-        (j,) = rest
-        i2, j2 = (tuple(2 * (a == i) for a in range(k)) for i in (first, j))
-        return SparsePoly._raw(k, {i2: size[first] ** 2, j2: -size[j] ** 2})
-    orbit = []
-    for signs in itertools.product((1, -1), repeat=len(rest)):
-        row = list(size)
-        for i, s in zip(rest, signs):
-            row[i] *= s
-        orbit.append(SparsePoly.linear_form(row))
-    return SparsePoly._raw(k, kronecker_product(orbit, k))
 
 
 def root_poly(regime: str, d: int, k: int) -> RootPolynomial:
@@ -235,15 +212,13 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
 
 def cubic_ci_real(r: int) -> CountReport:
     """Absolute signed count of real 3-planes on an intersection of r generic
-    real cubics (m = 5r), from the 10 linear factors of the cubic's real root
-    polynomial taken r times; r=0 degenerates to the empty intersection.
-    r above MAX_CUBIC_CI_R is refused before any factor is built."""
+    real cubics (m = 5r), from the factors of the cubic's real root
+    polynomial, each exponent times r; r=0 degenerates to the empty
+    intersection.  The engine's price refuses an r too large to run."""
     if r < 0:
         raise OutOfDomain("r must be >= 0")
-    if r > MAX_CUBIC_CI_R:
-        raise OutOfDomain(f"r = {r} is above {MAX_CUBIC_CI_R}, the largest accepted cubic count")
     m = 5 * r
-    value = schur_coefficient("real", linear_factors("real", 3, 2) * r, Partition.constant(m, 4))
+    value = schur_coefficient("real", [(f, e * r) for f, e in linear_factors("real", 3, 2)], Partition.constant(m, 4))
     orient = _orientability(3, 4, m) if r else None
     return CountReport("real", (3,) * r, 2, m, abs(value), True, orient)
 
@@ -262,11 +237,9 @@ def incidence(regime: str, n: int) -> int:
     """Number of complex, or absolute signed count of real, 3-planes meeting
     2n generic (2n-1)-planes along lines: the 2n-th power of the regime's
     (2,2,0,0) Schur class (x1^2 + x2^2 in the real regime) against the
-    fundamental class.  The real count is the n-th Catalan number.  n above
-    MAX_INCIDENCE_N is refused before any factor is built."""
+    fundamental class, read from the pair (class, 2n).  The real count is the
+    n-th Catalan number.  The engine's price refuses an n too large to run."""
     if n < 1:
         raise OutOfDomain("n must be >= 1")
-    if n > MAX_INCIDENCE_N:
-        raise OutOfDomain(f"n = {n} is above {MAX_INCIDENCE_N}, the largest accepted incidence count")
-    factors = [schur_polynomial(regime, Partition((2, 2, 0, 0))).poly] * (2 * n)
+    factors = [(schur_polynomial(regime, Partition((2, 2, 0, 0))).poly, 2 * n)]
     return abs(schur_coefficient(regime, factors, Partition.constant(2 * n, 4)))

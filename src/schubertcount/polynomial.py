@@ -4,15 +4,15 @@ A polynomial is a dict from exponent tuples to nonzero integer coefficients.
 The monomial order used everywhere (leading terms, canonical text, square root)
 is graded lexicographic: total degree first, then the exponent tuple,
 largest first.  All arithmetic is exact; there are no modular or floating
-shortcuts.  Products of many small factors go through `kronecker_product`,
-which plans their box and widths once (`packed_layout`) and packs one int.
+shortcuts.  Products of powers of small factors go through `kronecker_product`,
+which plans and prices them once (`packed_layout`) and packs one int.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from math import gcd, isqrt, prod
+from math import ceil, gcd, isqrt, log2, log10, prod
 from operator import add, floordiv, le, mod, mul, sub
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -196,13 +196,15 @@ class SparsePoly:
         return f"SparsePoly({self.nvars}, {text})"
 
 
-# the largest final packed state accepted, in bytes: slots times the layout's final width, the widest
-# state the run builds (complex (13,4): 704.5 MiB); a run's max-RSS rises 9-10 times its final state
-# above the interpreter's (complex (7,4): 1.3 MiB state, 25.1 MiB; complex (9,4): 15.2 MiB, 158 MiB)
-MAX_STATE_BYTES = 1 << 30
+# the budgets of one packed product, priced by `packed_layout`: the work, slots times kept terms times slot
+# bytes summed over the copies of the factors (0.5-1.8 ns a unit on a 2-vCPU VM, README), and the peak, 8
+# times the final state (complex (11,4): a 119.7 MiB state and 956 MiB max-RSS)
+MAX_WORK = 10**11
+MAX_PEAK_BYTES = 1 << 31
 
 
-class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad radix stride nslots widths width")):
+class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad radix stride nslots widths width "
+                                  "work peak")):
     """The plan of one packed product, made by `packed_layout` before anything is built."""
 
     def index(self, e: ExponentVector) -> int:
@@ -218,47 +220,60 @@ class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad
         return bias, box, bias & box
 
 
-def packed_layout(factors: Sequence[SparsePoly], nvars: int,
+def _priced_schedule(runs) -> Tuple[int, int]:
+    """Sum of t * w over the copies, and the final width, of the schedule that `packed_layout` builds, from
+    (t, log2 of the l1 norm, copies) per factor, bit lengths read from the logs; each step doubles w or more."""
+    cost, w, bits, width = 0, 1, 0.0, (int(sum(b * m for _, b, m in runs)) + 9) // 8
+    for t, b, m in runs:
+        i = 0
+        while i < m:  # copy j, the first past i whose running bound reaches 2^(8w - 1), needs more than w bytes
+            j = min(max(i + 1, ceil((8 * w - 1 - bits) / b)), m + 1) if w < width else m + 1
+            cost, i = cost + t * w * (j - 1 - i), j - 1
+            if j <= m:
+                w = min(max((int(bits + j * b) + 9) // 8, 2 * w), width)
+        bits += b * m
+    return cost, width
+
+
+def packed_layout(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
                   targets: Optional[Sequence[ExponentVector]] = None) -> Optional[Layout]:
     """The Layout of `kronecker_product(factors, nvars, targets)`, or None if
-    every coefficient asked for is 0 (a zero factor, or no target in reach).
-    Each factor object is reduced once: c*x^e goes into the scalar and the
-    shift, any other factor is x^o * h(x^g) (o its least exponents, g_a the
-    gcd of all e_a - o_a, or 1), and target t reads x^((t - shift - sum o)/g)
-    in prod h, or 0 where that is negative or fractional.  The degree `total`
-    fixes the first axis when every h is homogeneous.  Terms past hi (the
-    largest target exponent, or the full degree) are dropped, and axis a has
-    radix hi_a + 1 + pad_a, pad_a its largest step after the first factor
-    (none in an open box).  `widths` holds the slot bytes while each h is
-    multiplied in: bit_length + 1 of the running product of their l1 norms
-    in whole bytes, at least doubled where it grows, capped at `width`."""
-    if any(f.nvars != nvars for f in factors):
+    every coefficient asked for is 0.  Each pair (f, m) is reduced once: c*x^e
+    goes into the scalar and the shift, any other f is x^o * h(x^g) (o its
+    least exponents, g_a the gcd of all e_a - o_a, or 1), and target t reads
+    x^((t - shift - sum o)/g) in prod h^m, or 0 where that is negative or
+    fractional; m = 0 contributes 1.  The degree `total` fixes the first axis
+    when every h is homogeneous.  Terms past hi (the largest target exponent,
+    or the full degree) are dropped, and axis a has radix hi_a + 1 + pad_a,
+    pad_a its largest step after the first copy (none in an open box).  The
+    run is priced from the pairs, and refused (OutOfDomain) above MAX_WORK or
+    MAX_PEAK_BYTES, before the copies are laid out: `widths` holds the slot
+    bytes while each copy of h is multiplied in, bit_length + 1 of the running
+    product of their l1 norms in whole bytes, at least doubled where it grows,
+    capped at `width`."""
+    factors = [(f, m) for f, m in factors if m]
+    if any(f.nvars != nvars for f, _ in factors):
         raise ArityMismatch(f"factors must have {nvars} variables")
-    if not all(factors):
+    if not all(f for f, _ in factors):
         return None
-    copies = {}
-    for f in factors:
-        copies.setdefault(id(f), [f, 0])[1] += 1
-    scalar, low, step, multi = 1, (0,) * nvars, (0,) * nvars, {}
-    for f, m in copies.values():
+    singles, multi, low, step = [], [], (0,) * nvars, (0,) * nvars
+    for f, m in factors:
         if len(f.terms) == 1:
             ((o, c),) = f.terms.items()
-            scalar *= c**m
+            singles.append((c, m))
         else:
             o = tuple(map(min, *f.terms))
-            multi[id(f)] = f, o
+            multi.append((f, o, m))
             step = tuple(map(gcd, step, *(map(sub, e, o) for e in f.terms)))
         low = tuple(x + m * y for x, y in zip(low, o))
     step = tuple(g or 1 for g in step)
-    for i, (f, o) in multi.items():
-        multi[i] = {tuple(map(floordiv, map(sub, e, o), step)): c for e, c in f.terms.items()}
-    hs = [multi[id(f)] for f in factors if id(f) in multi]
-    degrees = [{sum(e) for e in h} for h in hs]
+    hs = [({tuple(map(floordiv, map(sub, e, o), step)): c for e, c in f.terms.items()}, m) for f, o, m in multi]
+    degrees = [{sum(e) for e in h} for h, _ in hs]
     lead = nvars > 0 and all(len(d) == 1 for d in degrees)
-    total = sum(min(d) for d in degrees)
+    total = sum(m * min(d) for d, (_, m) in zip(degrees, hs))
     axes, reads = range(int(lead), nvars), {}
     if targets is None:
-        hi = [sum(max(e[a] for e in h) for h in hs) for a in axes]
+        hi = [sum(m * max(e[a] for e in h) for h, m in hs) for a in axes]
     else:
         for t in targets:
             s = tuple(map(sub, t, low))
@@ -268,37 +283,44 @@ def packed_layout(factors: Sequence[SparsePoly], nvars: int,
         if not reads:
             return None
         hi = [max(u[a] for u in reads.values()) for a in axes]
-    kept = [[(e, c) for e, c in h.items() if all(map(le, e[axes.start:], hi))] for h in hs]
-    pad = [max((e[a] for terms in kept[1:] for e, _ in terms), default=0) if targets is not None else 0 for a in axes]
+    kept = [([(e, c) for e, c in h.items() if all(map(le, e[axes.start:], hi))], m) for h, m in hs]
+    later = [terms for j, (terms, m) in enumerate(kept) if j or m > 1]
+    pad = [max((e[a] for terms in later for e, _ in terms), default=0) if targets is not None else 0 for a in axes]
     radix = [h + 1 + s for h, s in zip(hi, pad)]
-    stride = [prod(radix[i + 1:]) for i in range(len(radix))]
-    norms = [sum(map(abs, h.values())) for h in hs]
+    stride, nslots = [prod(radix[i + 1:]) for i in range(len(radix))], prod(radix)
+    norms = [sum(map(abs, h.values())) for h, _ in hs]
+    # a copy adds at least a bit, so past 2^40 copies the state alone is above the budget
+    cost, width = _priced_schedule([(len(terms), log2(n), min(m, 1 << 40)) for (terms, m), n in zip(kept, norms)])
+    work, peak = nslots * cost, 8 * nslots * width
+    if work > MAX_WORK or peak > MAX_PEAK_BYTES:
+        raise OutOfDomain(f"the packed product would take 10^{log10(work or 1):.1f} units of work and "
+                          f"10^{log10(peak):.1f} bytes at its peak, above {MAX_WORK:.0e} or {MAX_PEAK_BYTES >> 20} MiB")
+    norms = [n for n, (_, m) in zip(norms, hs) for _ in range(m)]
     width = (prod(norms).bit_length() + 8) // 8
     widths, w = [], 1
     for bound in itertools.accumulate(norms, mul):
         need = (bound.bit_length() + 8) // 8
         w = min(max(need, 2 * w), width) if need > w else w
         widths.append(w)
-    return Layout(scalar, low, step, total, reads, kept, axes, hi, pad, radix, stride, prod(radix), widths, width)
+    terms = [terms for terms, m in kept for _ in range(m)]
+    return Layout(prod(c**m for c, m in singles), low, step, total, reads, terms, axes, hi, pad, radix, stride,
+                  nslots, widths, width, work, peak)
 
 
-def kronecker_product(factors: Sequence[SparsePoly], nvars: int,
+def kronecker_product(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
                       targets: Optional[Sequence[ExponentVector]] = None) -> Dict[ExponentVector, int]:
-    """Coefficients of prod(factors) at `targets` (every nonzero one if None)
-    by Kronecker substitution into one Python int, on the box and widths that
-    `packed_layout` plans.  A monomial x^u of the h's is a signed B-bit slot
-    at index(u): the state S starts as 1, each h maps it to sum c*S << B*index(u),
-    and ((S + O) & box) - (O & box), O being 2^(B-1) per slot, clears the
-    padding past hi.  S is repacked where the schedule widens; a final state
-    above MAX_STATE_BYTES is refused (OutOfDomain) before anything is built."""
+    """Coefficients of the product of the f^m over the pairs (f, m) at `targets`
+    (every nonzero one if None) by Kronecker substitution into one Python int,
+    on the box and widths that `packed_layout` plans and prices.  A monomial
+    x^u of the h's is a signed B-bit slot at index(u): the state S starts as 1,
+    each copy of h maps it to sum c*S << B*index(u), and ((S + O) & box) - (O &
+    box), O being 2^(B-1) per slot, clears the padding past hi.  S is repacked
+    where the schedule widens."""
     out = {} if targets is None else dict.fromkeys(targets, 0)
     layout = packed_layout(factors, nvars, targets)
     if layout is None:
         return out
-    nslots, index, w = layout.nslots, layout.index, layout.width
-    if nslots * w > MAX_STATE_BYTES:
-        raise OutOfDomain(f"the packed product needs {nslots} slots of {w} bytes, above {MAX_STATE_BYTES} in all")
-    state, w = 1, layout.widths[0] if layout.widths else w
+    nslots, index, state, w = layout.nslots, layout.index, 1, (layout.widths or [layout.width])[0]
     bias, box, inner = layout.masks(w)
     for width, terms in zip(layout.widths, layout.terms):
         if width > w:
@@ -337,7 +359,7 @@ def product_of_linear_forms(rows: Sequence[Sequence[int]], nvars: int) -> Sparse
     """Exact product of the linear forms given by coefficient vectors (the
     empty product is 1): one `kronecker_product` with an open box, which has
     no padding slots."""
-    return SparsePoly._raw(nvars, kronecker_product([SparsePoly.linear_form(row) for row in rows], nvars))
+    return SparsePoly._raw(nvars, kronecker_product([(SparsePoly.linear_form(row), 1) for row in rows], nvars))
 
 
 def exact_sqrt(f: SparsePoly) -> SparsePoly:

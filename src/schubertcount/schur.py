@@ -5,7 +5,7 @@ Coefficient extraction is exact: the torus integral behind a Schur
 coefficient equals one coefficient of f multiplied by the plain (complex
 case) or squared-variable (real case) Vandermonde alternant, because the
 product is antisymmetric and its coefficients at permuted exponents agree up
-to sign.  f is given as a list of its factors, which is never expanded:
+to sign.  f is given as (factor, exponent) pairs, and never expanded:
 `polynomial.kronecker_product` reads the product's coefficients at the k!
 shifted targets from one packed int.  A floating trapezoidal quadrature
 of the same integral is kept as an independent oracle: on a uniform torus
@@ -56,10 +56,10 @@ def require_alternant_variables(k: int) -> None:
         )
 
 
-# the most division steps accepted for a Schur polynomial, k! times C(|b| + k - 1, k - 1), b = beta - beta_k; in
-# process on a 2-vCPU VM the binomial division took 0.06 s for 240,120,0 at 3.9e5 steps, 0.06 s for 5,4,3,2,1,0
-# at 1.1e7, 0.17 s for 4,4,4,0,0,0,0 at 9.4e7 and 1.2 s for 6,5,4,3,2,1,0 at 1.5e9: it also refuses fast requests
-MAX_DIVISION_STEPS = 4 * 10**5
+# the most terms accepted for the division of a Schur polynomial: C(k, 2) binomials, each dividing at most
+# max(k!, C(b + k - 1, k - 1)) terms, b the quotient's degree in y = x^s; in process on a 2-vCPU VM 5,4,3,2,1,0
+# (2.3e5) took 0.04 s, 2,2,2,2,1,1,1,0 (1.1e6) 0.61 s, 6,5,4,3,2,1,0 (6.2e6) 0.87 s; 7,6,5,4,3,2,1,0 is 1.9e8
+MAX_DIVISION_TERMS = 10**7
 
 
 def delta(k: int) -> Tuple[int, ...]:
@@ -165,14 +165,17 @@ def _divide_binomial(terms, i: int, j: int):
     sum of the dividend's at x_i^b, b >= a; a slice whose sum ends nonzero raises ValueError."""
     slices = {}
     for e, c in terms.items():
-        slices.setdefault((e[:i], e[i] + e[j], e[i + 1:j], e[j + 1:]), {})[e[i]] = c
+        key = list(e)
+        key[i], key[j] = e[i] + e[j], 0
+        slices.setdefault(tuple(key), {})[e[i]] = c
     quotient = {}
-    for (head, n, mid, tail), column in slices.items():
-        total = 0
+    for key, column in slices.items():
+        e, n, total = list(key), key[i], 0
         for a in range(max(column), 0, -1):
             total += column.get(a, 0)
             if total:
-                quotient[head + (a - 1,) + mid + (n - a,) + tail] = total
+                e[i], e[j] = a - 1, n - a
+                quotient[tuple(e)] = total
         if total + column.get(0, 0):
             raise ValueError(f"the dividend is not a multiple of x{i + 1} - x{j + 1}")
     return quotient
@@ -184,37 +187,37 @@ def schur_polynomial(regime: str, alpha: Partition) -> RootPolynomial:
     V_{beta+2delta} / V_{2delta} in k variables with beta the half-length
     profile of alpha (real).  Less (x_1...x_k)^(gb_k), the numerator is an
     alternant in y = x^s, divided by V_{s delta} = prod_{i<j} (y_i - y_j)
-    one binomial at a time.  A division of more than MAX_DIVISION_STEPS
-    steps is refused (OutOfDomain) before it starts."""
+    one binomial at a time.  A division that may touch more than
+    MAX_DIVISION_TERMS terms is refused (OutOfDomain) before it starts."""
     ga, gb = _alternant_exponents(regime, alpha)
-    k, s = len(ga), rank(regime, 1)
-    steps = math.factorial(k) * math.comb(sum(gb) - sum(ga) - k * gb[-1] + k - 1, k - 1) if k else 1
-    if steps > MAX_DIVISION_STEPS:
-        raise OutOfDomain(f"the Schur division of {alpha.parts} may take {steps} steps, above {MAX_DIVISION_STEPS}")
-    low = min(gb, default=0)
+    k, s, low = len(ga), rank(regime, 1), min(gb, default=0)
+    b = (sum(gb) - sum(ga) - k * low) // s
+    touched = math.comb(k, 2) * max(math.factorial(k), math.comb(b + k - 1, k - 1)) if k else 0
+    if touched > MAX_DIVISION_TERMS:
+        raise OutOfDomain(f"the Schur division of {alpha.parts} may touch {touched} terms, above {MAX_DIVISION_TERMS}")
     terms = vandermonde([(g - low) // s for g in gb], k).terms
     for i, j in itertools.combinations(range(k), 2):
         terms = _divide_binomial(terms, i, j)
     return RootPolynomial(SparsePoly._raw(k, {tuple(low + s * x for x in e): c for e, c in terms.items()}), regime)
 
 
-def _alternant_coefficient(factors: Sequence[SparsePoly], target: Tuple[int, ...], van: SparsePoly) -> int:
-    """Coefficient of x^target in prod(factors) * van: the sum over the terms
-    c*x^e of van of c times the coefficient of x^(target - e) in the product,
-    all read from one `kronecker_product`."""
+def _alternant_coefficient(factors: Sequence[Tuple[SparsePoly, int]], target: Tuple[int, ...], van: SparsePoly) -> int:
+    """Coefficient of x^target in f * van, f given as (factor, exponent) pairs:
+    the sum over the terms c*x^e of van of c times the coefficient of
+    x^(target - e) in f, all read from one `kronecker_product`."""
     shifted = {tuple(map(sub, target, e)): c for e, c in van.terms.items()}
     coefficients = kronecker_product(factors, len(target), list(shifted))
     return sum(c * coefficients[s] for s, c in shifted.items())
 
 
-def schur_coefficient(regime: str, factors: Sequence[SparsePoly], alpha: Partition) -> int:
-    """Exact Schur coefficient of f = prod(factors): the coefficient of
-    z^{alpha+delta} in f*V_delta (complex), or of x^{beta+2delta} in
-    f*V_{2delta} for an even or odd 2k-partition alpha with half-length
-    profile beta (real, pinned only up to a global sign by orientation
-    conventions).  The factors are taken as they are, since their product is
-    never built; a polynomial f is passed as [f]."""
-    ga, gb = _alternant_exponents(regime, alpha, factors[0].nvars if factors else None)
+def schur_coefficient(regime: str, factors: Sequence[Tuple[SparsePoly, int]], alpha: Partition) -> int:
+    """Exact Schur coefficient of f, given as (factor, exponent) pairs: the
+    coefficient of z^{alpha+delta} in f*V_delta (complex), or of
+    x^{beta+2delta} in f*V_{2delta} for an even or odd 2k-partition alpha with
+    half-length profile beta (real, pinned only up to a global sign by
+    orientation conventions).  The product is never built; a polynomial f is
+    passed as [(f, 1)]."""
+    ga, gb = _alternant_exponents(regime, alpha, factors[0][0].nvars if factors else None)
     return _alternant_coefficient(factors, gb, vandermonde(ga, len(ga)))
 
 
@@ -227,7 +230,7 @@ def duality_pairing(alpha: Partition, beta: Partition, m: int, k: int) -> int:
         raise InvalidLength("both partitions must have length k")
     if (k and alpha[0] > m) or (k and beta[0] > m):
         raise NotInRectangle(f"partitions must fit in the {k}x{m} rectangle")
-    factors = [schur_polynomial("complex", alpha).poly, schur_polynomial("complex", beta).poly]
+    factors = [(schur_polynomial("complex", alpha).poly, 1), (schur_polynomial("complex", beta).poly, 1)]
     return schur_coefficient("complex", factors, Partition.constant(m, k))
 
 

@@ -8,6 +8,11 @@ from typing import Iterator, Tuple
 from schubertcount.polynomial import SparsePoly
 
 
+def once(factors) -> list:
+    """The engine's (factor, exponent) pairs for a list of factors, each taken once."""
+    return [(f, 1) for f in factors]
+
+
 def partitions_of(n: int, k: int) -> Iterator[Tuple[int, ...]]:
     """All weakly decreasing length-k tuples of non-negative ints summing to n."""
 

@@ -140,7 +140,7 @@ def test_criterion_08():
             for a in parts:
                 for b in parts:
                     expected = 1 if a == b else 0
-                    assert schur_coefficient("complex", [schurs[b.parts].poly], a) == expected
+                    assert schur_coefficient("complex", [(schurs[b.parts].poly, 1)], a) == expected
     for k in range(1, 5):
         for m in range(0, 4):
             parts = [Partition(p) for p in partitions_in_box(k, m)]
@@ -166,7 +166,7 @@ def test_criterion_10():
         m = feasibility(d, 4, "complex").m
         root = root_poly("complex", d, 4)
         alpha = Partition.constant(m, 4)
-        assert schur_coefficient("complex", [root.poly], alpha) == expected
+        assert schur_coefficient("complex", [(root.poly, 1)], alpha) == expected
         cases.append((root, alpha, expected))
 
     root = root_poly("complex", 3, 2)
@@ -176,7 +176,7 @@ def test_criterion_10():
         m = feasibility(d, 2, "real").m
         root = root_poly("real", d, 2)
         alpha = Partition.constant(m, 4)
-        assert abs(schur_coefficient("real", [root.poly], alpha)) == expected
+        assert abs(schur_coefficient("real", [(root.poly, 1)], alpha)) == expected
         cases.append((root, alpha, expected))
 
     for d, expected in ((3, 3), (5, 15), (7, 105)):

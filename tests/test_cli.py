@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -13,6 +15,8 @@ from schubertcount import __version__
 from schubertcount import cache, cli
 from schubertcount.cache import ResultCache, cache_key
 from schubertcount.cli import COMMANDS, build_parser, main, usable_cores
+from schubertcount.combinatorics import Partition
+from schubertcount.schur import _alternant_exponents
 
 
 def run(capsys, argv):
@@ -455,23 +459,24 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
     pytest.param("lambda --regime complex -d 1 -k 30 --alpha " + ",".join(["1"] * 30), 64,
                  id="lambda --regime complex -d 1 -k 30 --alpha 1,...,1"),
     ("schur --alpha 30,29,28,27,26,25,24,23,22,21", 64),
-    ("incidence --regime complex -n 100000", 64),
-    # Schur polynomials whose alternant division passes schur.MAX_DIVISION_STEPS (7.6 s to hours) are refused
-    ("schur --alpha 5,4,3,2,1,0", 64),
-    ("schur --alpha 2,2,2,2,1,1,1,0", 64),
-    ("schur --alpha 4,4,4,0,0,0,0", 64),
+    # Schur polynomials whose division may touch more than schur.MAX_DIVISION_TERMS terms (39 s to hours)
+    ("schur --alpha 7,6,5,4,3,2,1,0", 64),
     ("schur --alpha 8,7,6,5,4,3,2,1", 64),
-    ("schur --alpha 6,5,4,3,2,1,0", 64),
-    ("schur --regime real --alpha 10,10,6,6,4,4,2,2,0,0,0,0", 64),
-    # cubic counts above counts.MAX_CUBIC_CI_R (-r 2000 took 11.4 s) are refused before any factor is built
+    # packed products priced above polynomial.MAX_WORK or MAX_PEAK_BYTES are refused before they are built,
+    # however large the exponent of a factor: incidence and cubic counts pass one power per factor
+    ("incidence --regime complex -n 100000", 64),
+    ("incidence --regime complex -n 1000000000000", 64),
+    ("incidence --regime real -n 1000000000000", 64),
     ("cubic-ci -r 10000", 64),
     ("cubic-ci -r 1000000", 64),
+    ("cubic-ci -r 1000000000000", 64),
+    ("count --regime complex -d 13 -k 4", 64),
     # binomials past combinatorics.MAX_BINOMIAL_BITS (C(599999, 299999) took 2.5 s) are refused before they are taken
     ("feasibility --regime complex -d 1000000 -k 1000000", 64),
     # tables whose binomials pass cli.MAX_FEASIBILITY_BITS in all (d = 99990..100000 at k = 150001 took 3.7 s)
     ("feasibility --regime complex -d 1 --d-max 100000 -k 150001", 64),
     ("count --regime complex -d 300000 -k 300000", 64),
-    # boxes whose packed state passes polynomial.MAX_STATE_BYTES (tens of GB) are refused before they are built
+    # boxes whose packed state alone would take tens of GB
     ("count --regime complex -d 3 -k 8", 64),
     ("count --regime complex -d 5 -k 6", 64),
     ("count --regime complex -d 101 -k 3", 64),
@@ -487,6 +492,46 @@ def test_bad_input_exit_codes(capsys, argv, expect_code):
     assert code == expect_code, err
     assert out == ""
     assert "internal error" not in err
+
+
+def _determinant(rows):
+    """Exact determinant by fraction-free elimination (Bareiss)."""
+    rows, sign, last = [list(r) for r in rows], 1, 1
+    for i in range(len(rows)):
+        pivot = next((r for r in range(i, len(rows)) if rows[r][i]), None)
+        if pivot is None:
+            return 0
+        if pivot != i:
+            rows[i], rows[pivot], sign = rows[pivot], rows[i], -sign
+        for r in range(i + 1, len(rows)):
+            rows[r] = [(rows[i][i] * rows[r][c] - rows[r][i] * rows[i][c]) // last for c in range(len(rows))]
+        last = rows[i][i]
+    return sign * rows[-1][-1] if rows else 1
+
+
+# Schur polynomials that the division price admits: their division may touch at most
+# schur.MAX_DIVISION_TERMS terms, and the old step count refused them
+DIVISION_ROWS = [
+    ("schur --alpha 5,4,3,2,1,0", 2932, "39b3340391294ae1"),
+    ("schur --alpha 4,4,4,0,0,0,0", 7140, "21d8ccece776482f"),
+    ("schur --alpha 2,2,2,2,1,1,1,0", 336, "49d1fac9568536d7"),
+    ("schur --alpha 6,5,4,3,2,1,0", 36961, "82d90a3805cc1edd"),
+    ("schur --regime real --alpha 10,10,6,6,4,4,2,2,0,0,0,0", 2376, "1cb4515e93ae0b1a"),
+]
+
+
+@pytest.mark.parametrize("argv,terms,digest", DIVISION_ROWS, ids=[row[0] for row in DIVISION_ROWS])
+def test_schur_within_the_division_price(capsys, argv, terms, digest):
+    body = run_json(capsys, argv.split() + ["--no-cache"])
+    text = body["poly"]
+    assert (text.count(" + ") + 1, hashlib.sha256(text.encode()).hexdigest()[:16]) == (terms, digest)
+    # the bialternant identity s * V_ga = V_gb, at an integer point
+    ga, gb = _alternant_exponents(body["regime"], Partition(tuple(body["alpha"])))
+    x, s = (2, 3, 5, 7, 11, 13, 17, 19)[:body["k"]], 0
+    for chunk in text.split(" + "):
+        c, *powers = chunk.split("*")
+        s += int(c) * math.prod(v ** int(p[p.index("^") + 1:]) for v, p in zip(x, powers))
+    assert s * _determinant([[v**g for v in x] for g in ga]) == _determinant([[v**g for v in x] for g in gb])
 
 
 def test_feasibility_table_at_the_row_cap(capsys):

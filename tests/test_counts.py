@@ -171,9 +171,9 @@ ORBIT_LADDER = [(d, 1) for d in range(1, 14, 2)] + [(d, 2) for d in range(1, 14,
 def test_orbit_factors_match_the_rows(d, k):
     # one product per sign-flip orbit gives the signed coefficients of one linear form per row
     orbits = linear_factors("real", d, k)
-    forms = [SparsePoly.linear_form(row) for row in linear_factor_rows("real", d, k)]
+    forms = [(SparsePoly.linear_form(row), 1) for row in linear_factor_rows("real", d, k)]
     # every factor is a single term or even in every variable, so the engine divides out a step of 2
-    assert all(len(f.terms) == 1 or not any(x % 2 for e in f.terms for x in e) for f in orbits)
+    assert all(len(f.terms) == 1 or not any(x % 2 for e in f.terms for x in e) for f, _ in orbits)
     if k <= 2:
         assert polynomial.kronecker_product(orbits, k) == polynomial.kronecker_product(forms, k)
     alphas = list(_real_alphas(d, k))

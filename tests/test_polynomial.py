@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import naive_product_of_linear_forms, random_poly
+from helpers import naive_product_of_linear_forms, once, random_poly
 from schubertcount.combinatorics import OutOfDomain
 from schubertcount.polynomial import (
     ArityMismatch,
@@ -118,11 +118,11 @@ def test_kronecker_slot_width_grows_through_repacks():
         factors = [_random_factor(rng, nvars, homogeneous, 10**6) for _ in range(5)]
         expected = _sequential_product(factors, nvars)
         assert max(abs(c) for c in expected.terms.values()).bit_length() > 96
-        assert packed_layout(factors, nvars).widths == [3, 6, 12, 12, 14]
-        assert kronecker_product(factors, nvars) == expected.terms
+        assert packed_layout(once(factors), nvars).widths == [3, 6, 12, 12, 14]
+        assert kronecker_product(once(factors), nvars) == expected.terms
         # a truncated box drops monomials that a full product keeps
         targets = rng.sample(sorted(expected.terms), 4) + [(1,) * nvars]
-        assert kronecker_product(factors, nvars, targets) == {t: expected.terms.get(t, 0) for t in targets}
+        assert kronecker_product(once(factors), nvars, targets) == {t: expected.terms.get(t, 0) for t in targets}
         # boxes narrower than the steps of 2 on one slotted axis: hi of 0 or 1 there,
         # for all five factors and for the first two alone
         pair = (factors[:2], _sequential_product(factors[:2], nvars))
@@ -131,7 +131,8 @@ def test_kronecker_slot_width_grows_through_repacks():
                 for some, product in ((factors, expected), pair):
                     targets = [t for t in sorted(product.terms) if t[axis] <= top]
                     targets.append(tuple(top if a == axis else 1 for a in range(nvars)))
-                    assert kronecker_product(some, nvars, targets) == {t: product.terms.get(t, 0) for t in targets}
+                    expected_here = {t: product.terms.get(t, 0) for t in targets}
+                    assert kronecker_product(once(some), nvars, targets) == expected_here
 
 
 @pytest.mark.parametrize("size", [2000, 10**6, 10**30])
@@ -145,20 +146,53 @@ def test_width_schedule(monkeypatch, size):
         factors = [_random_factor(rng, nvars, homogeneous, size) for _ in range(6)]
         factors[2] = SparsePoly(nvars, {(1,) * nvars: -7})
         for targets in (None, sorted(_sequential_product(factors, nvars).terms)[::3]):
-            layout = packed_layout(factors, nvars, targets)
+            layout = packed_layout(once(factors), nvars, targets)
             norms = [sum(map(abs, f.terms.values())) for f in factors if len(f.terms) > 1]
             needs = [(math.prod(norms[:i + 1]).bit_length() + 8) // 8 for i in range(len(norms))]
             assert len(layout.widths) == len(layout.terms) == 5
             assert layout.widths == sorted(layout.widths)
             assert all(w >= need for w, need in zip(layout.widths, needs))
             assert layout.widths[-1] == layout.width == needs[-1]
-            expected = kronecker_product(factors, nvars, targets)
-            monkeypatch.setattr(polynomial, "MAX_STATE_BYTES", layout.nslots * layout.width)
-            assert kronecker_product(factors, nvars, targets) == expected
-            monkeypatch.setattr(polynomial, "MAX_STATE_BYTES", layout.nslots * layout.width - 1)
-            with pytest.raises(OutOfDomain):
-                kronecker_product(factors, nvars, targets)
-            monkeypatch.undo()
+            # the price reads the final width from logs: it agrees with the built schedule
+            assert layout.peak == 8 * layout.nslots * layout.width
+            expected = kronecker_product(once(factors), nvars, targets)
+            for budget, price in (("MAX_PEAK_BYTES", layout.peak), ("MAX_WORK", layout.work)):
+                monkeypatch.setattr(polynomial, budget, price)
+                assert kronecker_product(once(factors), nvars, targets) == expected
+                monkeypatch.setattr(polynomial, budget, price - 1)
+                with pytest.raises(OutOfDomain):
+                    kronecker_product(once(factors), nvars, targets)
+                monkeypatch.undo()
+
+
+def _power_cases():
+    """(nvars, f, g): two factors of each shape above, f shifted by x1...xn so that
+    its least exponents are not 0, and two real orbit products."""
+    from schubertcount.counts import linear_factors
+
+    rng = random.Random(19)
+    for nvars, homogeneous in ((3, True), (3, False), (2, True), (1, False)):
+        f = _random_factor(rng, nvars, homogeneous, 10**6) * P(nvars, {(1,) * nvars: 1})
+        yield nvars, f, _random_factor(rng, nvars, homogeneous, 10**6)
+    for d, k in ((5, 2), (5, 3)):
+        f, g = [f for f, _ in linear_factors("real", d, k) if len(f.terms) > 1][-2:]
+        yield k, f, g
+
+
+@pytest.mark.parametrize("nvars,f,g", _power_cases())
+def test_power_equals_its_copies(nvars, f, g):
+    copies, power = [(f, 1), (g, 1), (f, 1)], [(f, 2), (g, 1)]
+    expected = _sequential_product([f, g, f], nvars)
+    assert kronecker_product(power, nvars) == kronecker_product(copies, nvars) == expected.terms
+    targets = sorted(expected.terms)[::2] + [(1,) * nvars]
+    got = kronecker_product(power, nvars, targets)
+    assert got == kronecker_product(copies, nvars, targets) == {t: expected.terms.get(t, 0) for t in targets}
+    for box in (None, targets):
+        a, b = packed_layout(copies, nvars, box), packed_layout(power, nvars, box)
+        assert (a.hi, a.pad, a.nslots) == (b.hi, b.pad, b.nslots)
+    # a pair with exponent 0 contributes 1
+    assert kronecker_product([(f, 0), (g, 1)], nvars) == g.terms
+    assert kronecker_product([(f, 0), (SparsePoly.zero(nvars), 0)], nvars) == {(0,) * nvars: 1}
 
 
 def test_kronecker_empty_and_zero_factors():
@@ -166,23 +200,23 @@ def test_kronecker_empty_and_zero_factors():
     assert kronecker_product([], 2, [(0, 0), (1, 0)]) == {(0, 0): 1, (1, 0): 0}
     rng = random.Random(13)
     f, g = (_random_factor(rng, 3, True, 10**6) for _ in range(2))
-    assert kronecker_product([f, SparsePoly.zero(3), g], 3) == {}
+    assert kronecker_product(once([f, SparsePoly.zero(3), g]), 3) == {}
     targets = [(2, 1, 1), (1, 2, 1), (0, 0, 4)]
-    assert kronecker_product([f, g, SparsePoly.zero(3)], 3, targets) == dict.fromkeys(targets, 0)
+    assert kronecker_product(once([f, g, SparsePoly.zero(3)]), 3, targets) == dict.fromkeys(targets, 0)
     # without the zero factor the same targets are not all zero
     expected = {t: (f * g).terms.get(t, 0) for t in targets}
-    assert kronecker_product([f, g], 3, targets) == expected != dict.fromkeys(targets, 0)
+    assert kronecker_product(once([f, g]), 3, targets) == expected != dict.fromkeys(targets, 0)
     with pytest.raises(ArityMismatch):
-        kronecker_product([f, SparsePoly.one(2)], 3)
+        kronecker_product(once([f, SparsePoly.one(2)]), 3)
 
 
 def test_kronecker_one_variable():
     for factors in ([P(1, {(2,): 3}), P(1, {(1,): -5})] * 3,
                     [P(1, {(2,): 10**6, (1,): -3, (0,): 7}), P(1, {(1,): -(10**6), (0,): 1})] * 3):
         expected = _sequential_product(factors, 1)
-        assert kronecker_product(factors, 1) == expected.terms
+        assert kronecker_product(once(factors), 1) == expected.terms
         targets = [(e,) for e in range(6)]
-        assert kronecker_product(factors, 1, targets) == {t: expected.terms.get(t, 0) for t in targets}
+        assert kronecker_product(once(factors), 1, targets) == {t: expected.terms.get(t, 0) for t in targets}
 
 
 def test_open_box_has_no_padding():
@@ -192,12 +226,12 @@ def test_open_box_has_no_padding():
     from schubertcount.counts import linear_factor_rows
 
     forms = [SparsePoly.linear_form(row) for row in linear_factor_rows("complex", 5, 4)]
-    layout = packed_layout(forms, 4)
+    layout = packed_layout(once(forms), 4)
     assert layout.hi == [34, 34, 34]
     assert layout.pad == [0, 0, 0]
     assert layout.radix == [35, 35, 35]
     assert layout.nslots == 42875
-    assert len(kronecker_product(forms, 4)) == 20535
+    assert len(kronecker_product(once(forms), 4)) == 20535
 
 
 def test_kronecker_degree_mismatch_is_zero():
@@ -206,9 +240,9 @@ def test_kronecker_degree_mismatch_is_zero():
     expected = _sequential_product(factors, 3)
     assert all(sum(e) == 6 for e in expected.terms)
     targets = [(3, 2, 1), (2, 2, 1), (3, 2, 2), (0, 0, 0)]
-    got = kronecker_product(factors, 3, targets)
+    got = kronecker_product(once(factors), 3, targets)
     assert got == {t: expected.terms.get(t, 0) for t in targets}
-    assert kronecker_product(factors, 3, targets[1:]) == dict.fromkeys(targets[1:], 0)
+    assert kronecker_product(once(factors), 3, targets[1:]) == dict.fromkeys(targets[1:], 0)
 
 
 def test_coefficient_at():
