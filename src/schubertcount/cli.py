@@ -94,6 +94,10 @@ SHARED = (
 def _count(args) -> tuple[dict, int]:
     from .counts import plane_count, root_poly
 
+    # the dumped open box is priced and expanded before the count; an infeasible or even real degree has none
+    feas = feasibility(args.d, args.k, args.regime)
+    dump = args.dump_poly and feas.feasible and feas.odd_degree is not False
+    poly = root_poly(args.regime, args.d, args.k).poly.to_text() if dump else None
     report = plane_count(args.regime, args.d, args.k)
     body = {"regime": args.regime, "d": args.d, "k": args.k, "m": report.m}
     if report.feasible:
@@ -103,8 +107,8 @@ def _count(args) -> tuple[dict, int]:
     body["orientable_grassmannian"] = o.grassmannian if o else None
     body["sym_power_orientable"] = o.sym_power if o else None
     body["euler_number_defined"] = o.euler_defined if o else None
-    if args.dump_poly and report.feasible:
-        body["poly"] = root_poly(args.regime, args.d, args.k).poly.to_text()
+    if dump:
+        body["poly"] = poly
     return body, (0 if report.feasible else INFEASIBLE_EXIT)
 
 
@@ -151,6 +155,8 @@ def _lambda(args) -> tuple[dict, int]:
     from .counts import linear_factors, root_poly
     from .schur import numeric_schur_coefficient, schur_coefficient
 
+    # the oracle's open box is expanded, or refused by its price, before the count
+    f = root_poly(args.regime, args.d, args.k) if args.numeric else None
     value = schur_coefficient(args.regime, linear_factors(args.regime, args.d, args.k), args.alpha)
     # orientation conventions pin a real coefficient only up to a global sign
     sign_certain = args.regime == "complex"
@@ -163,7 +169,7 @@ def _lambda(args) -> tuple[dict, int]:
         "sign_certain": sign_certain,
     }
     if args.numeric:
-        num = numeric_schur_coefficient(root_poly(args.regime, args.d, args.k), args.alpha, grid=args.grid)
+        num = numeric_schur_coefficient(f, args.alpha, grid=args.grid)
         signs = (1,) if sign_certain else (1, -1)
         err = min(abs(num - s * value) for s in signs)
         body["numeric"] = [num.real, num.imag]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from math import ceil, gcd, isqrt, log2, log10, prod
+from math import gcd, isqrt, log10, prod
 from operator import add, floordiv, le, mod, mul, sub
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -220,21 +220,6 @@ class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad
         return bias, box, bias & box
 
 
-def _priced_schedule(runs) -> Tuple[int, int]:
-    """Sum of t * w over the copies, and the final width, of the schedule that `packed_layout` builds, from
-    (t, log2 of the l1 norm, copies) per factor, bit lengths read from the logs; each step doubles w or more."""
-    cost, w, bits, width = 0, 1, 0.0, (int(sum(b * m for _, b, m in runs)) + 9) // 8
-    for t, b, m in runs:
-        i = 0
-        while i < m:  # copy j, the first past i whose running bound reaches 2^(8w - 1), needs more than w bytes
-            j = min(max(i + 1, ceil((8 * w - 1 - bits) / b)), m + 1) if w < width else m + 1
-            cost, i = cost + t * w * (j - 1 - i), j - 1
-            if j <= m:
-                w = min(max((int(bits + j * b) + 9) // 8, 2 * w), width)
-        bits += b * m
-    return cost, width
-
-
 def packed_layout(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
                   targets: Optional[Sequence[ExponentVector]] = None) -> Optional[Layout]:
     """The Layout of `kronecker_product(factors, nvars, targets)`, or None if
@@ -245,12 +230,16 @@ def packed_layout(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
     fractional; m = 0 contributes 1.  The degree `total` fixes the first axis
     when every h is homogeneous.  Terms past hi (the largest target exponent,
     or the full degree) are dropped, and axis a has radix hi_a + 1 + pad_a,
-    pad_a its largest step after the first copy (none in an open box).  The
-    run is priced from the pairs, and refused (OutOfDomain) above MAX_WORK or
-    MAX_PEAK_BYTES, before the copies are laid out: `widths` holds the slot
-    bytes while each copy of h is multiplied in, bit_length + 1 of the running
-    product of their l1 norms in whole bytes, at least doubled where it grows,
-    capped at `width`."""
+    pad_a its largest step after the first copy (none in an open box); a
+    factor with no term left makes every coefficient 0.  `widths` holds the
+    slot bytes while each copy of h is multiplied in, bit_length + 1 of the
+    running product of their l1 norms in whole bytes, at least doubled where
+    it grows, capped at `width`.  The run is priced from them, work = nslots *
+    sum of kept terms * width over the copies and peak = 8 * nslots * width,
+    and refused (OutOfDomain) above MAX_WORK or MAX_PEAK_BYTES.  A norm is at
+    least 2, so copy j needs (j + 9)//8 bytes or more and the work is at least
+    nslots * copies^2 / 16: a count of copies that alone passes MAX_WORK is
+    refused before the copies are laid out."""
     factors = [(f, m) for f, m in factors if m]
     if any(f.nvars != nvars for f, _ in factors):
         raise ArityMismatch(f"factors must have {nvars} variables")
@@ -284,18 +273,17 @@ def packed_layout(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
             return None
         hi = [max(u[a] for u in reads.values()) for a in axes]
     kept = [([(e, c) for e, c in h.items() if all(map(le, e[axes.start:], hi))], m) for h, m in hs]
+    if not all(terms for terms, _ in kept):
+        return None
     later = [terms for j, (terms, m) in enumerate(kept) if j or m > 1]
     pad = [max((e[a] for terms in later for e, _ in terms), default=0) if targets is not None else 0 for a in axes]
     radix = [h + 1 + s for h, s in zip(hi, pad)]
     stride, nslots = [prod(radix[i + 1:]) for i in range(len(radix))], prod(radix)
-    norms = [sum(map(abs, h.values())) for h, _ in hs]
-    # a copy adds at least a bit, so past 2^40 copies the state alone is above the budget
-    cost, width = _priced_schedule([(len(terms), log2(n), min(m, 1 << 40)) for (terms, m), n in zip(kept, norms)])
-    work, peak = nslots * cost, 8 * nslots * width
-    if work > MAX_WORK or peak > MAX_PEAK_BYTES:
-        raise OutOfDomain(f"the packed product would take 10^{log10(work or 1):.1f} units of work and "
-                          f"10^{log10(peak):.1f} bytes at its peak, above {MAX_WORK:.0e} or {MAX_PEAK_BYTES >> 20} MiB")
-    norms = [n for n, (_, m) in zip(norms, hs) for _ in range(m)]
+    copies = sum(m for _, m in hs)
+    if nslots * copies * copies > 16 * MAX_WORK:
+        raise OutOfDomain(f"the packed product of 10^{log10(copies):.1f} copies on 10^{log10(nslots):.1f} slots takes "
+                          f"10^{log10(nslots * copies * copies // 16):.1f} units of work or more, above {MAX_WORK:.0e}")
+    norms = [sum(map(abs, h.values())) for h, m in hs for _ in range(m)]
     width = (prod(norms).bit_length() + 8) // 8
     widths, w = [], 1
     for bound in itertools.accumulate(norms, mul):
@@ -303,6 +291,10 @@ def packed_layout(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
         w = min(max(need, 2 * w), width) if need > w else w
         widths.append(w)
     terms = [terms for terms, m in kept for _ in range(m)]
+    work, peak = nslots * sum(map(mul, map(len, terms), widths)), 8 * nslots * width
+    if work > MAX_WORK or peak > MAX_PEAK_BYTES:
+        raise OutOfDomain(f"the packed product would take 10^{log10(work or 1):.1f} units of work and "
+                          f"10^{log10(peak):.1f} bytes at its peak, above {MAX_WORK:.0e} or {MAX_PEAK_BYTES >> 20} MiB")
     return Layout(prod(c**m for c, m in singles), low, step, total, reads, terms, axes, hi, pad, radix, stride,
                   nslots, widths, width, work, peak)
 

@@ -471,6 +471,11 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
     ("cubic-ci -r 1000000", 64),
     ("cubic-ci -r 1000000000000", 64),
     ("count --regime complex -d 13 -k 4", 64),
+    # an open box (the dumped or the oracle's root polynomial) is priced before the count runs
+    ("count --regime complex -d 9 -k 4 --dump-poly", 64),
+    ("lambda --regime complex -d 9 -k 4 --alpha 55,55,55,55 --numeric", 64),
+    # an even real degree is still reported before a rank too large for the alternant
+    ("count --regime real -d 6 -k 10 --dump-poly", 2),
     # binomials past combinatorics.MAX_BINOMIAL_BITS (C(599999, 299999) took 2.5 s) are refused before they are taken
     ("feasibility --regime complex -d 1000000 -k 1000000", 64),
     # tables whose binomials pass cli.MAX_FEASIBILITY_BITS in all (d = 99990..100000 at k = 150001 took 3.7 s)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -153,8 +154,9 @@ def test_width_schedule(monkeypatch, size):
             assert layout.widths == sorted(layout.widths)
             assert all(w >= need for w, need in zip(layout.widths, needs))
             assert layout.widths[-1] == layout.width == needs[-1]
-            # the price reads the final width from logs: it agrees with the built schedule
+            # the price is the schedule that runs
             assert layout.peak == 8 * layout.nslots * layout.width
+            assert layout.work == layout.nslots * sum(len(t) * w for t, w in zip(layout.terms, layout.widths))
             expected = kronecker_product(once(factors), nvars, targets)
             for budget, price in (("MAX_PEAK_BYTES", layout.peak), ("MAX_WORK", layout.work)):
                 monkeypatch.setattr(polynomial, budget, price)
@@ -193,6 +195,22 @@ def test_power_equals_its_copies(nvars, f, g):
     # a pair with exponent 0 contributes 1
     assert kronecker_product([(f, 0), (g, 1)], nvars) == g.terms
     assert kronecker_product([(f, 0), (SparsePoly.zero(nvars), 0)], nvars) == {(0,) * nvars: 1}
+
+
+def test_huge_exponents_are_answered_or_refused_before_their_copies():
+    # x2 + x3 keeps no term under x1^m, so every coefficient is 0 whatever m is; x1 + x2 keeps x1, one
+    # slot byte per copy while its running norm 2^j stays below 2^7, and copy j needs at least (j + 9)//8
+    # bytes, so 10^12 copies are refused by their count alone
+    start = time.perf_counter()
+    f, g = P(3, {(0, 1, 0): 1, (0, 0, 1): 1}), P(3, {(1, 0, 0): 1, (0, 1, 0): 1})
+    for m in (3, 10**12):
+        assert packed_layout([(f, m)], 3, [(m, 0, 0)]) is None
+        assert kronecker_product([(f, m), (g, 1)], 3, [(m + 1, 0, 0)]) == {(m + 1, 0, 0): 0}
+    assert packed_layout([(g, 3)], 3, [(3, 0, 0)]).work == 3
+    for m in (10**12, 10**500):
+        with pytest.raises(OutOfDomain, match=r"^the packed product of 10\^\d+\.\d copies on 10\^0\.0 slots .{,80}$"):
+            packed_layout([(g, m)], 3, [(m, 0, 0)])
+    assert time.perf_counter() - start < 0.5
 
 
 def test_kronecker_empty_and_zero_factors():
