@@ -2,22 +2,22 @@
 
 The cache key is a pure function of the request (command, sorted parameters,
 engine version, body schema), so a hit is byte-identical to a recomputation.
-An entry file holds the JSON-encoded key on its first line and the body text,
-exactly as it was printed, on its second.  Entries are written to a temporary
-file and renamed into place, so concurrent writers never corrupt each other.
-An entry's file name is the crc32 of its key, only a bucket: the key stored in
-the entry and the body's `command` and `engine_version` decide a hit.  An
-entry that cannot be read or parsed, holds another key (a name collision), or
-whose body is not one line of a JSON object of the requested command and
-engine version ending in `}` is a miss: the result is recomputed and the
-entry overwritten.  `zlib` is imported on the first lookup or store and
+An entry file holds the crc32 of the body text in 8 hex digits, a space, the
+key as plain text (newlines and all), a newline and the body text, exactly
+as it was printed.  Entries are written to a temporary file and renamed into
+place, so concurrent writers never corrupt each other.  An entry's file name
+is the crc32 of its key, only a bucket: the stored key and checksum decide a
+hit, which is printed without decoding its body.  An entry that cannot be
+read, holds another key (a name collision, or the JSON-quoted key line of
+earlier versions), fails its checksum (a digit edited in place), or whose
+body is not one line ending in `}` is a miss: the result is recomputed and
+the entry overwritten.  `zlib` is imported on the first lookup or store and
 `tempfile` on the first store, so runs without a cache directory load
 neither.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Optional
 
@@ -34,25 +34,29 @@ def cache_key(command: str, params: dict, engine_version: str) -> str:
     return " ".join(parts)
 
 
+def _crc(text: str) -> str:
+    import zlib
+
+    return f"{zlib.crc32(text.encode('utf-8', 'surrogatepass')):08x}"  # a key may hold lone surrogates
+
+
 class ResultCache:
     def __init__(self, directory: str):
         self.directory = directory
 
     def _path(self, key: str) -> str:
-        import zlib
+        return os.path.join(self.directory, f"{_crc(key)}.json")
 
-        return os.path.join(self.directory, f"{zlib.crc32(key.encode()):08x}.json")
-
-    def lookup(self, key: str, command: str, engine_version: str) -> Optional[tuple[str, dict]]:
-        """Return the stored body text for `key` and its decoding, or None on a miss."""
+    def lookup(self, key: str) -> Optional[str]:
+        """Return the stored body text for `key`, or None on a miss."""
         try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                stored_key, text = fh.read().split("\n")
-            body = json.loads(text) if json.loads(stored_key) == key and text.endswith("}") else None
+            with open(self._path(key), "r", encoding="utf-8", errors="surrogatepass", newline="") as fh:
+                entry = fh.read()
         except (OSError, ValueError):
             return None
-        fields = (body.get("command"), body.get("engine_version")) if isinstance(body, dict) else None
-        return (text, body) if fields == (command, engine_version) else None
+        body = entry[len(key) + 10:]
+        one_line = body.endswith("}") and "\n" not in body
+        return body if one_line and entry == f"{_crc(body)} {key}\n{body}" else None
 
     def store(self, key: str, text: str) -> None:
         """Store `text`, the one-line JSON body of `key`, as printed."""
@@ -61,8 +65,8 @@ class ResultCache:
 
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(f"{json.dumps(key)}\n{text}")
+            with os.fdopen(fd, "w", encoding="utf-8", errors="surrogatepass", newline="") as fh:
+                fh.write(f"{_crc(text)} {key}\n{text}")
             os.replace(tmp, self._path(key))
         except BaseException:
             try:

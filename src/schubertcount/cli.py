@@ -8,7 +8,8 @@ error, 2 infeasible parameters, 64 usage.
 Caching is enabled by --cache-dir or the SCHUBERT_CACHE environment
 variable and bypassed by --no-cache.  The cached payload is the JSON body
 without the timing fields, so a cache hit re-emits byte-identical bytes for
-everything except `cached` and `elapsed_ms`.
+everything except `cached` and `elapsed_ms`.  A hit prints its stored text
+and `_dumps` writes a computed body: only a CSV cache hit imports `json`.
 
 A plainly spelled command line (each flag spelled out, each value the next
 token, every value valid) is read straight from the command table.
@@ -18,7 +19,6 @@ imported only then and writes every usage, help and error text.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -399,6 +399,14 @@ def parse_plain(argv: list) -> Optional[SimpleNamespace]:
     return None if missing else SimpleNamespace(**values)
 
 
+def _dumps(value) -> str:
+    """json.dumps(value), byte for byte, without importing `json`: the C encoder json.dumps runs, with its
+    defaults (a circular check, ASCII escapes, the ": " and ", " separators, NaN and Infinity allowed)."""
+    from _json import encode_basestring_ascii, make_encoder
+
+    return "".join(make_encoder({}, None, encode_basestring_ascii, None, ": ", ", ", False, False, True)(value, 0))
+
+
 def _cache_text(value):
     return ",".join(map(str, value.parts)) if isinstance(value, Partition) else value
 
@@ -419,12 +427,11 @@ def _emit(command: Command, args) -> int:
     use_cache = directory and not args.no_cache and not (command.uncached_if and getattr(args, command.uncached_if))
     cache = ResultCache(directory) if use_cache else None
     key = cache_key(args.command, {n: _cache_text(v) for n, v in vars(args).items() if n not in FRONT_END}, __version__)
-    hit = cache.lookup(key, args.command, __version__) if cache else None
-    if hit:
-        (text, body), code = hit, 0
-    else:
+    text = cache.lookup(key) if cache else None
+    cached, code = text is not None, 0
+    if not cached:
         body, code = command.compute(args)
-        text = json.dumps({"command": args.command, "engine_version": __version__, **body})
+        text = _dumps({"command": args.command, "engine_version": __version__, **body})
         if cache and code == 0:
             try:
                 cache.store(key, text)
@@ -433,13 +440,17 @@ def _emit(command: Command, args) -> int:
     if args.format == "csv":
         import csv  # loaded by CSV runs only, to keep start-up short
 
+        if cached:
+            import json  # a hit's rows are decoded from its stored text
+
+            body = json.loads(text)
         rows = command.csv_rows(body)
         writer = csv.writer(sys.stdout)
         writer.writerow(command.csv_header)
         writer.writerows([["" if row[c] is None else row[c] for c in command.csv_header] for row in rows])
         return code
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    print(f'{text[:-1]}, "cached": {json.dumps(hit is not None)}, "elapsed_ms": {elapsed_ms}}}')
+    print(f'{text[:-1]}, "cached": {"true" if cached else "false"}, "elapsed_ms": {elapsed_ms}}}')
     return code
 
 

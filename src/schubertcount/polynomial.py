@@ -236,10 +236,10 @@ def packed_layout(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
     running product of their l1 norms in whole bytes, at least doubled where
     it grows, capped at `width`.  The run is priced from them, work = nslots *
     sum of kept terms * width over the copies and peak = 8 * nslots * width,
-    and refused (OutOfDomain) above MAX_WORK or MAX_PEAK_BYTES.  A norm is at
-    least 2, so copy j needs (j + 9)//8 bytes or more and the work is at least
-    nslots * copies^2 / 16: a count of copies that alone passes MAX_WORK is
-    refused before the copies are laid out."""
+    and refused (OutOfDomain) above MAX_WORK or MAX_PEAK_BYTES.  A lower bound
+    on that work is checked first, before the copies are laid out: copy j of a
+    run (h, m) after A bits of runs before it has a running norm of 2^(A + j*b)
+    or more, b = bit_length(l1 norm of h) - 1 >= 1, so (A + j*b + 2)/8 bytes."""
     factors = [(f, m) for f, m in factors if m]
     if any(f.nvars != nvars for f, _ in factors):
         raise ArityMismatch(f"factors must have {nvars} variables")
@@ -279,10 +279,14 @@ def packed_layout(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
     pad = [max((e[a] for terms in later for e, _ in terms), default=0) if targets is not None else 0 for a in axes]
     radix = [h + 1 + s for h, s in zip(hi, pad)]
     stride, nslots = [prod(radix[i + 1:]) for i in range(len(radix))], prod(radix)
-    copies = sum(m for _, m in hs)
-    if nslots * copies * copies > 16 * MAX_WORK:
+    copies, bits, least = 0, 0, 0
+    for (terms, m), (h, _) in zip(kept, hs):
+        b = sum(map(abs, h.values())).bit_length() - 1
+        least += len(terms) * (m * (bits + 2) + b * m * (m + 1) // 2)
+        copies, bits = copies + m, bits + m * b
+    if nslots * least > 8 * MAX_WORK:
         raise OutOfDomain(f"the packed product of 10^{log10(copies):.1f} copies on 10^{log10(nslots):.1f} slots takes "
-                          f"10^{log10(nslots * copies * copies // 16):.1f} units of work or more, above {MAX_WORK:.0e}")
+                          f"10^{log10(nslots * least // 8):.1f} units of work or more, above {MAX_WORK:.0e}")
     norms = [sum(map(abs, h.values())) for h, m in hs for _ in range(m)]
     width = (prod(norms).bit_length() + 8) // 8
     widths, w = [], 1

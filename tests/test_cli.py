@@ -214,6 +214,21 @@ def test_cache_round_trip(tmp_path, capsys):
     assert first["value"] == second["value"]
 
 
+# the key is stored as plain text: a newline, a carriage return or a lone surrogate (a byte of the command
+# line that is not UTF-8; --ns is ignored by the real family) is written and read back as it is
+@pytest.mark.parametrize("ds, ns", [("3,\n5", ""), ("3,\r5", ""), ("3", "\udcff")],
+                         ids=["newline", "carriage return", "lone surrogate"])
+def test_cache_key_is_stored_as_plain_text(tmp_path, capsys, ds, ns):
+    argv = ["asymptote", "--family", "real", "--ds", ds, "--ns", ns, "--cache-dir", str(tmp_path)]
+    first = run_json(capsys, argv)
+    assert first["cached"] is False
+    (entry,) = tmp_path.iterdir()
+    assert f" asymptote ds={ds} family=real k=4 ns={ns} v=" in entry.read_bytes().decode("utf-8", "surrogatepass")
+    second = run_json(capsys, argv)
+    assert second["cached"] is True
+    assert _strip_runtime(first) == _strip_runtime(second)
+
+
 def test_cache_corrupted_entry_recomputed(tmp_path, capsys):
     argv = ["count", "--regime", "complex", "-d", "3", "-k", "2",
             "--cache-dir", str(tmp_path)]
@@ -236,10 +251,15 @@ def test_cache_corrupted_entry_recomputed(tmp_path, capsys):
     # text[:-1] of a body that does not end in its closing brace would print a broken line
     lambda key, body: f"{key}\n{body}\n",
     lambda key, body: f"{key}\n{body} ",
-    lambda key, body: json.dumps({"key": json.loads(key), "created": "2026-01-01T00:00:00Z",
+    lambda key, body: json.dumps({"key": key.partition(" ")[2], "created": "2026-01-01T00:00:00Z",
                                   "engine_version": __version__, "body": body}),
+    # the JSON-quoted key line of earlier versions, with the body as stored
+    lambda key, body: f"{json.dumps(key.partition(' ')[2])}\n{body}",
+    # same length, same first bytes, same closing brace: only the checksum tells
+    lambda key, body: f"{key}\n" + body.replace('"value": "27"', '"value": "28"'),
 ], ids=["truncated JSON", "not a JSON object", "empty object", "another command", "another engine version",
-        "trailing newline", "trailing space", "JSON wrapper of earlier versions"])
+        "trailing newline", "trailing space", "JSON wrapper of earlier versions", "key line of earlier versions",
+        "digit edited in place"])
 def test_cache_corrupted_body_recomputed(tmp_path, capsys, corrupt):
     argv = ["count", "--regime", "complex", "-d", "3", "-k", "2",
             "--cache-dir", str(tmp_path)]
@@ -259,14 +279,14 @@ def test_cache_hit_prints_the_stored_text(tmp_path, capsys, monkeypatch):
     argv = ["count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir", str(tmp_path)]
     first = run_json(capsys, argv)
     entry = next(tmp_path.iterdir())
-    key, body = entry.read_text().split("\n")
-    spaced = body.replace(", ", " ,  ")
-    entry.write_text(f"{key}\n{spaced}")
+    head, body = entry.read_text().split("\n")
+    key, spaced = head.partition(" ")[2], body.replace(", ", " ,  ")
+    ResultCache(str(tmp_path)).store(key, spaced)
     dumped, dumps = [], json.dumps
     monkeypatch.setattr(json, "dumps", lambda obj, **kw: dumped.append(obj) or dumps(obj, **kw))
     code, out, err = run(capsys, argv)
     monkeypatch.undo()
-    assert dumped == [True]  # the runtime suffix only: the body is printed as stored
+    assert dumped == []  # the body is printed as stored and the runtime suffix is literal text
     assert code == 0, err
     assert out.startswith(spaced[:-1] + ', "cached": true, "elapsed_ms": ')
     assert _strip_runtime(json.loads(out)) == _strip_runtime(first)
@@ -400,7 +420,29 @@ def _assert_readme_stdout(out, example):
     if "csv" in example["args"].split():
         assert out == example["stdout"]
     else:
-        _assert_same_json(_strip_runtime(json.loads(out)), _strip_runtime(json.loads(example["stdout"])))
+        body = _strip_runtime(json.loads(out))
+        _assert_same_json(body, _strip_runtime(json.loads(example["stdout"])))
+        # the body, computed or served from the cache, is json.dumps's bytes
+        assert out.startswith(json.dumps(body)[:-1] + ', "cached": ')
+
+
+# any text: non-ASCII, control characters, quotes, backslashes and lone surrogates
+JSON_TEXT = (st.text(st.characters(exclude_categories=()), max_size=12)
+             | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800"]))
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers().map(lambda n: n * 10**40 + 1)
+                | st.floats(allow_subnormal=True) | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+                | JSON_TEXT)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_body_encoder_is_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value)
 
 
 @pytest.mark.parametrize("example", README_BODIES, ids=[e["args"] for e in README_BODIES])

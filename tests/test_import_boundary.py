@@ -10,10 +10,11 @@ The same probe guards the start-up cost of every command: no run loads
 loads only for `--format csv`.  A plainly spelled command line is parsed
 from the command table, so `argparse` (and `gettext` and `locale`, which it
 pulls in) loads only for help and usage errors.  A run imports only the
-engine modules its command uses, and a cache hit none of them.  The probe
-reports every module that importing and running schubertcount added to
-`sys.modules`; the cases that check `tempfile` run under `python -S`,
-because `site` may import it.
+engine modules its command uses, and a cache hit none of them.  No JSON
+run loads `json`, computed or served from the cache: only a CSV cache hit
+does, to decode its rows.  The probe reports every module that importing
+and running schubertcount added to `sys.modules`; the cases that check
+`tempfile` run under `python -S`, because `site` may import it.
 """
 
 import json
@@ -35,7 +36,7 @@ ENGINE_MODULES = ["schubertcount.polynomial", "schubertcount.schur", "schubertco
 # `--import MODULE` imports MODULE instead of running a command; a leading
 # `--no-numpy` sets sys.modules["numpy"] = None, so that importing it raises
 PROBE = f"""
-import contextlib, io, json, sys
+import contextlib, io, sys
 argv = sys.argv[1:]
 if argv[:1] == ["--no-numpy"]:
     sys.modules["numpy"] = None
@@ -51,6 +52,7 @@ else:
         code = main(argv)
 loaded = [m for m in {FLOAT_MODULES!r} if sys.modules.get(m) is not None]
 added = sorted(set(sys.modules) - before)
+import json  # after the snapshot, so that a run that loads json shows it
 print(json.dumps({{"code": code, "stdout": out.getvalue(), "loaded": loaded, "added": added}}))
 """
 
@@ -100,6 +102,7 @@ def test_exact_commands_skip_numpy(argv):
     assert result["loaded"] == []
     assert added(result, STARTUP_MODULES) == (["csv"] if "--format csv" in argv else [])
     assert added(result, PARSER_MODULES) == []
+    assert added(result, ["json"]) == []
 
 
 def test_usage_error_loads_argparse_for_its_texts():
@@ -128,7 +131,18 @@ def test_cache_hit_loads_no_engine_module(tmp_path, capsys):
     result = probe(argv, flags=["-S"])
     assert result["code"] == 0
     assert json.loads(result["stdout"])["cached"] is True
-    assert added(result, ENGINE_MODULES + ["hashlib", "tempfile"] + PARSER_MODULES) == []
+    assert added(result, ENGINE_MODULES + ["hashlib", "tempfile", "json"] + PARSER_MODULES) == []
+
+
+def test_only_a_csv_cache_hit_loads_json(tmp_path):
+    # a JSON run writes its body with json.dumps's own encoder and prints a hit as stored; a CSV hit
+    # decodes its stored body into rows
+    argv = ["asymptote", "--family", "incidence", "--ns", "1,2", "--format", "csv", "--cache-dir", str(tmp_path)]
+    computed, hit = probe(argv), probe(argv)
+    assert computed["code"] == hit["code"] == 0
+    assert computed["stdout"] == hit["stdout"]
+    assert added(computed, ["json"]) == []
+    assert added(hit, ["json"]) == ["json"]
 
 
 def test_computed_count_skips_asymptotics():

@@ -199,17 +199,20 @@ def test_power_equals_its_copies(nvars, f, g):
 
 def test_huge_exponents_are_answered_or_refused_before_their_copies():
     # x2 + x3 keeps no term under x1^m, so every coefficient is 0 whatever m is; x1 + x2 keeps x1, one
-    # slot byte per copy while its running norm 2^j stays below 2^7, and copy j needs at least (j + 9)//8
-    # bytes, so 10^12 copies are refused by their count alone
+    # slot byte per copy while its running norm 2^j stays below 2^7, and copy j needs at least (j + 2)/8
+    # bytes, so 10^12 copies are refused by the closed-form bound alone; copy j of x1 + 255*x2 needs
+    # (8j + 2)/8 bytes or more, so 10^6 of its copies on one slot are refused before the running product
+    # of their norms is built
     start = time.perf_counter()
     f, g = P(3, {(0, 1, 0): 1, (0, 0, 1): 1}), P(3, {(1, 0, 0): 1, (0, 1, 0): 1})
     for m in (3, 10**12):
         assert packed_layout([(f, m)], 3, [(m, 0, 0)]) is None
         assert kronecker_product([(f, m), (g, 1)], 3, [(m + 1, 0, 0)]) == {(m + 1, 0, 0): 0}
     assert packed_layout([(g, 3)], 3, [(3, 0, 0)]).work == 3
-    for m in (10**12, 10**500):
+    h = P(3, {(1, 0, 0): 1, (0, 1, 0): 255})
+    for factor, m in ((g, 10**12), (g, 10**500), (h, 10**6)):
         with pytest.raises(OutOfDomain, match=r"^the packed product of 10\^\d+\.\d copies on 10\^0\.0 slots .{,80}$"):
-            packed_layout([(g, m)], 3, [(m, 0, 0)])
+            packed_layout([(factor, m)], 3, [(m, 0, 0)])
     assert time.perf_counter() - start < 0.5
 
 
