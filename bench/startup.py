@@ -3,9 +3,9 @@
 
 Usage (from the root of a checkout):
 
-    python3 bench/startup.py [--runs N]
+    python3 bench/startup.py
 
-Three fresh processes run in turn, N times each, so that drift in the
+Three fresh processes run in turn, RUNS times each, so that drift in the
 machine's speed falls on all three alike: `python -c pass`, a JSON
 cache-hit `count` (its entry is written once before the timed runs) and a
 computed `feasibility --regime complex -d 3 -k 4 --no-cache`.  Their wall
@@ -19,7 +19,6 @@ from the cache.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -31,6 +30,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 21  # timed runs of each process
 # a line of -X importtime: "import time: <self us> | <cumulative us> | <indent><module>"
 IMPORT_LINE = re.compile(r"^import time:\s+(\d+) \|\s+\d+ \| *(\S+)$", re.M)
 
@@ -59,11 +59,6 @@ def summary(ms: list) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=21, help="timed runs of each process (at least 2)")
-    args = parser.parse_args()
-    if args.runs < 2:
-        parser.error("--runs must be at least 2")
     # bytecode is written and read, as for an installed package
     env = {k: v for k, v in os.environ.items()
            if k not in ("SCHUBERT_CACHE", "PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
@@ -76,7 +71,7 @@ def main() -> int:
             print("the cache-hit run was not served from the cache", file=sys.stderr)
             return 1
         ms = {name: [] for name in argvs}
-        for _ in range(args.runs):
+        for _ in range(RUNS):
             for name, argv in argvs.items():
                 start = time.perf_counter()
                 subprocess.run(argv, stdout=subprocess.DEVNULL, env=env, check=True)
@@ -96,7 +91,7 @@ def main() -> int:
     base = record["runs"]["pass"]["median_ms"]
     for name in ("hit", "computed"):
         record["runs"][name]["overhead_ms"] = round(record["runs"][name]["median_ms"] - base, 2)
-    print(f"start-up overhead over `python -c pass` (medians of {args.runs} alternating runs): "
+    print(f"start-up overhead over `python -c pass` (medians of {RUNS} alternating runs): "
           f"cache hit {record['runs']['hit']['overhead_ms']:.1f} ms, "
           f"computed {record['runs']['computed']['overhead_ms']:.1f} ms")
     record["time"] = time.strftime("%Y-%m-%dT%H:%M:%S")

@@ -399,12 +399,23 @@ def parse_plain(argv: list) -> Optional[SimpleNamespace]:
     return None if missing else SimpleNamespace(**values)
 
 
-def _dumps(value) -> str:
-    """json.dumps(value), byte for byte, without importing `json`: the C encoder json.dumps runs, with its
-    defaults (a circular check, ASCII escapes, the ": " and ", " separators, NaN and Infinity allowed)."""
-    from _json import encode_basestring_ascii, make_encoder
+def _unserializable(value):
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
-    return "".join(make_encoder({}, None, encode_basestring_ascii, None, ": ", ", ", False, False, True)(value, 0))
+
+def _dumps(value) -> str:
+    """json.dumps(value), byte for byte, without importing `json`: CPython's `_json.make_encoder`, the C
+    encoder json.dumps runs, called positionally with json.dumps's defaults and its TypeError text.
+    Without `_json`, or where make_encoder takes other arguments, json.dumps itself runs."""
+    try:
+        from _json import encode_basestring_ascii, make_encoder
+
+        encoder = make_encoder({}, _unserializable, encode_basestring_ascii, None, ": ", ", ", False, False, True)
+    except (ImportError, TypeError):
+        from json import dumps
+
+        return dumps(value)
+    return "".join(encoder(value, 0))
 
 
 def _cache_text(value):

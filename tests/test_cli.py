@@ -445,6 +445,14 @@ def test_body_encoder_is_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value)
 
 
+def test_body_encoder_errors_and_fallback_are_json_dumps(monkeypatch):
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        cli._dumps({"a": [1, {2}]})
+    value = {"\u00e9": [1.5, math.nan, None, True, "\ud800"]}
+    monkeypatch.setitem(sys.modules, "_json", None)  # an interpreter without json's C encoder
+    assert cli._dumps(value) == json.dumps(value)
+
+
 @pytest.mark.parametrize("example", README_BODIES, ids=[e["args"] for e in README_BODIES])
 def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
     argv = example["args"].split() + ["--cache-dir", str(tmp_path)]
