@@ -5,16 +5,20 @@ Usage (from the root of a checkout):
 
     python3 bench/startup.py
 
-Three fresh processes run in turn, RUNS times each, so that drift in the
-machine's speed falls on all three alike: `python -c pass`, a JSON
-cache-hit `count` (its entry is written once before the timed runs) and a
-computed `feasibility --regime complex -d 3 -k 4 --no-cache`.  Their wall
-times are reported as medians and quartiles.  One more run of each under
-`-X importtime` gives the modules it adds to those of `python -c pass` and
-the sum of their self times, and the share of the `schubertcount` lines.
-Results go to stdout and to .perfbench/BENCH_startup.json.  Timings are a
-report: the script exits 1 only when a run fails or the hit is not served
-from the cache.
+Four fresh processes run in turn, RUNS times each, so that drift in the
+machine's speed falls on all four alike: the exit floor `python -c "import
+os; os._exit(0)"`, `python -c pass`, a JSON cache-hit `count` (its entry is
+written once before the timed runs) and a computed `feasibility --regime
+complex -d 3 -k 4 --no-cache`.  Their wall times are reported as medians and
+quartiles.  `pass` minus the exit floor is the interpreter's teardown
+(`teardown_ms`), which `python -m schubertcount` skips by ending with
+`os._exit`; so the hit's and the computed run's overheads are taken over the
+exit floor, since over `pass` they would read negative.  One more run of
+each under `-X importtime` gives the modules it adds to those of `python -c
+pass` and the sum of their self times, and the share of the `schubertcount`
+lines.  Results go to stdout and to .perfbench/BENCH_startup.json.  Timings
+are a report: the script exits 1 only when a run fails or the hit is not
+served from the cache.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ IMPORT_LINE = re.compile(r"^import time:\s+(\d+) \|\s+\d+ \| *(\S+)$", re.M)
 def cases(cache: str) -> dict:
     schubertcount = [sys.executable, "-m", "schubertcount"]
     return {
+        "exit": [sys.executable, "-c", "import os; os._exit(0)"],
         "pass": [sys.executable, "-c", "pass"],
         "hit": schubertcount + ["count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir", cache],
         "computed": schubertcount + ["feasibility", "--regime", "complex", "-d", "3", "-k", "4", "--no-cache"],
@@ -88,10 +93,12 @@ def main() -> int:
               f"{record['runs'][name]['q1_ms']:.1f}-{record['runs'][name]['q3_ms']:.1f}) | -X importtime beyond "
               f"`python -c pass`: {sum(added.values())} us, {own} us of it schubertcount | stdlib modules added: "
               f"{', '.join(stdlib) or 'none'}")
-    base = record["runs"]["pass"]["median_ms"]
+    floor = record["runs"]["exit"]["median_ms"]
+    record["teardown_ms"] = round(record["runs"]["pass"]["median_ms"] - floor, 2)
     for name in ("hit", "computed"):
-        record["runs"][name]["overhead_ms"] = round(record["runs"][name]["median_ms"] - base, 2)
-    print(f"start-up overhead over `python -c pass` (medians of {RUNS} alternating runs): "
+        record["runs"][name]["overhead_ms"] = round(record["runs"][name]["median_ms"] - floor, 2)
+    print(f"interpreter teardown (`python -c pass` minus the exit floor): {record['teardown_ms']:.1f} ms; "
+          f"start-up overhead over the exit floor (medians of {RUNS} alternating runs): "
           f"cache hit {record['runs']['hit']['overhead_ms']:.1f} ms, "
           f"computed {record['runs']['computed']['overhead_ms']:.1f} ms")
     record["time"] = time.strftime("%Y-%m-%dT%H:%M:%S")

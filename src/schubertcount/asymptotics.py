@@ -10,13 +10,12 @@ complex arithmetic, so it never expands the root polynomial and never loads
 numpy.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from functools import partial
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from .combinatorics import Infeasible, OutOfDomain
 from .counts import incidence, linear_factor_rows, plane_count, require_odd_degree
@@ -38,7 +37,7 @@ class TorusSample(NamedTuple):
     sign_constant: bool
     argmax_residues: tuple[int, ...]  # the residues (i - j) mod grid of the argmax nodes (i, j)
 
-    def argmax_head(self, count: Optional[int] = None) -> list[list[float]]:
+    def argmax_head(self, count: int | None = None) -> list[list[float]]:
         """The first `count` argmax nodes, or all, row-major and sorted within
         each row, as [theta1, theta2] angle pairs."""
         grid, residues = self.grid, self.argmax_residues
@@ -55,7 +54,7 @@ class AsymptoteRow(NamedTuple):
     parameter: int
     exact_log: float
     prediction: float
-    ratio: Optional[float]
+    ratio: float | None
     degenerate: bool = False
 
 

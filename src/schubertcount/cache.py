@@ -16,10 +16,7 @@ the entry overwritten.  `zlib` is imported on the first lookup or store and
 neither.
 """
 
-from __future__ import annotations
-
 import os
-from typing import Optional
 
 
 # version of the cached bodies: bump it when a body gains, loses or renames a
@@ -47,7 +44,7 @@ class ResultCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{_crc(key)}.json")
 
-    def lookup(self, key: str) -> Optional[str]:
+    def lookup(self, key: str) -> str | None:
         """Return the stored body text for `key`, or None on a miss."""
         try:
             with open(self._path(key), "r", encoding="utf-8", errors="surrogatepass", newline="") as fh:

@@ -17,13 +17,12 @@ Anything else, help and usage errors among it, goes to argparse, which is
 imported only then and writes every usage, help and error text.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 import time
+from collections.abc import Callable
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from . import __version__
 from .cache import ResultCache, cache_key
@@ -272,9 +271,9 @@ class Command(NamedTuple):
     help: str
     arguments: tuple
     compute: Callable[..., tuple[dict, int]]
-    uncached_if: Optional[str] = None
+    uncached_if: str | None = None
     csv_header: tuple = ()
-    csv_rows: Optional[Callable[[dict], list]] = None
+    csv_rows: Callable[[dict], list] | None = None
 
 
 COMMANDS = {
@@ -357,7 +356,7 @@ def build_parser(argv=None):
     return parser
 
 
-def parse_plain(argv: list) -> Optional[SimpleNamespace]:
+def parse_plain(argv: list) -> SimpleNamespace | None:
     """The namespace argparse gives for a plainly spelled `argv`, read from
     the command table, or None for any other command line.
 

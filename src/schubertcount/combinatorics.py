@@ -5,10 +5,9 @@ Everything here is exact integer combinatorics on immutable values; all
 functions are pure and safe to call concurrently.
 """
 
-from __future__ import annotations
-
+from collections.abc import Iterator
 from math import comb
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 
 class OutOfDomain(ValueError):
@@ -49,7 +48,7 @@ class Partition:
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts: Tuple[int, ...]) -> None:
+    def __init__(self, parts: tuple[int, ...]) -> None:
         parts = tuple(int(p) for p in parts)
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {parts!r}")
@@ -98,8 +97,8 @@ class Feasibility(NamedTuple):
     d: int
     k: int
     regime: str
-    m: Optional[int]
-    odd_degree: Optional[bool] = None
+    m: int | None
+    odd_degree: bool | None = None
 
     @property
     def feasible(self) -> bool:
@@ -112,7 +111,7 @@ class Feasibility(NamedTuple):
 MAX_COMPOSITIONS = 10**6
 
 
-def compositions(d: int, k: int) -> list[Tuple[int, ...]]:
+def compositions(d: int, k: int) -> list[tuple[int, ...]]:
     """All k-tuples of non-negative integers summing to d.
 
     Enumerated in graded lexicographic order (all tuples share grade d, so
@@ -128,7 +127,7 @@ def compositions(d: int, k: int) -> list[Tuple[int, ...]]:
     count = comb(d + k - 1, k - 1)
     if count > MAX_COMPOSITIONS:
         raise OutOfDomain(f"{d} has {count} compositions into {k} parts, above the limit of {MAX_COMPOSITIONS}")
-    out: list[Tuple[int, ...]] = []
+    out: list[tuple[int, ...]] = []
     c = [d] + [0] * (k - 1)
     while True:
         out.append(tuple(c))

@@ -16,13 +16,11 @@ values are exact integers; real values are reported as absolute values
 because orientation conventions only pin them up to sign.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import Counter
 from math import comb
 from operator import mul
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple
 
 from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility, rank
 from .polynomial import SparsePoly, kronecker_product, product_of_linear_forms
@@ -50,12 +48,12 @@ class CountReport(NamedTuple):
     """
 
     regime: str
-    d: Union[int, Tuple[int, ...]]
+    d: int | tuple[int, ...]
     k: int
-    m: Optional[int]
-    value: Optional[int]
+    m: int | None
+    value: int | None
     feasible: bool
-    orientability: Optional[Orientability]
+    orientability: Orientability | None
 
 
 def grassmannian_orientable(k: int, m: int) -> bool:
@@ -75,7 +73,7 @@ def euler_number_defined(d: int, k: int, m: int) -> bool:
     return comb(d + k - 1, k - 1) == k * m and (k + m - d * m) % 2 == 0
 
 
-def _orientability(d: int, r: int, m: Optional[int]) -> Optional[Orientability]:
+def _orientability(d: int, r: int, m: int | None) -> Orientability | None:
     if m is None:
         return None
     return Orientability(
@@ -94,14 +92,14 @@ def require_odd_degree(d: int) -> None:
         raise EvenDegree(f"degree {d} is even; real signed counts need odd degree")
 
 
-def _difference_forms(d: int, k: int) -> list[Tuple[int, ...]]:
+def _difference_forms(d: int, k: int) -> list[tuple[int, ...]]:
     """The real difference forms (l_1 - l_2, ..., l_{2k-1} - l_{2k}) over all
     compositions l of an odd degree d into 2k parts, in composition order."""
     require_odd_degree(d)
     return [tuple(c[2 * i] - c[2 * i + 1] for i in range(k)) for c in compositions(d, 2 * k)]
 
 
-def linear_factor_rows(regime: str, d: int, k: int) -> Tuple[Tuple[int, ...], ...]:
+def linear_factor_rows(regime: str, d: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Coefficient rows of the linear factors of the degree-d root polynomial.
 
     Complex: the forms l_1 z_1 + ... + l_k z_k over all compositions l of d
@@ -122,7 +120,7 @@ def linear_factor_rows(regime: str, d: int, k: int) -> Tuple[Tuple[int, ...], ..
     return tuple(compositions(d, n))
 
 
-def linear_factors(regime: str, d: int, k: int) -> list[Tuple[SparsePoly, int]]:
+def linear_factors(regime: str, d: int, k: int) -> list[tuple[SparsePoly, int]]:
     """(factor, exponent) pairs whose product is the degree-d root polynomial, sign included.
 
     Complex: (form, 1) per row.  Real: (orbit product, multiplicity) per

@@ -8,17 +8,15 @@ shortcuts.  Products of powers of small factors go through `kronecker_product`,
 which plans and prices them once (`packed_layout`) and packs one int.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import gcd, isqrt, log10, prod
 from operator import add, floordiv, le, mod, mul, sub
-from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .combinatorics import OutOfDomain
 
-ExponentVector = Tuple[int, ...]
+ExponentVector = tuple[int, ...]
 
 
 class ArityMismatch(ValueError):
@@ -29,7 +27,7 @@ class NotAPerfectSquare(ValueError):
     """Polynomial has no exact polynomial square root over the integers."""
 
 
-def grlex_key(e: ExponentVector) -> Tuple[int, ExponentVector]:
+def grlex_key(e: ExponentVector) -> tuple[int, ExponentVector]:
     return (sum(e), e)
 
 
@@ -38,10 +36,10 @@ class SparsePoly:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Iterable[Tuple[Sequence[int], int]] = ()):
+    def __init__(self, nvars: int, terms: Iterable[tuple[Sequence[int], int]] = ()):
         if nvars < 0:
             raise ValueError("nvars must be non-negative")
-        clean: Dict[ExponentVector, int] = {}
+        clean: dict[ExponentVector, int] = {}
         for e, c in dict(terms).items():
             e = tuple(int(x) for x in e)
             if len(e) != nvars:
@@ -55,7 +53,7 @@ class SparsePoly:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _raw(cls, nvars: int, terms: Dict[ExponentVector, int]) -> "SparsePoly":
+    def _raw(cls, nvars: int, terms: dict[ExponentVector, int]) -> "SparsePoly":
         """Internal constructor: terms are already clean (no zeros, right arity)."""
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
@@ -77,7 +75,7 @@ class SparsePoly:
     def linear_form(cls, coeffs: Sequence[int]) -> "SparsePoly":
         """c_1 x_1 + ... + c_k x_k from a coefficient vector."""
         k = len(coeffs)
-        terms: Dict[ExponentVector, int] = {}
+        terms: dict[ExponentVector, int] = {}
         for i, c in enumerate(coeffs):
             if c:
                 e = [0] * k
@@ -100,13 +98,13 @@ class SparsePoly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def leading_term(self) -> Tuple[ExponentVector, int]:
+    def leading_term(self) -> tuple[ExponentVector, int]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=grlex_key)
         return e, self.terms[e]
 
-    def sorted_terms(self) -> list[Tuple[ExponentVector, int]]:
+    def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
         """Terms in descending graded-lex order (the canonical order)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
@@ -149,7 +147,7 @@ class SparsePoly:
         a, b = self.terms, other.terms
         if not a or not b:
             return SparsePoly.zero(self.nvars)
-        acc: Dict[ExponentVector, int] = {}
+        acc: dict[ExponentVector, int] = {}
         get = acc.get
         items_b = list(b.items())
         for e1, c1 in a.items():
@@ -210,7 +208,7 @@ class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad
     def index(self, e: ExponentVector) -> int:
         return sum(e[a] * s for a, s in zip(self.axes, self.stride))
 
-    def masks(self, width: int) -> Tuple[int, int, int]:
+    def masks(self, width: int) -> tuple[int, int, int]:
         # the bias O (2^(B-1) in each slot of B = 8*width bits), the mask of the slots inside hi, and O & box
         box = b"\xff" * width
         for h, s in zip(reversed(self.hi), reversed(self.pad)):
@@ -220,8 +218,8 @@ class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad
         return bias, box, bias & box
 
 
-def packed_layout(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
-                  targets: Optional[Sequence[ExponentVector]] = None) -> Optional[Layout]:
+def packed_layout(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
+                  targets: Sequence[ExponentVector] | None = None) -> Layout | None:
     """The Layout of `kronecker_product(factors, nvars, targets)`, or None if
     every coefficient asked for is 0.  Each pair (f, m) is reduced once: c*x^e
     goes into the scalar and the shift, any other f is x^o * h(x^g) (o its
@@ -303,8 +301,8 @@ def packed_layout(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
                   nslots, widths, width, work, peak)
 
 
-def kronecker_product(factors: Sequence[Tuple[SparsePoly, int]], nvars: int,
-                      targets: Optional[Sequence[ExponentVector]] = None) -> Dict[ExponentVector, int]:
+def kronecker_product(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
+                      targets: Sequence[ExponentVector] | None = None) -> dict[ExponentVector, int]:
     """Coefficients of the product of the f^m over the pairs (f, m) at `targets`
     (every nonzero one if None) by Kronecker substitution into one Python int,
     on the box and widths that `packed_layout` plans and prices.  A monomial
@@ -379,7 +377,7 @@ def exact_sqrt(f: SparsePoly) -> SparsePoly:
     if any(x % 2 for x in le):
         raise NotAPerfectSquare(f"leading exponent {le} is odd")
     lead = tuple(x // 2 for x in le)
-    root: Dict[ExponentVector, int] = {lead: s}
+    root: dict[ExponentVector, int] = {lead: s}
     res = dict(f.terms)
     del res[le]
     twice = 2 * s

@@ -18,13 +18,11 @@ into shifts that are sorted and merged, since f is symmetric
 (`torus_quadrature`, in plain Python).
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import sys
+from collections.abc import Sequence
 from operator import mul, sub
-from typing import Optional, Sequence, Tuple
 
 from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition, rank
 from .polynomial import SparsePoly, kronecker_product
@@ -62,7 +60,7 @@ def require_alternant_variables(k: int) -> None:
 MAX_DIVISION_TERMS = 10**7
 
 
-def delta(k: int) -> Tuple[int, ...]:
+def delta(k: int) -> tuple[int, ...]:
     """The staircase (k-1, k-2, ..., 1, 0)."""
     return tuple(range(k - 1, -1, -1))
 
@@ -143,7 +141,7 @@ class RootPolynomial:
         return self.poly.degree()
 
 
-def _alternant_exponents(regime: str, alpha: Partition, k: Optional[int] = None):
+def _alternant_exponents(regime: str, alpha: Partition, k: int | None = None):
     """Alternant exponents ga = s*delta and target gb = beta + ga at the
     regime's scale s = rank(regime, 1), with beta = alpha[::s]: alpha itself
     (complex) or the half-length profile of an even or odd 2k-partition alpha
@@ -201,7 +199,7 @@ def schur_polynomial(regime: str, alpha: Partition) -> RootPolynomial:
     return RootPolynomial(SparsePoly._raw(k, {tuple(low + s * x for x in e): c for e, c in terms.items()}), regime)
 
 
-def _alternant_coefficient(factors: Sequence[Tuple[SparsePoly, int]], target: Tuple[int, ...], van: SparsePoly) -> int:
+def _alternant_coefficient(factors: Sequence[tuple[SparsePoly, int]], target: tuple[int, ...], van: SparsePoly) -> int:
     """Coefficient of x^target in f * van, f given as (factor, exponent) pairs:
     the sum over the terms c*x^e of van of c times the coefficient of
     x^(target - e) in f, all read from one `kronecker_product`."""
@@ -210,7 +208,7 @@ def _alternant_coefficient(factors: Sequence[Tuple[SparsePoly, int]], target: Tu
     return sum(c * coefficients[s] for s, c in shifted.items())
 
 
-def schur_coefficient(regime: str, factors: Sequence[Tuple[SparsePoly, int]], alpha: Partition) -> int:
+def schur_coefficient(regime: str, factors: Sequence[tuple[SparsePoly, int]], alpha: Partition) -> int:
     """Exact Schur coefficient of f, given as (factor, exponent) pairs: the
     coefficient of z^{alpha+delta} in f*V_delta (complex), or of
     x^{beta+2delta} in f*V_{2delta} for an even or odd 2k-partition alpha with
@@ -305,7 +303,7 @@ def torus_quadrature(terms, shifts, grid):
     return total / (math.factorial(len(columns)) * grid ** len(columns))
 
 
-def numeric_schur_coefficient(f: RootPolynomial, alpha: Partition, grid: Optional[int] = None) -> complex:
+def numeric_schur_coefficient(f: RootPolynomial, alpha: Partition, grid: int | None = None) -> complex:
     """Trapezoidal torus quadrature of the Schur-coefficient integral.
 
     Sums over grid^k nodes; the rule is exact for the polynomial integrand

@@ -6,15 +6,21 @@ quadrature of `lambda --numeric` and the torus scan.  Each case runs
 `sys.modules`; `--no-numpy` first makes any import of numpy fail.
 
 The same probe guards the start-up cost of every command: no run loads
-`dataclasses` (nor `inspect`, which it pulls in) or `hashlib`, and `csv`
-loads only for `--format csv`.  A plainly spelled command line is parsed
-from the command table, so `argparse` (and `gettext` and `locale`, which it
-pulls in) loads only for help and usage errors.  A run imports only the
-engine modules its command uses, and a cache hit none of them.  No JSON
-run loads `json`, computed or served from the cache: only a CSV cache hit
-does, to decode its rows.  The probe reports every module that importing
-and running schubertcount added to `sys.modules`; the cases that check
-`tempfile` run under `python -S`, because `site` may import it.
+`__future__`, `dataclasses` (nor `inspect`, which it pulls in) or
+`hashlib`, and `csv` loads only for `--format csv`.  A plainly spelled
+command line is parsed from the command table, so `argparse` (and
+`gettext` and `locale`, which it pulls in) loads only for help and usage
+errors.  A run imports only the engine modules its command uses, and a
+cache hit none of them.  No JSON run loads `json`, computed or served from
+the cache: only a CSV cache hit does, to decode its rows.  The probe
+reports every module that importing and running schubertcount added to
+`sys.modules`; the cases that check `tempfile` run under `python -S`,
+because `site` may import it.
+
+`python -m schubertcount` ends with `os._exit`, which skips the
+interpreter's teardown, so a run must leave nothing for that teardown to
+do: the probe also reports the atexit callbacks and the running threads
+before and after the run, and no run may add either.
 """
 
 import json
@@ -28,7 +34,7 @@ import schubertcount
 from schubertcount.cli import main
 
 FLOAT_MODULES = ["numpy"]
-STARTUP_MODULES = ["csv", "dataclasses", "hashlib", "inspect"]
+STARTUP_MODULES = ["__future__", "csv", "dataclasses", "hashlib", "inspect"]
 PARSER_MODULES = ["argparse", "gettext", "locale"]
 ENGINE_MODULES = ["schubertcount.polynomial", "schubertcount.schur", "schubertcount.counts",
                   "schubertcount.asymptotics"]
@@ -36,12 +42,13 @@ ENGINE_MODULES = ["schubertcount.polynomial", "schubertcount.schur", "schubertco
 # `--import MODULE` imports MODULE instead of running a command; a leading
 # `--no-numpy` sets sys.modules["numpy"] = None, so that importing it raises
 PROBE = f"""
-import contextlib, io, sys
+import _thread, atexit, contextlib, io, sys
 argv = sys.argv[1:]
 if argv[:1] == ["--no-numpy"]:
     sys.modules["numpy"] = None
     argv = argv[1:]
 before = set(sys.modules)
+callbacks, threads = atexit._ncallbacks(), _thread._count()
 out = io.StringIO()
 if argv[:1] == ["--import"]:
     __import__(argv[1])
@@ -53,7 +60,8 @@ else:
 loaded = [m for m in {FLOAT_MODULES!r} if sys.modules.get(m) is not None]
 added = sorted(set(sys.modules) - before)
 import json  # after the snapshot, so that a run that loads json shows it
-print(json.dumps({{"code": code, "stdout": out.getvalue(), "loaded": loaded, "added": added}}))
+print(json.dumps({{"code": code, "stdout": out.getvalue(), "loaded": loaded, "added": added,
+                  "callbacks": [callbacks, atexit._ncallbacks()], "threads": [threads, _thread._count()]}}))
 """
 
 EXACT_ARGVS = [
@@ -89,6 +97,12 @@ def added(result, modules):
     return [m for m in modules if m in result["added"]]
 
 
+def assert_no_teardown_work(result):
+    """The run registered no atexit callback and left no thread running."""
+    assert result["callbacks"][1] == result["callbacks"][0]
+    assert result["threads"][1] == result["threads"][0]
+
+
 def test_bare_package_import_skips_numpy():
     result = probe(["--import", "schubertcount"])
     assert result["loaded"] == []
@@ -103,6 +117,7 @@ def test_exact_commands_skip_numpy(argv):
     assert added(result, STARTUP_MODULES) == (["csv"] if "--format csv" in argv else [])
     assert added(result, PARSER_MODULES) == []
     assert added(result, ["json"]) == []
+    assert_no_teardown_work(result)
 
 
 def test_usage_error_loads_argparse_for_its_texts():
@@ -117,6 +132,8 @@ def test_cache_directory_adds_no_startup_module(tmp_path):
     result = probe(["count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir", str(tmp_path)])
     assert result["code"] == 0
     assert added(result, STARTUP_MODULES) == []
+    assert json.loads(result["stdout"])["cached"] is False  # the run stored its entry
+    assert_no_teardown_work(result)
 
 
 def test_cache_module_skips_tempfile():
