@@ -49,7 +49,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from schubertcount import cli, polynomial  # noqa: E402
 
-# the engine's time per unit of work, fitted on this ladder (README: 0.6-1.8 ns on a 2-vCPU VM)
+# the engine's time per unit of work, fitted on this ladder (README: 0.6-2.0 ns on a 2-vCPU VM)
 NS_PER_UNIT = 1.0
 # products at most this heavy run in the planning pass (orbit products of a real count are among them)
 PLAN_ONLY = 10**6

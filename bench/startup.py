@@ -5,20 +5,24 @@ Usage (from the root of a checkout):
 
     python3 bench/startup.py
 
-Four fresh processes run in turn, RUNS times each, so that drift in the
-machine's speed falls on all four alike: the exit floor `python -c "import
-os; os._exit(0)"`, `python -c pass`, a JSON cache-hit `count` (its entry is
-written once before the timed runs) and a computed `feasibility --regime
-complex -d 3 -k 4 --no-cache`.  Their wall times are reported as medians and
-quartiles.  `pass` minus the exit floor is the interpreter's teardown
-(`teardown_ms`), which `python -m schubertcount` skips by ending with
-`os._exit`; so the hit's and the computed run's overheads are taken over the
-exit floor, since over `pass` they would read negative.  One more run of
-each under `-X importtime` gives the modules it adds to those of `python -c
-pass` and the sum of their self times, and the share of the `schubertcount`
-lines.  Results go to stdout and to .perfbench/BENCH_startup.json.  Timings
-are a report: the script exits 1 only when a run fails or the hit is not
-served from the cache.
+Seven fresh processes run in turn, RUNS times each, so that drift in the
+machine's speed falls on all of them alike: the exit floor `python -c
+"import os; os._exit(0)"`, `python -c pass`, a JSON cache-hit `count` (its
+entry is written once before the timed runs), a computed `feasibility
+--regime complex -d 3 -k 4 --no-cache`, and `pass`, the hit and the
+computed run again under `python -S`, which does not import `site`.  Their
+wall times are reported as medians and quartiles.  `pass` minus the exit
+floor is the interpreter's teardown (`teardown_ms`), which `python -m
+schubertcount` skips by ending with `os._exit`; so the hit's and the
+computed run's overheads are taken over the exit floor, since over `pass`
+they would read negative.  Under `-S` they are taken over `python -S -c
+pass`, whose teardown is that of a few dozen modules.  One more run of each
+under `-X importtime` gives the modules it adds to those of its `pass` (the
+`-S` one for the `-S` runs) and the sum of their self times, and the share
+of the `schubertcount` lines; under `-S` the added modules are all that the
+run itself imports.  Results go to stdout and to
+.perfbench/BENCH_startup.json.  Timings are a report: the script exits 1
+only when a run fails or a hit is not served from the cache.
 """
 
 from __future__ import annotations
@@ -40,13 +44,16 @@ IMPORT_LINE = re.compile(r"^import time:\s+(\d+) \|\s+\d+ \| *(\S+)$", re.M)
 
 
 def cases(cache: str) -> dict:
-    schubertcount = [sys.executable, "-m", "schubertcount"]
-    return {
-        "exit": [sys.executable, "-c", "import os; os._exit(0)"],
-        "pass": [sys.executable, "-c", "pass"],
-        "hit": schubertcount + ["count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir", cache],
-        "computed": schubertcount + ["feasibility", "--regime", "complex", "-d", "3", "-k", "4", "--no-cache"],
-    }
+    hit = ["-m", "schubertcount", "count", "--regime", "complex", "-d", "3", "-k", "2", "--cache-dir", cache]
+    computed = ["-m", "schubertcount", "feasibility", "--regime", "complex", "-d", "3", "-k", "4", "--no-cache"]
+    plain = {"exit": ["-c", "import os; os._exit(0)"], "pass": ["-c", "pass"], "hit": hit, "computed": computed}
+    return {**{name: [sys.executable, *argv] for name, argv in plain.items()},
+            **{f"{name} -S": [sys.executable, "-S", *plain[name]] for name in ("pass", "hit", "computed")}}
+
+
+def baseline(name: str) -> str:
+    """The `pass` run that `name` is compared with: the one under the same flags."""
+    return "pass -S" if name.endswith(" -S") else "pass"
 
 
 def run(argv: list, env: dict, *flags) -> subprocess.CompletedProcess:
@@ -72,9 +79,10 @@ def main() -> int:
         argvs = cases(cache)
         run(argvs["hit"], env)  # writes the entry, and compiles the bytecode of every module the runs use
         run(argvs["computed"], env)
-        if '"cached": true' not in run(argvs["hit"], env).stdout:
-            print("the cache-hit run was not served from the cache", file=sys.stderr)
-            return 1
+        for name in ("hit", "hit -S"):
+            if '"cached": true' not in run(argvs[name], env).stdout:
+                print(f"the {name} run was not served from the cache", file=sys.stderr)
+                return 1
         ms = {name: [] for name in argvs}
         for _ in range(RUNS):
             for name, argv in argvs.items():
@@ -84,23 +92,26 @@ def main() -> int:
         modules = {name: imports(argv, env) for name, argv in argvs.items()}
     record = {"python": sys.version.split()[0], "runs": {}}
     for name, argv in argvs.items():
-        added = {m: us for m, us in modules[name].items() if m not in modules["pass"]}
+        added = {m: us for m, us in modules[name].items() if m not in modules[baseline(name)]}
         own = sum(us for m, us in added.items() if m.split(".")[0] == "schubertcount")
         stdlib = sorted(m for m in added if m.split(".")[0] != "schubertcount")
         record["runs"][name] = dict(summary(ms[name]), argv=argv[1:], added_import_us=sum(added.values()),
                                     schubertcount_import_us=own, stdlib_added=stdlib)
         print(f"{name}: median {record['runs'][name]['median_ms']:.1f} ms (quartiles "
               f"{record['runs'][name]['q1_ms']:.1f}-{record['runs'][name]['q3_ms']:.1f}) | -X importtime beyond "
-              f"`python -c pass`: {sum(added.values())} us, {own} us of it schubertcount | stdlib modules added: "
+              f"`{baseline(name)}`: {sum(added.values())} us, {own} us of it schubertcount | stdlib modules added: "
               f"{', '.join(stdlib) or 'none'}")
     floor = record["runs"]["exit"]["median_ms"]
     record["teardown_ms"] = round(record["runs"]["pass"]["median_ms"] - floor, 2)
-    for name in ("hit", "computed"):
-        record["runs"][name]["overhead_ms"] = round(record["runs"][name]["median_ms"] - floor, 2)
+    bare = record["runs"]["pass -S"]["median_ms"]
+    for name, base in (("hit", floor), ("computed", floor), ("hit -S", bare), ("computed -S", bare)):
+        record["runs"][name]["overhead_ms"] = round(record["runs"][name]["median_ms"] - base, 2)
     print(f"interpreter teardown (`python -c pass` minus the exit floor): {record['teardown_ms']:.1f} ms; "
           f"start-up overhead over the exit floor (medians of {RUNS} alternating runs): "
           f"cache hit {record['runs']['hit']['overhead_ms']:.1f} ms, "
-          f"computed {record['runs']['computed']['overhead_ms']:.1f} ms")
+          f"computed {record['runs']['computed']['overhead_ms']:.1f} ms; over `python -S -c pass`: "
+          f"cache hit {record['runs']['hit -S']['overhead_ms']:.1f} ms, "
+          f"computed {record['runs']['computed -S']['overhead_ms']:.1f} ms")
     record["time"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     out = Path.cwd() / ".perfbench"
     out.mkdir(exist_ok=True)

@@ -12,30 +12,26 @@ numpy.
 
 import math
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from functools import partial
-from typing import NamedTuple
 
 from .combinatorics import Infeasible, OutOfDomain
 from .counts import incidence, linear_factor_rows, plane_count, require_odd_degree
 from .schur import MAX_GRID, root_of_unity
 
 
-class TorusSample(NamedTuple):
+class TorusSample(namedtuple("TorusSample", "d grid min_modulus max_modulus sign_constant argmax_residues")):
     """Extrema of |F_d| = |f_d / (x1 x2)^m| over a uniform torus grid.
 
     sign_constant says the real part never changes sign over the grid while
     the imaginary part stays below 1e-8 of the maximum modulus (the global
     sign itself is a convention of the root polynomial's normalization).
+    argmax_residues holds the residues (i - j) mod grid of the argmax nodes
+    (i, j).
     """
 
-    d: int
-    grid: int
-    min_modulus: float
-    max_modulus: float
-    sign_constant: bool
-    argmax_residues: tuple[int, ...]  # the residues (i - j) mod grid of the argmax nodes (i, j)
+    __slots__ = ()
 
     def argmax_head(self, count: int | None = None) -> list[list[float]]:
         """The first `count` argmax nodes, or all, row-major and sorted within
@@ -48,14 +44,10 @@ class TorusSample(NamedTuple):
     argmax_angles = property(argmax_head)
 
 
-class AsymptoteRow(NamedTuple):
-    """Log of an exact count against a predicted leading term."""
+class AsymptoteRow(namedtuple("AsymptoteRow", "parameter exact_log prediction ratio degenerate", defaults=(False,))):
+    """Log of an exact count against a predicted leading term (`ratio` None where it has none)."""
 
-    parameter: int
-    exact_log: float
-    prediction: float
-    ratio: float | None
-    degenerate: bool = False
+    __slots__ = ()
 
 
 def torus_scan(d: int, grid: int) -> TorusSample:

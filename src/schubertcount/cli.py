@@ -20,9 +20,8 @@ imported only then and writes every usage, help and error text.
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from . import __version__
 from .cache import ResultCache, cache_key
@@ -258,7 +257,8 @@ def _feasibility_rows(body: dict) -> list[dict]:
     return body["rows"]
 
 
-class Command(NamedTuple):
+class Command(namedtuple("Command", "help arguments compute uncached_if csv_header csv_rows",
+                         defaults=(None, (), None))):
     """One CLI command: its own flags and its body.
 
     `compute(args)` returns the body, without `command` and
@@ -268,12 +268,7 @@ class Command(NamedTuple):
     table rows, `csv_rows(body)`, as CSV.
     """
 
-    help: str
-    arguments: tuple
-    compute: Callable[..., tuple[dict, int]]
-    uncached_if: str | None = None
-    csv_header: tuple = ()
-    csv_rows: Callable[[dict], list] | None = None
+    __slots__ = ()
 
 
 COMMANDS = {

@@ -5,9 +5,9 @@ Everything here is exact integer combinatorics on immutable values; all
 functions are pure and safe to call concurrently.
 """
 
+from collections import namedtuple
 from collections.abc import Iterator
 from math import comb
-from typing import NamedTuple
 
 
 class OutOfDomain(ValueError):
@@ -85,20 +85,16 @@ class Partition:
         return sum(self.parts)
 
 
-class Feasibility(NamedTuple):
+class Feasibility(namedtuple("Feasibility", "d k regime m odd_degree", defaults=(None,))):
     """Divisibility data for the zero-dimensionality condition.
 
     In the complex regime the count lives on a rank-k Grassmannian and needs
     k*m = C(d+k-1, k-1); in the real regime the rank is 2k and the condition
     is 2k*m = C(d+2k-1, 2k-1).  Infeasibility is data, not an error: m is
-    simply absent.
+    simply absent (None).  `odd_degree` is a bool, or None by default.
     """
 
-    d: int
-    k: int
-    regime: str
-    m: int | None
-    odd_degree: bool | None = None
+    __slots__ = ()
 
     @property
     def feasible(self) -> bool:

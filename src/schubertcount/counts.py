@@ -17,10 +17,9 @@ because orientation conventions only pin them up to sign.
 """
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from math import comb
-from operator import mul
-from typing import NamedTuple
+from operator import sub
 
 from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility, rank
 from .polynomial import SparsePoly, kronecker_product, product_of_linear_forms
@@ -31,29 +30,22 @@ class EvenDegree(Infeasible):
     """Real signed counts require odd degree; even degree is rejected."""
 
 
-class Orientability(NamedTuple):
-    """The three predicates behind a well-defined signed count."""
+class Orientability(namedtuple("Orientability", "grassmannian sym_power euler_defined")):
+    """The three predicates behind a well-defined signed count, each a bool."""
 
-    grassmannian: bool
-    sym_power: bool
-    euler_defined: bool
+    __slots__ = ()
 
 
-class CountReport(NamedTuple):
+class CountReport(namedtuple("CountReport", "regime d k m value feasible orientability")):
     """An exact enumerative answer with its parameters and feasibility data.
 
-    `value` is absent when the dimension condition fails; in the real regime
-    it is the absolute value of the signed count.  `d` is a tuple of degrees
-    for complete intersections.
+    `value` is absent (None) when the dimension condition fails; in the real
+    regime it is the absolute value of the signed count.  `d` is a tuple of
+    degrees for complete intersections, else an int.  `m` is None where the
+    count is infeasible, and `orientability` an Orientability or None.
     """
 
-    regime: str
-    d: int | tuple[int, ...]
-    k: int
-    m: int | None
-    value: int | None
-    feasible: bool
-    orientability: Orientability | None
+    __slots__ = ()
 
 
 def grassmannian_orientable(k: int, m: int) -> bool:
@@ -96,7 +88,7 @@ def _difference_forms(d: int, k: int) -> list[tuple[int, ...]]:
     """The real difference forms (l_1 - l_2, ..., l_{2k-1} - l_{2k}) over all
     compositions l of an odd degree d into 2k parts, in composition order."""
     require_odd_degree(d)
-    return [tuple(c[2 * i] - c[2 * i + 1] for i in range(k)) for c in compositions(d, 2 * k)]
+    return [tuple(map(sub, c[0::2], c[1::2])) for c in compositions(d, 2 * k)]
 
 
 def linear_factor_rows(regime: str, d: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -128,19 +120,31 @@ def linear_factors(regime: str, d: int, k: int) -> list[tuple[SparsePoly, int]]:
     coordinate j of a difference form, so the multiset of rows is
     invariant under every coordinate sign flip (followed by normalization),
     each row of an orbit occurring equally often; the orbit of a row is every
-    sign pattern on its nonzero entries with the first one positive, and its
-    product (a^2 x_1^2 - b^2 x_2^2 for two nonzero entries) is even in every
-    variable, so the engine divides out a step of 2 on every axis.
+    sign pattern on its nonzero entries with the first one positive.  Its
+    product is the norm form N_r(y) = prod over signs of (y_1 +- y_2 ... +-
+    y_r), r the row's support size, at y_i = |a_i| x_i over the support's
+    entries a_i (a^2 x_1^2 - b^2 x_2^2 for r = 2).  N_r is expanded once per
+    r, and every orbit product is even in every variable, so the engine
+    divides out a step of 2 on every axis.
     """
     rows = linear_factor_rows(regime, d, k)
     if regime != "real":
         return [(SparsePoly.linear_form(row), 1) for row in rows]
-    factors = []
+    norms, factors = {}, []
     for size, count in Counter(tuple(map(abs, row)) for row in rows).items():
-        first = next(i for i, x in enumerate(size) if x)
-        signs = itertools.product(*[(1, -1) if x and i > first else (1,) for i, x in enumerate(size)])
-        orbit = [(SparsePoly.linear_form(tuple(map(mul, size, s))), 1) for s in signs]
-        factors.append((SparsePoly._raw(k, kronecker_product(orbit, k)), count // len(orbit)))
+        support = [i for i, x in enumerate(size) if x]
+        r = len(support)
+        if r not in norms:
+            units = [(SparsePoly.linear_form((1,) + signs), 1) for signs in itertools.product((1, -1), repeat=r - 1)]
+            norms[r] = kronecker_product(units, r)
+        terms = {}
+        for e, c in norms[r].items():
+            full = [0] * k
+            for i, x in zip(support, e):
+                full[i] = x
+                c *= size[i] ** x
+            terms[tuple(full)] = c
+        factors.append((SparsePoly._raw(k, terms), count // 2 ** (r - 1)))
     return factors
 
 

@@ -195,26 +195,33 @@ class SparsePoly:
 
 
 # the budgets of one packed product, priced by `packed_layout`: the work, slots times kept terms times slot
-# bytes summed over the copies of the factors (0.5-1.8 ns a unit on a 2-vCPU VM, README), and the peak, 8
+# bytes summed over the copies of the factors (0.6-2.0 ns a unit on a 2-vCPU VM, README), and the peak, 8
 # times the final state (complex (11,4): a 119.7 MiB state and 956 MiB max-RSS)
 MAX_WORK = 10**11
 MAX_PEAK_BYTES = 1 << 31
 
 
 class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad radix stride nslots widths width "
-                                  "work peak")):
+                                  "signed work peak")):
     """The plan of one packed product, made by `packed_layout` before anything is built."""
+
+    __slots__ = ()
 
     def index(self, e: ExponentVector) -> int:
         return sum(e[a] * s for a, s in zip(self.axes, self.stride))
 
     def masks(self, width: int) -> tuple[int, int, int]:
-        # the bias O (2^(B-1) in each slot of B = 8*width bits), the mask of the slots inside hi, and O & box
+        """The bias O, the mask `box` of the slots inside hi and O & box, at slots of B = 8*width bits.
+        O is 2^(B-1) in each slot where the slots are signed (some kept coefficient is negative: real
+        counts, real `lambda` and `cubic-ci`), and 0 where they are unsigned (complex counts, the
+        complex `lambda` product and both incidence regimes)."""
         box = b"\xff" * width
         for h, s in zip(reversed(self.hi), reversed(self.pad)):
             box = box * (h + 1) + bytes(len(box) * s)
-        bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * self.nslots, "little")
         box = int.from_bytes(box, "little")
+        if not self.signed:
+            return 0, box, 0
+        bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * self.nslots, "little")
         return bias, box, bias & box
 
 
@@ -229,7 +236,9 @@ def packed_layout(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
     when every h is homogeneous.  Terms past hi (the largest target exponent,
     or the full degree) are dropped, and axis a has radix hi_a + 1 + pad_a,
     pad_a its largest step after the first copy (none in an open box); a
-    factor with no term left makes every coefficient 0.  `widths` holds the
+    factor with no term left makes every coefficient 0.  Each copy's kept terms
+    are laid out once per factor as (slot offset, coefficient) in `terms`, and
+    `signed` says whether any kept coefficient is negative.  `widths` holds the
     slot bytes while each copy of h is multiplied in, bit_length + 1 of the
     running product of their l1 norms in whole bytes, at least doubled where
     it grows, capped at `width`.  The run is priced from them, work = nslots *
@@ -292,13 +301,15 @@ def packed_layout(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
         need = (bound.bit_length() + 8) // 8
         w = min(max(need, 2 * w), width) if need > w else w
         widths.append(w)
-    terms = [terms for terms, m in kept for _ in range(m)]
+    slotted = [([(sum(map(mul, e[axes.start:], stride)), c) for e, c in terms], m) for terms, m in kept]
+    terms = [terms for terms, m in slotted for _ in range(m)]
     work, peak = nslots * sum(map(mul, map(len, terms), widths)), 8 * nslots * width
     if work > MAX_WORK or peak > MAX_PEAK_BYTES:
         raise OutOfDomain(f"the packed product would take 10^{log10(work or 1):.1f} units of work and "
                           f"10^{log10(peak):.1f} bytes at its peak, above {MAX_WORK:.0e} or {MAX_PEAK_BYTES >> 20} MiB")
+    signed = any(c < 0 for terms, _ in kept for _, c in terms)
     return Layout(prod(c**m for c, m in singles), low, step, total, reads, terms, axes, hi, pad, radix, stride,
-                  nslots, widths, width, work, peak)
+                  nslots, widths, width, signed, work, peak)
 
 
 def kronecker_product(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
@@ -306,35 +317,56 @@ def kronecker_product(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
     """Coefficients of the product of the f^m over the pairs (f, m) at `targets`
     (every nonzero one if None) by Kronecker substitution into one Python int,
     on the box and widths that `packed_layout` plans and prices.  A monomial
-    x^u of the h's is a signed B-bit slot at index(u): the state S starts as 1,
-    each copy of h maps it to sum c*S << B*index(u), and ((S + O) & box) - (O &
-    box), O being 2^(B-1) per slot, clears the padding past hi.  S is repacked
-    where the schedule widens."""
+    x^u of the h's is a B-bit slot at offset index(u), and each kept term c*x^u
+    is planned once as (offset, c): the state S starts as 1, and each copy of h
+    maps it to the sum of c*S << B*offset, a bare shift where c is 1 and no
+    shift at offset 0.  The bias O of `Layout.masks` comes from the kept
+    coefficients: with none negative the slots are unsigned, O is 0, and the
+    clear is S & box; otherwise each slot is signed, the clear is ((S + O) &
+    box) - (O & box), and the repack and the decode add O.  The clear drops
+    what lands in the padding past hi, so a box without padding (an open
+    box) skips it.  S is repacked where the schedule widens."""
     out = {} if targets is None else dict.fromkeys(targets, 0)
     layout = packed_layout(factors, nvars, targets)
     if layout is None:
         return out
     nslots, index, state, w = layout.nslots, layout.index, 1, (layout.widths or [layout.width])[0]
     bias, box, inner = layout.masks(w)
+    clear = any(layout.pad)  # no term lands past hi in a box without padding
     for width, terms in zip(layout.widths, layout.terms):
         if width > w:
-            raw = (state + bias).to_bytes(nslots * w, "little")
+            raw = (state + bias if bias else state).to_bytes(nslots * w, "little")
             del state, bias, box, inner
             buf = bytearray(nslots * width)
             for b in range(w):
                 buf[b::width] = raw[b::w]
             del raw
             bias, box, inner = layout.masks(width)
-            state = int.from_bytes(buf, "little") - (bias >> 8 * (width - w))
+            state = int.from_bytes(buf, "little")
             del buf
+            if bias:
+                state -= bias >> 8 * (width - w)
             w = width
-        acc = 0
-        for e, c in terms:
-            acc += c * state << 8 * w * index(e)
-        state, acc = acc + bias, None  # free the old state before the clear
-        state = (state & box) - inner
-    raw = (state + bias).to_bytes(nslots * w, "little")
-    half, scalar, low, step, axes = 1 << (8 * w - 1), layout.scalar, layout.low, layout.step, layout.axes
+        bits, acc = 8 * w, None
+        for x, c in terms:
+            term = state << bits * x if x else state
+            if c != 1:
+                term = c * term
+            acc = term if acc is None else acc + term
+        # free the old state before the clear; the last term lives on until the next copy's first one, which
+        # keeps glibc from trimming the heap's top and faulting it back in (cubic-ci -r 1000: 4.3x fewer faults)
+        state = None
+        if clear and bias:
+            acc += bias
+            acc &= box
+            acc -= inner
+        elif clear:
+            acc &= box
+        state, acc = acc, None
+    raw = (state + bias if bias else state).to_bytes(nslots * w, "little")
+    state = None
+    half = 1 << (8 * w - 1) if layout.signed else 0
+    scalar, low, step, axes = layout.scalar, layout.low, layout.step, layout.axes
     if targets is not None:
         return out | {t: scalar * (int.from_bytes(raw[index(u) * w:(index(u) + 1) * w], "little") - half)
                       for t, u in layout.reads.items()}

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
-from helpers import partitions_of
+from helpers import naive_product_of_linear_forms, partitions_of
 from schubertcount import cli, counts, polynomial
 from schubertcount.combinatorics import OutOfDomain, Partition, catalan, feasibility, rank
 from schubertcount.counts import (
@@ -180,6 +181,25 @@ def test_orbit_factors_match_the_rows(d, k):
     assert alphas
     for alpha in alphas:
         assert schur_coefficient("real", orbits, alpha) == schur_coefficient("real", forms, alpha), alpha
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for k in (1, 2, 3, 4) for d in (1, 3, 5, 7)])
+def test_each_orbit_factor_is_the_product_of_its_orbit(d, k):
+    # the norm form of each support size r, at y_i = |a_i| x_i, against the orbit's own forms multiplied out;
+    # every row of an orbit occurs the factor's exponent times
+    orbits = {}
+    for row in linear_factor_rows("real", d, k):
+        orbits.setdefault(tuple(map(abs, row)), []).append(row)
+    factors = linear_factors("real", d, k)
+    assert len(factors) == len(orbits)
+    supports = set()
+    for (factor, m), (size, rows) in zip(factors, orbits.items()):
+        r = sum(1 for x in size if x)
+        supports.add(r)
+        forms = Counter(rows)
+        assert len(forms) == 2 ** (r - 1) and set(forms.values()) == {m}
+        assert factor == naive_product_of_linear_forms(list(forms), k)
+    assert supports == set(range(1, min(k, d) + 1))
 
 
 def test_real_lines_double_factorial():

@@ -14,8 +14,9 @@ errors.  A run imports only the engine modules its command uses, and a
 cache hit none of them.  No JSON run loads `json`, computed or served from
 the cache: only a CSV cache hit does, to decode its rows.  The probe
 reports every module that importing and running schubertcount added to
-`sys.modules`; the cases that check `tempfile` run under `python -S`,
-because `site` may import it.
+`sys.modules`; the cases that check `tempfile` and `typing` run under
+`python -S`, because `site` may import them: no computed run and no cache
+hit loads `typing` (the named tuples are `collections.namedtuple`s).
 
 `python -m schubertcount` ends with `os._exit`, which skips the
 interpreter's teardown, so a run must leave nothing for that teardown to
@@ -120,6 +121,13 @@ def test_exact_commands_skip_numpy(argv):
     assert_no_teardown_work(result)
 
 
+@pytest.mark.parametrize("argv", EXACT_ARGVS)
+def test_exact_commands_under_python_S_skip_typing(argv):
+    result = probe(argv.split() + ["--no-cache"], flags=["-S"])
+    assert result["code"] == 0
+    assert added(result, ["typing"]) == []
+
+
 def test_usage_error_loads_argparse_for_its_texts():
     result = probe(["count", "--regime", "bad", "-d", "3", "-k", "2"])
     assert result["code"] == 64
@@ -148,7 +156,7 @@ def test_cache_hit_loads_no_engine_module(tmp_path, capsys):
     result = probe(argv, flags=["-S"])
     assert result["code"] == 0
     assert json.loads(result["stdout"])["cached"] is True
-    assert added(result, ENGINE_MODULES + ["hashlib", "tempfile", "json"] + PARSER_MODULES) == []
+    assert added(result, ENGINE_MODULES + ["hashlib", "tempfile", "json", "typing"] + PARSER_MODULES) == []
 
 
 def test_only_a_csv_cache_hit_loads_json(tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import random
 import time
 
@@ -134,6 +136,40 @@ def test_kronecker_slot_width_grows_through_repacks():
                     targets.append(tuple(top if a == axis else 1 for a in range(nvars)))
                     expected_here = {t: product.terms.get(t, 0) for t in targets}
                     assert kronecker_product(once(some), nvars, targets) == expected_here
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_unsigned_and_signed_slots_match_the_expansion(signed):
+    # non-negative factors run on unsigned slots; factors of mixed sign, whose partial products go negative
+    # before the last factor, on signed ones.  Each set repacks at least once, in an open box (no padding,
+    # no clear) and in a box of targets (padding, cleared after each factor)
+    rng = random.Random(29)
+    for nvars, homogeneous in ((3, True), (3, False), (2, True), (1, False)):
+        factors = [_random_factor(rng, nvars, homogeneous, 10**6) for _ in range(5)]
+        if not signed:
+            factors = [P(nvars, {e: abs(c) for e, c in f.terms.items()}) for f in factors]
+        partial = list(itertools.accumulate(factors, operator.mul))
+        assert any(c < 0 for p in partial[:-1] for c in p.terms.values()) == signed
+        expected = partial[-1].terms
+        targets = rng.sample(sorted(expected), 4) + [(1,) * nvars]
+        for box in (None, targets):
+            layout = packed_layout(once(factors), nvars, box)
+            assert layout.signed == signed
+            assert layout.widths[0] < layout.widths[-1]
+            assert any(layout.pad) == (box is not None)
+            got = kronecker_product(once(factors), nvars, box)
+            assert got == (expected if box is None else {t: expected.get(t, 0) for t in box})
+
+
+def test_a_negative_term_past_the_box_leaves_the_slots_unsigned():
+    # -5 x1^3 lies past the box of targets whose x1 exponent is at most 2, so no kept coefficient is negative
+    f, g = P(2, {(1, 0): 3, (0, 1): 2, (3, 0): -5}), P(2, {(1, 0): 1, (0, 1): 4})
+    expected = (f * f * g).terms
+    targets = [t for t in sorted(expected) if t[0] <= 2]
+    assert packed_layout([(f, 2), (g, 1)], 2, targets).signed is False
+    assert packed_layout([(f, 2), (g, 1)], 2).signed is True
+    assert kronecker_product([(f, 2), (g, 1)], 2, targets) == {t: expected[t] for t in targets}
+    assert kronecker_product([(f, 2), (g, 1)], 2) == expected
 
 
 @pytest.mark.parametrize("size", [2000, 10**6, 10**30])
