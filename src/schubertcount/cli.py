@@ -325,10 +325,9 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=None):
-    """The argparse parser of `argv`: when argv[0] names a command, only that
-    subparser is built; otherwise (help, no command, an unknown one) all of
-    them, so that help, usage and error texts are those of the full parser."""
+def build_parser():
+    """The argparse parser of every command, for the help, usage and error
+    texts of a command line that `parse_plain` does not read."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -336,7 +335,6 @@ def build_parser(argv=None):
             self.print_usage(sys.stderr)
             self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
-    names = [argv[0]] if argv and argv[0] in COMMANDS else COMMANDS
     common = argparse.ArgumentParser(add_help=False)
     for flags, options in SHARED:
         common.add_argument(*flags, **options)
@@ -344,9 +342,9 @@ def build_parser(argv=None):
     # the docstring's last paragraph tells how a command line is parsed: it is for readers of the code, not of --help
     parser = _Parser(prog="schubertcount", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True, parser_class=_Parser)
-    for name in names:
-        p = sub.add_parser(name, parents=[common], help=COMMANDS[name].help)
-        for flags, options in COMMANDS[name].arguments:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for flags, options in command.arguments:
             p.add_argument(*flags, **options)
     return parser
 
@@ -467,7 +465,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parse_plain(argv) or build_parser(argv).parse_args(argv)
+        args = parse_plain(argv) or build_parser().parse_args(argv)
         return _emit(COMMANDS[args.command], args)
     except SystemExit as exc:  # from argparse: --help exits 0, a usage error USAGE_EXIT
         return exc.code or 0

@@ -1,6 +1,6 @@
 """The torus quadrature kernel, `schur.torus_quadrature`, against a node by
 node sum and against a line table summed per exponent, and its sorted-shift
-table against the expanded one."""
+table against the expanded one, unsorted and sorted."""
 
 import cmath
 import itertools
@@ -23,13 +23,16 @@ from schubertcount.schur import (
 )
 
 
-def _expanded_shifts(va, vb):
-    """The monomials z^(ea - eb) of V_a * conj(V_b) as they are, unsorted:
-    equal shifts merged by adding their signs, cancelled ones dropped."""
+def _expanded_shifts(va, vb, sort=False):
+    """The monomials z^(ea - eb) of V_a * conj(V_b) over all k!^2 pairs of
+    terms of the alternants {exponents: sign} `va` and `vb`, each shift as it
+    is or sorted: equal shifts merged by adding their signs, cancelled ones
+    dropped."""
     shifts = {}
     for ea, sign_a in va.items():
         for eb, sign_b in vb.items():
-            shift = tuple(map(sub, ea, eb))
+            shift = map(sub, ea, eb)
+            shift = tuple(sorted(shift) if sort else shift)
             shifts[shift] = shifts.get(shift, 0) + sign_a * sign_b
     return {shift: sign for shift, sign in shifts.items() if sign}
 
@@ -113,7 +116,7 @@ def test_sorted_shifts_match_expanded_shifts(regime, d, k, parts, grid):
     ga, gb = _alternant_exponents(regime, alpha, k)
     va, vb = vandermonde(ga, k).terms, vandermonde(gb, k).terms
     grid = grid or quadrature_threshold(f, alpha)
-    sorted_shifts, expanded_shifts = _sorted_shifts(va, vb), _expanded_shifts(va, vb)
+    sorted_shifts, expanded_shifts = _sorted_shifts(ga, vb), _expanded_shifts(va, vb)
     assert all(list(s) == sorted(s) for s in sorted_shifts)
     assert len(sorted_shifts) < len(expanded_shifts)
     merged = torus_quadrature(f.poly.terms, sorted_shifts, grid)
@@ -121,6 +124,27 @@ def test_sorted_shifts_match_expanded_shifts(regime, d, k, parts, grid):
     assert abs(expanded) > 1.0
     assert abs(merged - expanded) <= 1e-12 * abs(expanded), (merged, expanded)
     assert numeric_schur_coefficient(f, alpha, grid=grid) == merged
+
+
+# the alternants of every SORTED_SHIFT_CASES row (the grid plays no part), then complex k = 5 and 6 and real k = 3
+# and 4
+PAIRWISE_CASES = list(dict.fromkeys((regime, parts) for regime, _, _, parts, _ in SORTED_SHIFT_CASES)) + [
+    ("complex", (3, 2, 2, 1, 0)),
+    ("complex", (4, 3, 3, 1, 1, 0)),
+    ("real", (4, 4, 2, 2, 0, 0)),
+    ("real", (5, 5, 3, 3, 1, 1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("regime,parts", PAIRWISE_CASES,
+                         ids=[f"{r}-{','.join(map(str, p))}" for r, p in PAIRWISE_CASES])
+def test_sorted_shifts_match_pairwise_shifts(regime, parts):
+    # one term of V_b weighted by k! stands for the k! pairs of terms with its sorted shift: the same
+    # table, key for key, in the same order, with the same integer weights
+    ga, gb = _alternant_exponents(regime, Partition(parts))
+    k = len(ga)
+    pairwise = _expanded_shifts(vandermonde(ga, k).terms, vandermonde(gb, k).terms, sort=True)
+    assert list(_sorted_shifts(ga, vandermonde(gb, k).terms).items()) == list(pairwise.items())
 
 
 def _per_exponent_quadrature(terms, shifts, grid):
@@ -151,7 +175,7 @@ PER_RESIDUE_CASES = [("real", 11, 2, (91, 91, 91, 91))] + [case[:4] for case in 
 def test_line_table_per_residue_matches_per_exponent(regime, d, k, parts):
     f, alpha = root_poly(regime, d, k), Partition(parts)
     ga, gb = _alternant_exponents(regime, alpha, k)
-    shifts = _sorted_shifts(vandermonde(ga, k).terms, vandermonde(gb, k).terms)
+    shifts = _sorted_shifts(ga, vandermonde(gb, k).terms)
     grid = quadrature_threshold(f, alpha)
     span = max(max(e) for e in f.poly.terms) + max(map(max, shifts)) - min(map(min, shifts)) + 1
     assert span > grid

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import is_symmetric_by_permutations, once, partitions_in_box, partitions_of, random_poly, symmetrize
-from schubertcount.combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition
+from schubertcount.combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, catalan, compositions
 from schubertcount.counts import root_poly
-from schubertcount.polynomial import ArityMismatch, SparsePoly, kronecker_product
+from schubertcount.polynomial import ArityMismatch, NotAPerfectSquare, SparsePoly, exact_sqrt, kronecker_product
 from schubertcount.schur import (
     MAX_GRID,
     DegenerateAlternant,
@@ -37,6 +37,28 @@ def test_vandermonde_examples():
         * SparsePoly(3, {(0, 1, 0): 1, (0, 0, 1): -1})
     assert v == expected
     assert len(v.terms) == 6
+
+
+X = SparsePoly(1, {(1,): 1})
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: exact_sqrt(X), NotAPerfectSquare, "leading exponent"),
+    (lambda: exact_sqrt(SparsePoly(1, {(2,): 1, (1,): 1})), NotAPerfectSquare, "not divisible by 2"),
+    (lambda: SparsePoly(2, {(1,): 1}), ArityMismatch, "expected 2"),
+    (lambda: SparsePoly(1, {(-1,): 1}), ValueError, "negative exponent"),
+    (lambda: SparsePoly(-1), ValueError, "nvars must be non-negative"),
+    (lambda: vandermonde((1, -1), 2), DegenerateAlternant, "negative exponent"),
+    (lambda: compositions(-1, 2), OutOfDomain, "d must be non-negative"),
+    (lambda: catalan(-1), ValueError, "n must be non-negative"),
+    (lambda: numeric_schur_coefficient(X, Partition((1,))), TypeError, "expects a RootPolynomial"),
+    (lambda: duality_pairing(Partition((1,)), Partition((1, 0)), 2, 2), InvalidLength, "length k"),
+], ids=["sqrt-odd-leading-exponent", "sqrt-odd-residual", "poly-arity", "poly-negative-exponent", "poly-nvars",
+        "vandermonde-negative-exponent", "compositions-negative-degree", "catalan-negative", "numeric-plain-poly",
+        "duality-unequal-lengths"])
+def test_bad_arguments_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_vandermonde_errors():
