@@ -3,17 +3,24 @@
 
 Usage (from the root of a checkout):
 
-    python3 bench/heavy.py [--max-seconds S] [--repeats N]
+    python3 bench/heavy.py [--max-seconds S] [--repeats N] [--against PATH]
 
 For each rung the plans of the packed products it runs are read in process,
 from `polynomial.packed_layout` alone: every product above PLAN_ONLY units
 is planned and then skipped as if it were zero, so nothing heavy is built.
 The predicted work (units, summed over the products) and peak (bytes, the
-largest product's) are printed next to the wall time and max-RSS of fresh
-`python -m schubertcount ... --no-cache` runs, each spawned from a small
-launcher process, so that max-RSS is the child's own and not this
-process's high-water mark.  With --repeats N each rung runs N times and
-its medians are reported.
+largest product's) are printed next to the wall time, user and system
+time, minor page faults and max-RSS of fresh `python -m schubertcount ...
+--no-cache` runs, each spawned from a small launcher process, so that
+max-RSS is the child's own and not this process's high-water mark.  With
+--repeats N each rung runs N times and its medians are reported.
+
+With --against PATH the rungs also run from the source tree of the
+checkout at PATH, paired with this one's: each rung runs in both trees
+before the next rung starts, and the pairs alternate which tree goes first,
+so that the machine's drift falls on both sides alike.  The plans, and so
+the predictions and the skips, are this tree's.  Each rung reports both
+trees' medians and their wall-time ratio, this tree's over PATH's.
 
 The predicted time is the floor rung's wall time plus the work at
 NS_PER_UNIT; the peak is compared with max-RSS above the floor rung's.  The
@@ -23,11 +30,11 @@ whose predicted time is above --max-seconds, or whose peak is above
 MAX_RUN_PEAK, is skipped and listed as such.  Results go to stdout
 and to .perfbench/BENCH_heavy.json.
 
-Timings are a report; answers are checked.  Every run of a rung must exit
-with the rung's code, and the first 16 hex digits of the sha256 of its
-body's `poly`, or else its `value`, must equal the rung's pin (a rung with
-neither has no pin).  Any mismatch is listed and makes the script exit 1;
-a skipped rung is not checked.
+Timings are a report; answers are checked.  Every run of a rung, in either
+tree, must exit with the rung's code, and the first 16 hex digits of the
+sha256 of its body's `poly`, or else its `value`, must equal the rung's pin
+(a rung with neither has no pin).  Any mismatch is listed and makes the
+script exit 1; a skipped rung is not checked.
 """
 
 from __future__ import annotations
@@ -79,14 +86,18 @@ RUNGS = (
     ("count --regime complex -d 11 -k 4", 0, "f33db288cb82e299"),
 )
 
-# the child's body comes back on the launcher's stdout, its exit code, max-RSS and wall time on its stderr
+# the child's body comes back on the launcher's stdout; its exit code, max-RSS, wall time, user and system time
+# and minor faults on the launcher's stderr
 LAUNCHER = ("import os, subprocess, sys, time\n"
             "start = time.perf_counter()\n"
             "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)\n"
             "out = proc.stdout.read()\n"
             "_, status, usage = os.wait4(proc.pid, 0)\n"
-            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, time.perf_counter() - start, file=sys.stderr)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, time.perf_counter() - start, usage.ru_utime,\n"
+            "      usage.ru_stime, usage.ru_minflt, file=sys.stderr)\n"
             "sys.stdout.buffer.write(out)\n")
+# the medians reported for each rung, in the order they are printed
+FIELDS = ("seconds", "user_s", "system_s", "minor_faults", "max_rss_mib")
 
 
 def plan(command: str) -> tuple[int, int]:
@@ -118,25 +129,39 @@ def digest(body: str) -> str | None:
     return None if answer is None else hashlib.sha256(answer.encode()).hexdigest()[:16]
 
 
-def measure(command: str) -> tuple[int, float, float, str | None]:
-    """(exit code, wall seconds, max-RSS in MiB, answer digest) of one fresh run of `command`."""
+def measure(command: str, root: Path = ROOT) -> dict:
+    """Exit code, answer digest and FIELDS of one fresh run of `command` from the source tree under `root`."""
     argv = [sys.executable, "-m", "schubertcount", *command.split(), "--no-cache"]
     env = {k: v for k, v in os.environ.items() if k != "SCHUBERT_CACHE"}
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     run = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], capture_output=True, text=True, env=env, check=True)
-    code, max_rss, seconds = run.stderr.split()
-    return int(code), float(seconds), int(max_rss) / (2**20 if sys.platform == "darwin" else 2**10), digest(run.stdout)
+    code, max_rss, seconds, user, system, faults = run.stderr.split()
+    return {"exit": int(code), "answer": digest(run.stdout), "seconds": float(seconds), "user_s": float(user),
+            "system_s": float(system), "minor_faults": int(faults),
+            "max_rss_mib": int(max_rss) / (2**20 if sys.platform == "darwin" else 2**10)}
 
 
-def measure_rung(rung: tuple, repeats: int, mismatches: list) -> tuple[int, float, float]:
-    """(exit code, median wall seconds, median max-RSS in MiB) of `repeats` runs of a rung, each checked
-    against the rung's exit code and pin; a run that differs is added to `mismatches`."""
+def measure_rung(rung: tuple, repeats: int, roots: list, mismatches: list, turn: int = 0) -> list:
+    """For each tree in `roots`, the exit code and the medians of FIELDS over `repeats` runs of a rung.  The
+    trees take turns on each repeat r, the first tree first where turn + r is even and the last one first
+    where it is odd.  A run whose exit code or answer differs from the rung's is added to `mismatches`."""
     command, code, pin = rung
-    runs = [measure(command) for _ in range(repeats)]
-    for got, _, _, answer in runs:
-        if (got, answer) != (code, pin):
-            mismatches.append(f"{command}: exit {got} and answer {answer}, expected exit {code} and answer {pin}")
-    return runs[0][0], statistics.median(r[1] for r in runs), statistics.median(r[2] for r in runs)
+    runs, order = [[] for _ in roots], list(enumerate(roots))
+    for r in range(repeats):
+        for i, root in order[::-1] if (turn + r) % 2 else order:
+            runs[i].append(measure(command, root))
+    for root, mine in zip(roots, runs):
+        for run in mine:
+            if (run["exit"], run["answer"]) != (code, pin):
+                mismatches.append(f"{command} ({root}): exit {run['exit']} and answer {run['answer']}, "
+                                  f"expected exit {code} and answer {pin}")
+    return [{"exit": mine[0]["exit"], **{f: statistics.median(r[f] for r in mine) for f in FIELDS}} for mine in runs]
+
+
+def line(m: dict) -> str:
+    """One tree's medians, as printed."""
+    return (f"{m['seconds']:.2f} s (user {m['user_s']:.2f}, system {m['system_s']:.2f}), "
+            f"{m['minor_faults'] / 1e3:.0f} K faults, max-RSS {m['max_rss_mib']:.1f} MiB, exit {m['exit']}")
 
 
 def main() -> int:
@@ -144,15 +169,21 @@ def main() -> int:
     parser.add_argument("--max-seconds", type=float, default=float("inf"),
                         help="skip the rungs predicted to take longer than this")
     parser.add_argument("--repeats", type=int, default=1, help="runs of each rung; medians are reported")
+    parser.add_argument("--against", type=Path, metavar="PATH",
+                        help="also run each rung from the checkout at PATH, paired and alternating with this one")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.against is not None and not (args.against / "src" / "schubertcount").is_dir():
+        parser.error(f"--against {args.against}: no src/schubertcount there")
+    roots = [ROOT] + ([args.against.resolve()] if args.against is not None else [])
     mismatches = []
-    _, floor_s, floor_mib = measure_rung(FLOOR, args.repeats, mismatches)
-    print(f"floor ({FLOOR[0]}): {floor_s:.2f} s, max-RSS {floor_mib:.1f} MiB; {NS_PER_UNIT} ns per unit of work; "
-          f"medians of {args.repeats} run(s)")
+    floor = measure_rung(FLOOR, args.repeats, roots, mismatches)
+    floor_s, floor_mib = floor[0]["seconds"], floor[0]["max_rss_mib"]
+    print(f"floor ({FLOOR[0]}): {line(floor[0])}; {NS_PER_UNIT} ns per unit of work; medians of {args.repeats} "
+          f"run(s)" + (f"; against {roots[1]}: {line(floor[1])}" if args.against else ""))
     rows = []
-    for rung in RUNGS:
+    for turn, rung in enumerate(RUNGS, 1):
         command = rung[0]
         work, peak = plan(command)
         predicted = floor_s + work * NS_PER_UNIT * 1e-9
@@ -162,24 +193,31 @@ def main() -> int:
             row["skipped"] = True
             print(f"{command}: work {work:.2e}, peak {row['peak_mib']} MiB, predicted {predicted:.2f} s: skipped")
         else:
-            code, seconds, mib = measure_rung(rung, args.repeats, mismatches)
+            mine, *other = measure_rung(rung, args.repeats, roots, mismatches, turn)
             # measured over predicted: the time, and max-RSS above the floor against the peak
-            row.update(exit=code, seconds=round(seconds, 2), max_rss_mib=round(mib, 1),
-                       time_ratio=round(seconds / predicted, 2) if work else None,
-                       rss_ratio=round((mib - floor_mib) * 2**20 / peak, 2) if peak else None)
-            print(f"{command}: work {work:.2e}, peak {row['peak_mib']} MiB | {seconds:.2f} s, "
-                  f"max-RSS {mib:.1f} MiB, exit {code} | measured/predicted: time {row['time_ratio']}, "
-                  f"max-RSS above the floor {row['rss_ratio']}")
+            row.update(exit=mine["exit"], **{f: round(mine[f], 3) for f in FIELDS},
+                       time_ratio=round(mine["seconds"] / predicted, 2) if work else None,
+                       rss_ratio=round((mine["max_rss_mib"] - floor_mib) * 2**20 / peak, 2) if peak else None)
+            print(f"{command}: work {work:.2e}, peak {row['peak_mib']} MiB | {line(mine)} | measured/predicted: "
+                  f"time {row['time_ratio']}, max-RSS above the floor {row['rss_ratio']}")
+            if other:
+                row["against"] = {"exit": other[0]["exit"], **{f: round(other[0][f], 3) for f in FIELDS}}
+                row["wall_ratio"] = round(mine["seconds"] / other[0]["seconds"], 3)
+                print(f"    against: {line(other[0])} | wall this/against {row['wall_ratio']}")
         rows.append(row)
-    for line in mismatches:
-        print(f"MISMATCH {line}")
+    for mismatch in mismatches:
+        print(f"MISMATCH {mismatch}")
     out = Path.cwd() / ".perfbench"
     out.mkdir(exist_ok=True)
-    record = {"floor": {"command": FLOOR[0], "seconds": round(floor_s, 3), "max_rss_mib": round(floor_mib, 1)},
-              "ns_per_unit": NS_PER_UNIT, "max_seconds": args.max_seconds, "repeats": args.repeats, "rungs": rows,
-              "mismatches": mismatches, "time": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    record = {"floor": {"command": FLOOR[0], **{f: round(floor[0][f], 3) for f in FIELDS}},
+              "ns_per_unit": NS_PER_UNIT, "max_seconds": args.max_seconds, "repeats": args.repeats,
+              "against": str(roots[1]) if args.against else None, "rungs": rows, "mismatches": mismatches,
+              "time": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    if args.against:
+        record["floor"]["against"] = {f: round(floor[1][f], 3) for f in FIELDS}
     (out / "BENCH_heavy.json").write_text(json.dumps(record, indent=1) + "\n")
     return 1 if mismatches else 0
+
 
 if __name__ == "__main__":
     sys.exit(main())

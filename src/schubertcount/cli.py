@@ -151,11 +151,15 @@ def _schur(args) -> tuple[dict, int]:
 
 def _lambda(args) -> tuple[dict, int]:
     from .counts import linear_factors, root_poly
-    from .schur import numeric_schur_coefficient, schur_coefficient
+    from .schur import numeric_schur_coefficient, require_quadrature_price, schur_coefficient
 
-    # the oracle's open box is expanded, or refused by its price, before the count
+    factors = linear_factors(args.regime, args.d, args.k)
+    if args.numeric:
+        # the oracle's sweep is priced before f is built, and its open box is expanded, or refused by its
+        # own price, before the count
+        require_quadrature_price(args.regime, factors, args.alpha)
     f = root_poly(args.regime, args.d, args.k) if args.numeric else None
-    value = schur_coefficient(args.regime, linear_factors(args.regime, args.d, args.k), args.alpha)
+    value = schur_coefficient(args.regime, factors, args.alpha)
     # orientation conventions pin a real coefficient only up to a global sign
     sign_certain = args.regime == "complex"
     body = {

@@ -12,7 +12,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from math import gcd, isqrt, log10, prod
-from operator import add, floordiv, le, mod, mul, sub
+from operator import add, floordiv, itemgetter, le, mod, mul, sub
 
 from .combinatorics import OutOfDomain
 
@@ -194,34 +194,42 @@ class SparsePoly:
         return f"SparsePoly({self.nvars}, {text})"
 
 
-# the budgets of one packed product, priced by `packed_layout`: the work, slots times kept terms times slot
-# bytes summed over the copies of the factors (0.6-2.0 ns a unit on a 2-vCPU VM, README), and the peak, 8
-# times the final state (complex (11,4): a 119.7 MiB state and 956 MiB max-RSS)
+# the budgets of one packed product, priced by `packed_layout`: the work, live slots times kept terms times
+# slot bytes summed over the copies of the factors (0.5-2.0 ns a unit on a 2-vCPU VM, README), and the peak,
+# 8 times the largest live state (complex (11,4): 785 MiB priced, 576 MiB max-RSS)
 MAX_WORK = 10**11
 MAX_PEAK_BYTES = 1 << 31
+# dead rows are cut once they are 1/CUT_SHARE of the live rows, and only where the terms still to come times the
+# rows cut are at least CUT_TERMS times the live rows, since a cut makes about two terms' passes over the state
+# (in process on a 2-vCPU VM, cutting at 1/8 took 15-23% less time than cutting every dead row on real (7,3),
+# real (21,2) and cubic-ci -r 200; CUT_TERMS keeps the 4 one-row cuts of complex (11,2), on 7 slots, out)
+CUT_SHARE = 8
+CUT_TERMS = 2
 
 
 class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad radix stride nslots widths width "
-                                  "signed work peak")):
+                                  "drops signed work peak")):
     """The plan of one packed product, made by `packed_layout` before anything is built."""
 
     __slots__ = ()
 
     def index(self, e: ExponentVector) -> int:
-        return sum(e[a] * s for a, s in zip(self.axes, self.stride))
+        return sum(map(mul, e[self.axes.start:], self.stride))
 
-    def masks(self, width: int) -> tuple[int, int, int]:
-        """The bias O, the mask `box` of the slots inside hi and O & box, at slots of B = 8*width bits.
-        O is 2^(B-1) in each slot where the slots are signed (some kept coefficient is negative: real
+    def masks(self, width: int, drop: int = 0) -> tuple[int, int, int]:
+        """The bias O, the mask `box` of the slots inside hi and O & box, at slots of B = 8*width bits, on
+        the slots left once the lowest `drop` rows of the outer slotted axis are shifted out.  O is 2^(B-1) in each slot where the slots are signed (some kept coefficient is negative: real
         counts, real `lambda` and `cubic-ci`), and 0 where they are unsigned (complex counts, the
         complex `lambda` product and both incidence regimes)."""
         box = b"\xff" * width
         for h, s in zip(reversed(self.hi), reversed(self.pad)):
             box = box * (h + 1) + bytes(len(box) * s)
-        box = int.from_bytes(box, "little")
+        if drop:
+            box = box[drop * self.stride[0] * width:]
         if not self.signed:
-            return 0, box, 0
-        bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * self.nslots, "little")
+            return 0, int.from_bytes(box, "little"), 0
+        bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * (len(box) // width), "little")
+        box = int.from_bytes(box, "little")
         return bias, box, bias & box
 
 
@@ -236,23 +244,33 @@ def packed_layout(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
     when every h is homogeneous.  Terms past hi (the largest target exponent,
     or the full degree) are dropped, and axis a has radix hi_a + 1 + pad_a,
     pad_a its largest step after the first copy (none in an open box); a
-    factor with no term left makes every coefficient 0.  Each copy's kept terms
-    are laid out once per factor as (slot offset, coefficient) in `terms`, and
-    `signed` says whether any kept coefficient is negative.  `widths` holds the
-    slot bytes while each copy of h is multiplied in, bit_length + 1 of the
-    running product of their l1 norms in whole bytes, at least doubled where
-    it grows, capped at `width`.  The run is priced from them, work = nslots *
-    sum of kept terms * width over the copies and peak = 8 * nslots * width,
-    and refused (OutOfDomain) above MAX_WORK or MAX_PEAK_BYTES.  A lower bound
-    on that work is checked first, before the copies are laid out: copy j of a
-    run (h, m) after A bits of runs before it has a running norm of 2^(A + j*b)
-    or more, b = bit_length(l1 norm of h) - 1 >= 1, so (A + j*b + 2)/8 bytes."""
+    factor with no term left makes every coefficient 0.  The runs (h, m) go in
+    by their reach, the largest exponent of their kept terms on the outer
+    slotted axis (stride[0]), largest first and ties in the given order.  Each
+    copy's kept terms are laid out once per run as (slot offset, coefficient)
+    in `terms`, and `signed` says whether any kept coefficient is negative.
+    `widths` holds the slot bytes while each copy of h is multiplied in,
+    bit_length + 1 of the running product of their l1 norms in whole bytes, at
+    least doubled where it grows, capped at `width`.  `drops` holds the outer
+    rows shifted out after each copy: a row below lo - (the reach of the
+    copies still to come), lo the lowest outer row read, can reach no read,
+    and the dead rows are cut once they are 1/CUT_SHARE of the live ones and,
+    times the terms still to come, CUT_TERMS times the live ones (an open box
+    reads every row and drops none).  The run is priced from them:
+    copy j multiplies live_j = nslots - stride[0] * drops[j-1] slots, work =
+    sum of live_j * kept terms * width over the copies, peak = 8 * max of
+    live_j * width, and it is refused (OutOfDomain) above MAX_WORK or
+    MAX_PEAK_BYTES.  A lower bound on that work is checked first, before the
+    copies are laid out, on the nslots - stride[0] * lo slots that every copy
+    multiplies at least: copy j of a run (h, m) after A bits of runs before it
+    has a running norm of 2^(A + j*b) or more, b = bit_length(l1 norm of h) -
+    1 >= 1, so (A + j*b + 2)/8 bytes."""
     factors = [(f, m) for f, m in factors if m]
     if any(f.nvars != nvars for f, _ in factors):
         raise ArityMismatch(f"factors must have {nvars} variables")
     if not all(f for f, _ in factors):
         return None
-    singles, multi, low, step = [], [], (0,) * nvars, (0,) * nvars
+    singles, multi, lows, step = [], [], [], (0,) * nvars
     for f, m in factors:
         if len(f.terms) == 1:
             ((o, c),) = f.terms.items()
@@ -260,8 +278,9 @@ def packed_layout(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
         else:
             o = tuple(map(min, *f.terms))
             multi.append((f, o, m))
-            step = tuple(map(gcd, step, *(map(sub, e, o) for e in f.terms)))
-        low = tuple(x + m * y for x, y in zip(low, o))
+            step = tuple(map(gcd, step, *[map(sub, e, o) for e in f.terms]))
+        lows.append(o if m == 1 else [m * x for x in o])
+    low = tuple(map(sum, zip(*lows))) if lows else (0,) * nvars
     step = tuple(g or 1 for g in step)
     hs = [({tuple(map(floordiv, map(sub, e, o), step)): c for e, c in f.terms.items()}, m) for f, o, m in multi]
     degrees = [{sum(e) for e in h} for h, _ in hs]
@@ -279,37 +298,58 @@ def packed_layout(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
         if not reads:
             return None
         hi = [max(u[a] for u in reads.values()) for a in axes]
-    kept = [([(e, c) for e, c in h.items() if all(map(le, e[axes.start:], hi))], m) for h, m in hs]
-    if not all(terms for terms, _ in kept):
-        return None
-    later = [terms for j, (terms, m) in enumerate(kept) if j or m > 1]
+    kept = []
+    for h, m in hs:
+        terms = [(e, c) for e, c in h.items() if all(map(le, e[axes.start:], hi))]
+        if not terms:
+            return None
+        kept.append((max([e[axes.start] for e, _ in terms]) if axes else 0, terms, m, sum(map(abs, h.values()))))
+    # the runs that reach furthest on the outer slotted axis go first, so the rows below every read die soonest
+    kept.sort(key=itemgetter(0), reverse=True)
+    later = [terms for j, (_, terms, m, _) in enumerate(kept) if j or m > 1]
     pad = [max((e[a] for terms in later for e, _ in terms), default=0) if targets is not None else 0 for a in axes]
     radix = [h + 1 + s for h, s in zip(hi, pad)]
     stride, nslots = [prod(radix[i + 1:]) for i in range(len(radix))], prod(radix)
-    copies, bits, least = 0, 0, 0
-    for (terms, m), (h, _) in zip(kept, hs):
-        b = sum(map(abs, h.values())).bit_length() - 1
+    row = stride[0] if stride else 1
+    lo = min(map(itemgetter(axes.start), reads.values())) if axes and targets is not None else 0
+    copies, bits, least, rest, left = 0, 0, 0, 0, 0
+    for r, terms, m, norm in kept:
+        b = norm.bit_length() - 1
         least += len(terms) * (m * (bits + 2) + b * m * (m + 1) // 2)
-        copies, bits = copies + m, bits + m * b
-    if nslots * least > 8 * MAX_WORK:
-        raise OutOfDomain(f"the packed product of 10^{log10(copies):.1f} copies on 10^{log10(nslots):.1f} slots takes "
-                          f"10^{log10(nslots * least // 8):.1f} units of work or more, above {MAX_WORK:.0e}")
-    norms = [sum(map(abs, h.values())) for h, m in hs for _ in range(m)]
-    width = (prod(norms).bit_length() + 8) // 8
-    widths, w = [], 1
-    for bound in itertools.accumulate(norms, mul):
-        need = (bound.bit_length() + 8) // 8
-        w = min(max(need, 2 * w), width) if need > w else w
-        widths.append(w)
-    slotted = [([(sum(map(mul, e[axes.start:], stride)), c) for e, c in terms], m) for terms, m in kept]
+        copies, bits, rest, left = copies + m, bits + m * b, rest + m * r, left + m * len(terms)
+    fewest = nslots - lo * row
+    if fewest * least > 8 * MAX_WORK:
+        raise OutOfDomain(f"the packed product of 10^{log10(copies):.1f} copies on 10^{log10(fewest):.1f} slots takes "
+                          f"10^{log10(fewest * least // 8):.1f} units of work or more, above {MAX_WORK:.0e}")
+    width = (prod(norm**m for _, _, m, norm in kept).bit_length() + 8) // 8
+    # after each copy the rows below lo - (the reach of the copies still to come) are dead
+    widths, drops, w, d, bound, work, live, most = [], [], 1, 0, 1, 0, nslots, nslots
+    for r, terms, m, norm in kept:
+        n = len(terms)
+        for _ in range(m):
+            bound *= norm
+            need = (bound.bit_length() + 8) // 8
+            if need > w:
+                w = min(max(need, 2 * w), width)
+                most = max(most, live * w)
+            work += live * n * w
+            rest -= r
+            left -= n
+            dead = lo - rest - d
+            if dead > 0 and dead * CUT_SHARE >= radix[0] - d and dead * left >= CUT_TERMS * (radix[0] - d):
+                d += dead
+                live = nslots - row * d
+            widths.append(w)
+            drops.append(d)
+    slotted = [([(sum(map(mul, e[axes.start:], stride)), c) for e, c in terms], m) for _, terms, m, _ in kept]
     terms = [terms for terms, m in slotted for _ in range(m)]
-    work, peak = nslots * sum(map(mul, map(len, terms), widths)), 8 * nslots * width
+    peak = 8 * most
     if work > MAX_WORK or peak > MAX_PEAK_BYTES:
         raise OutOfDomain(f"the packed product would take 10^{log10(work or 1):.1f} units of work and "
                           f"10^{log10(peak):.1f} bytes at its peak, above {MAX_WORK:.0e} or {MAX_PEAK_BYTES >> 20} MiB")
-    signed = any(c < 0 for terms, _ in kept for _, c in terms)
+    signed = any(c < 0 for _, terms, _, _ in kept for _, c in terms)
     return Layout(prod(c**m for c, m in singles), low, step, total, reads, terms, axes, hi, pad, radix, stride,
-                  nslots, widths, width, signed, work, peak)
+                  nslots, widths, width, drops, signed, work, peak)
 
 
 def kronecker_product(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
@@ -325,23 +365,31 @@ def kronecker_product(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
     clear is S & box; otherwise each slot is signed, the clear is ((S + O) &
     box) - (O & box), and the repack and the decode add O.  The clear drops
     what lands in the padding past hi, so a box without padding (an open
-    box) skips it.  S is repacked where the schedule widens."""
+    box) skips it.  Where `drops` grows, the clear also shifts the newly dead
+    rows out, cut = B * stride[0] rows: ((S + O) >> cut) & (box >> cut) -
+    ((O & box) >> cut), with O and box shifted along (a plain S >> cut would
+    floor a negative dropped row into the row above it).  The offsets do not
+    change; the repack and the decode take the live slots, and a read at u
+    takes slot index(u) - stride[0] * (rows dropped).  S is repacked where the
+    schedule widens."""
     out = {} if targets is None else dict.fromkeys(targets, 0)
     layout = packed_layout(factors, nvars, targets)
     if layout is None:
         return out
-    nslots, index, state, w = layout.nslots, layout.index, 1, (layout.widths or [layout.width])[0]
+    index, state, w, dropped = layout.index, 1, (layout.widths or [layout.width])[0], 0
+    row = layout.stride[0] if layout.stride else 1
     bias, box, inner = layout.masks(w)
     clear = any(layout.pad)  # no term lands past hi in a box without padding
-    for width, terms in zip(layout.widths, layout.terms):
+    for width, terms, drop in zip(layout.widths, layout.terms, layout.drops):
         if width > w:
-            raw = (state + bias if bias else state).to_bytes(nslots * w, "little")
+            live = layout.nslots - row * dropped
+            raw = (state + bias if bias else state).to_bytes(live * w, "little")
             del state, bias, box, inner
-            buf = bytearray(nslots * width)
+            buf = bytearray(live * width)
             for b in range(w):
                 buf[b::width] = raw[b::w]
             del raw
-            bias, box, inner = layout.masks(width)
+            bias, box, inner = layout.masks(width, dropped)
             state = int.from_bytes(buf, "little")
             del buf
             if bias:
@@ -356,19 +404,34 @@ def kronecker_product(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
         # free the old state before the clear; the last term lives on until the next copy's first one, which
         # keeps glibc from trimming the heap's top and faulting it back in (cubic-ci -r 1000: 4.3x fewer faults)
         state = None
-        if clear and bias:
+        if drop > dropped:
+            # shift the dead rows out with the clear, the slots biased first: a negative dropped row would
+            # otherwise borrow from the row above it
+            cut = bits * row * (drop - dropped)
+            if bias:
+                acc += bias
+                bias >>= cut
+                inner >>= cut
+            acc >>= cut
+            box >>= cut
+            acc &= box
+            if bias:
+                acc -= inner
+            dropped = drop
+        elif clear and bias:
             acc += bias
             acc &= box
             acc -= inner
         elif clear:
             acc &= box
         state, acc = acc, None
-    raw = (state + bias if bias else state).to_bytes(nslots * w, "little")
+    skip = row * dropped
+    raw = (state + bias if bias else state).to_bytes((layout.nslots - skip) * w, "little")
     state = None
     half = 1 << (8 * w - 1) if layout.signed else 0
     scalar, low, step, axes = layout.scalar, layout.low, layout.step, layout.axes
     if targets is not None:
-        return out | {t: scalar * (int.from_bytes(raw[index(u) * w:(index(u) + 1) * w], "little") - half)
+        return out | {t: scalar * (int.from_bytes(raw[(x := (index(u) - skip) * w):x + w], "little") - half)
                       for t, u in layout.reads.items()}
     zero = half.to_bytes(w, "little")
     images = itertools.product(*(range(low[a], low[a] + step[a] * n, step[a]) for a, n in zip(axes, layout.radix)))

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from operator import mul, sub
 
 from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition, rank
-from .polynomial import SparsePoly, kronecker_product
+from .polynomial import MAX_WORK, SparsePoly, kronecker_product
 
 
 class DegenerateAlternant(ValueError):
@@ -303,6 +303,36 @@ def torus_quadrature(terms, shifts, grid):
             values = map(mul, values, map(line[s - lo:].__getitem__, column))
         total += weight * sum(values)
     return total / (math.factorial(len(columns)) * grid ** len(columns))
+
+
+# a float product of the quadrature's sweep took 80-100 ns (in process, on a 2-vCPU VM), so each is priced at
+# 100 units of work, about 1 ns each as in the packed engine, against the same budget, MAX_WORK
+SWEEP_UNITS = 100
+
+
+def require_quadrature_price(regime: str, factors: Sequence[tuple[SparsePoly, int]], alpha: Partition) -> None:
+    """Refuse (OutOfDomain) a quadrature whose sweep is priced above MAX_WORK,
+    before f is built from its (factor, exponent) pairs: f is homogeneous of
+    degree D, the sum of m * deg over the pairs, with each exponent e_a at most
+    hi_a, the sum of m times the factor's largest e_a, so it has at most as
+    many terms as there are such exponent vectors (never more than
+    C(D + k - 1, k - 1)), and the sweep takes (sorted shifts) x (terms) x k
+    float products, SWEEP_UNITS units each."""
+    ga, gb = _alternant_exponents(regime, alpha, factors[0][0].nvars if factors else None)
+    k = len(ga)
+    # ways[t]: the exponent vectors on the axes so far that sum to t, each entry at most its hi_a
+    total = sum(m * f.degree() for f, m in factors)
+    ways = [1] + [0] * total
+    for a in range(k):
+        hi, run, sums = sum(m * max(e[a] for e in f.terms) for f, m in factors), 0, []
+        for t, w in enumerate(ways):
+            run += w - (ways[t - hi - 1] if t > hi else 0)
+            sums.append(run)
+        ways = sums
+    products = len(_sorted_shifts(ga, vandermonde(gb, k).terms)) * ways[total] * k
+    if products * SWEEP_UNITS > MAX_WORK:
+        raise OutOfDomain(f"the quadrature's sweep may take 10^{math.log10(products):.1f} float products, "
+                          f"{SWEEP_UNITS} units of work each, above {MAX_WORK:.0e}")
 
 
 def numeric_schur_coefficient(f: RootPolynomial, alpha: Partition, grid: int | None = None) -> complex:

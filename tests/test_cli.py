@@ -544,6 +544,8 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
     # an open box (the dumped or the oracle's root polynomial) is priced before the count runs
     ("count --regime complex -d 9 -k 4 --dump-poly", 64),
     ("lambda --regime complex -d 9 -k 4 --alpha 55,55,55,55 --numeric", 64),
+    # the quadrature's sweep is priced before f is built: 231 shifts against f's 1,442,655 terms ran for minutes
+    ("lambda --regime complex -d 3 -k 6 --alpha 5,5,5,5,5,5 --numeric", 64),
     # an even real degree is still reported before a rank too large for the alternant
     ("count --regime real -d 6 -k 10 --dump-poly", 2),
     # binomials past combinatorics.MAX_BINOMIAL_BITS (C(599999, 299999) took 2.5 s) are refused before they are taken

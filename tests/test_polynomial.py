@@ -182,7 +182,9 @@ def test_width_schedule(monkeypatch, size):
     for nvars, homogeneous in ((3, True), (3, False), (2, True), (1, False)):
         factors = [_random_factor(rng, nvars, homogeneous, size) for _ in range(6)]
         factors[2] = SparsePoly(nvars, {(1,) * nvars: -7})
-        for targets in (None, sorted(_sequential_product(factors, nvars).terms)[::3]):
+        product = sorted(_sequential_product(factors, nvars).terms)
+        top = max(e[int(homogeneous)] for e in product)
+        for targets in (None, product[::3], [e for e in product if e[int(homogeneous)] >= top - 1]):
             layout = packed_layout(once(factors), nvars, targets)
             norms = [sum(map(abs, f.terms.values())) for f in factors if len(f.terms) > 1]
             needs = [(math.prod(norms[:i + 1]).bit_length() + 8) // 8 for i in range(len(norms))]
@@ -190,9 +192,11 @@ def test_width_schedule(monkeypatch, size):
             assert layout.widths == sorted(layout.widths)
             assert all(w >= need for w, need in zip(layout.widths, needs))
             assert layout.widths[-1] == layout.width == needs[-1]
-            # the price is the schedule that runs
-            assert layout.peak == 8 * layout.nslots * layout.width
-            assert layout.work == layout.nslots * sum(len(t) * w for t, w in zip(layout.terms, layout.widths))
+            # the price is the schedule that runs: each copy on the slots still live when it goes in
+            live = [layout.nslots - layout.stride[0] * d for d in [0] + layout.drops[:-1]]
+            assert targets is not None or not any(layout.drops)  # an open box reads every row
+            assert layout.peak == 8 * max(map(operator.mul, live, layout.widths))
+            assert layout.work == sum(n * len(t) * w for n, t, w in zip(live, layout.terms, layout.widths))
             expected = kronecker_product(once(factors), nvars, targets)
             for budget, price in (("MAX_PEAK_BYTES", layout.peak), ("MAX_WORK", layout.work)):
                 monkeypatch.setattr(polynomial, budget, price)
@@ -201,6 +205,80 @@ def test_width_schedule(monkeypatch, size):
                 with pytest.raises(OutOfDomain):
                     kronecker_product(once(factors), nvars, targets)
                 monkeypatch.undo()
+
+
+def _drop_cases():
+    """(nvars, pairs, targets) on one, two and three slotted axes, on unsigned and signed slots: runs of
+    m > 1, a single-term factor, a run that reaches nothing on the outer slotted axis (with two or three
+    axes), coefficients near 10^6 (so the slots widen after rows are dropped), and targets on the top three
+    rows of the outer slotted axis, the lowest of them read."""
+    rng = random.Random(31)
+    for nvars, homogeneous in ((2, True), (3, True), (3, False)):
+        outer = int(homogeneous)
+        for signed in (False, True):
+            fs = [_random_factor(rng, nvars, homogeneous, 10**6) for _ in range(3)]
+            if nvars - outer > 1:
+                # x_outer appears in no term: its copies go in last and lift no row
+                inner = [a for a in range(nvars) if a != outer]
+                squares = {tuple(2 * (a == i) for a in range(nvars)): c for i, c in zip(inner, (5, 7))}
+                fs.append(P(nvars, {e: c for e, c in _random_factor(rng, nvars, homogeneous, 10**6).terms.items()
+                                    if not e[outer]} | squares))
+            if not signed:
+                fs = [P(nvars, {e: abs(c) for e, c in f.terms.items()}) for f in fs]
+            single = P(nvars, {(0,) * (nvars - 1) + (1,): -3 if signed else 3})
+            pairs = [(fs[0], 2), (fs[1], 4), (single, 2), (fs[2], 3)] + [(f, 3) for f in fs[3:]]
+            expected = _sequential_product([f for f, m in pairs for _ in range(m)], nvars).terms
+            top = max(e[outer] for e in expected)
+            targets = [e for e in sorted(expected) if e[outer] >= top - 2] + [(0,) * nvars]
+            yield pytest.param(nvars, pairs, targets, {t: expected.get(t, 0) for t in targets},
+                               id=f"{nvars - outer}-axes-{'signed' if signed else 'unsigned'}")
+
+
+@pytest.mark.parametrize("nvars,pairs,targets,expected", _drop_cases())
+def test_dropped_rows_match_the_expansion(monkeypatch, nvars, pairs, targets, expected):
+    # rows that no copy still to come can lift to a read are shifted out as the copies go in; the drops
+    # never decrease, never pass the lowest row read, and the price (which the lower bound checked before
+    # layout never exceeds) is the schedule that runs
+    from schubertcount import polynomial
+
+    layout = packed_layout(pairs, nvars, targets)
+    lowest = min(u[layout.axes.start] for u in layout.reads.values())
+    assert layout.drops == sorted(layout.drops) and 0 < layout.drops[-1] <= lowest
+    live = [layout.nslots - layout.stride[0] * d for d in [0] + layout.drops[:-1]]
+    assert layout.peak == 8 * max(map(operator.mul, live, layout.widths))
+    assert layout.work == sum(n * len(t) * w for n, t, w in zip(live, layout.terms, layout.widths))
+    assert kronecker_product(pairs, nvars, targets) == expected
+    for budget, price in (("MAX_WORK", layout.work), ("MAX_PEAK_BYTES", layout.peak)):
+        monkeypatch.setattr(polynomial, budget, price)
+        assert kronecker_product(pairs, nvars, targets) == expected
+        monkeypatch.setattr(polynomial, budget, price - 1)
+        with pytest.raises(OutOfDomain):
+            packed_layout(pairs, nvars, targets)
+        monkeypatch.undo()
+
+
+def test_the_drop_ladder_covers_its_cases():
+    # among the cases: signed slots with drops, a read on the lowest live row, and a repack after a drop
+    seen = set()
+    for case in _drop_cases():
+        nvars, pairs, targets, _ = case.values
+        layout = packed_layout(pairs, nvars, targets)
+        lowest = min(u[layout.axes.start] for u in layout.reads.values())
+        seen.add("signed" if layout.signed else "unsigned")
+        if layout.drops[-1] == lowest:
+            seen.add("lowest row read")
+        if any(w > v and d for v, w, d in zip(layout.widths, layout.widths[1:], layout.drops)):
+            seen.add("repack after a drop")
+    assert seen == {"signed", "unsigned", "lowest row read", "repack after a drop"}
+
+
+def test_runs_go_in_by_their_reach():
+    # g reaches x2^3 on the outer slotted axis and goes in first; f and h reach x2^1 and keep their order
+    f, g, h = P(2, {(1, 0): 1, (0, 1): 2}), P(2, {(3, 0): 1, (0, 3): 5}), P(2, {(1, 0): 7, (0, 1): 1})
+    product = (f * g * h).terms
+    layout = packed_layout(once([f, g, h]), 2, sorted(product))
+    assert layout.terms == [[(0, 1), (3, 5)], [(0, 1), (1, 2)], [(0, 7), (1, 1)]]
+    assert kronecker_product(once([f, g, h]), 2, sorted(product)) == product
 
 
 def _power_cases():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -366,6 +367,28 @@ def test_numeric_ladder_against_exact(regime, d, k, parts, grid):
     num = numeric_schur_coefficient(f, alpha, grid=grid)
     err = min(abs(num - s * value) for s in signs)
     assert err <= 1e-9 * (abs(value) or 1), (value, num)
+
+
+@pytest.mark.parametrize("regime,d,k,parts", [(r, d, k, p) for r, d, k, p, _ in NUMERIC_LADDER[3:]])
+def test_quadrature_price(monkeypatch, regime, d, k, parts):
+    # the sweep is priced before f is built, on the exponent vectors of f's degree with each entry at most
+    # its axis's largest exponent, which bound f's terms: at the price it runs, and one unit below it is
+    # refused
+    from schubertcount import schur
+    from schubertcount.counts import linear_factors
+
+    alpha, factors, f = Partition(parts), linear_factors(regime, d, k), root_poly(regime, d, k)
+    caps = [max(e[a] for e in f.poly.terms) for a in range(k)]
+    vectors = sum(sum(e) == f.poly.degree() for e in itertools.product(*(range(c + 1) for c in caps)))
+    assert len(f.poly.terms) <= vectors <= math.comb(f.poly.degree() + k - 1, k - 1)
+    ga, gb = schur._alternant_exponents(regime, alpha, k)
+    shifts = schur._sorted_shifts(ga, vandermonde(gb, k).terms)
+    price = len(shifts) * vectors * k * schur.SWEEP_UNITS
+    monkeypatch.setattr(schur, "MAX_WORK", price)
+    schur.require_quadrature_price(regime, factors, alpha)
+    monkeypatch.setattr(schur, "MAX_WORK", price - 1)
+    with pytest.raises(OutOfDomain, match="quadrature"):
+        schur.require_quadrature_price(regime, factors, alpha)
 
 
 def test_delta():
