@@ -207,14 +207,15 @@ CUT_SHARE = 8
 CUT_TERMS = 2
 
 
-class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad radix stride nslots widths width "
-                                  "drops signed work peak")):
-    """The plan of one packed product, made by `packed_layout` before anything is built."""
+class Layout(namedtuple("Layout", "scalar low step total reads terms hi pad radix stride nslots widths width drops "
+                                  "signed work peak")):
+    """The plan of one packed product, made by `packed_layout` before anything is built.  The degree fixes
+    the first axis, so `hi`, `pad`, `radix` and `stride` run over the other axes, the slotted ones."""
 
     __slots__ = ()
 
     def index(self, e: ExponentVector) -> int:
-        return sum(map(mul, e[self.axes.start:], self.stride))
+        return sum(map(mul, e[1:], self.stride))
 
     def masks(self, width: int, drop: int = 0) -> tuple[int, int, int]:
         """The bias O, the mask `box` of the slots inside hi and O & box, at slots of B = 8*width bits, on
@@ -236,14 +237,18 @@ class Layout(namedtuple("Layout", "scalar low step total reads terms axes hi pad
 def packed_layout(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
                   targets: Sequence[ExponentVector] | None = None) -> Layout | None:
     """The Layout of `kronecker_product(factors, nvars, targets)`, or None if
-    every coefficient asked for is 0.  Each pair (f, m) is reduced once: c*x^e
-    goes into the scalar and the shift, any other f is x^o * h(x^g) (o its
-    least exponents, g_a the gcd of all e_a - o_a, or 1), and target t reads
-    x^((t - shift - sum o)/g) in prod h^m, or 0 where that is negative or
-    fractional; m = 0 contributes 1.  The degree `total` fixes the first axis
-    when every h is homogeneous.  Terms past hi (the largest target exponent,
-    or the full degree) are dropped, and axis a has radix hi_a + 1 + pad_a,
-    pad_a its largest step after the first copy (none in an open box); a
+    every coefficient asked for is 0.  Every factor has nvars variables and
+    every target nvars exponents (ArityMismatch otherwise), and every factor
+    is homogeneous (ValueError otherwise), checked before anything is laid
+    out.  Each pair (f, m) is reduced once: c*x^e goes into the scalar and
+    the shift `low`, any other f is h(x^step), `step` the gcd of every
+    exponent of every such f (or 1), and target t reads x^((t - low)/step) in
+    prod h^m, or 0 where that is negative, fractional or not of the degree
+    `total` of prod h^m; m = 0 contributes 1.  The degree fixes the first
+    axis, so the box runs over the other axes, the slotted ones (one slot
+    where nvars <= 1).  Terms past hi (the largest target exponent, or the
+    full degree) are dropped, and slotted axis a has radix hi_a + 1 + pad_a,
+    pad_a its largest exponent after the first copy (none in an open box); a
     factor with no term left makes every coefficient 0.  The runs (h, m) go in
     by their reach, the largest exponent of their kept terms on the outer
     slotted axis (stride[0]), largest first and ties in the given order.  Each
@@ -266,52 +271,43 @@ def packed_layout(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
     has a running norm of 2^(A + j*b) or more, b = bit_length(l1 norm of h) -
     1 >= 1, so (A + j*b + 2)/8 bytes."""
     factors = [(f, m) for f, m in factors if m]
-    if any(f.nvars != nvars for f, _ in factors):
-        raise ArityMismatch(f"factors must have {nvars} variables")
-    if not all(f for f, _ in factors):
+    if any(f.nvars != nvars for f, _ in factors) or any(len(t) != nvars for t in targets or ()):
+        raise ArityMismatch(f"factors and targets must have {nvars} variables")
+    multi = [(f, m) for f, m in factors if len(f.terms) != 1]
+    if any(len({sum(e) for e in f.terms}) > 1 for f, _ in multi):
+        raise ValueError("every factor of a packed product must be homogeneous")
+    if not all(f for f, _ in multi):
         return None
-    singles, multi, lows, step = [], [], [], (0,) * nvars
-    for f, m in factors:
-        if len(f.terms) == 1:
-            ((o, c),) = f.terms.items()
-            singles.append((c, m))
-        else:
-            o = tuple(map(min, *f.terms))
-            multi.append((f, o, m))
-            step = tuple(map(gcd, step, *[map(sub, e, o) for e in f.terms]))
-        lows.append(o if m == 1 else [m * x for x in o])
-    low = tuple(map(sum, zip(*lows))) if lows else (0,) * nvars
-    step = tuple(g or 1 for g in step)
-    hs = [({tuple(map(floordiv, map(sub, e, o), step)): c for e, c in f.terms.items()}, m) for f, o, m in multi]
-    degrees = [{sum(e) for e in h} for h, _ in hs]
-    lead = nvars > 0 and all(len(d) == 1 for d in degrees)
-    total = sum(m * min(d) for d, (_, m) in zip(degrees, hs))
-    axes, reads = range(int(lead), nvars), {}
+    singles = [(f, m) for f, m in factors if len(f.terms) == 1]
+    low = tuple(sum(m * e[a] for f, m in singles for e in f.terms) for a in range(nvars))
+    step = gcd(*(x for f, _ in multi for e in f.terms for x in e)) or 1
+    steps = (step,) * nvars
+    hs = [({tuple(map(floordiv, e, steps)): c for e, c in f.terms.items()}, m) for f, m in multi]
+    total, reads = sum(m * sum(next(iter(h))) for h, m in hs), {}
     if targets is None:
-        hi = [sum(m * max(e[a] for e in h) for h, m in hs) for a in axes]
+        hi = [sum(m * max(e[a] for e in h) for h, m in hs) for a in range(1, nvars)]
     else:
         for t in targets:
             s = tuple(map(sub, t, low))
-            u = tuple(map(floordiv, s, step))
-            if min(s, default=0) >= 0 and not any(map(mod, s, step)) and (not lead or sum(u) == total):
-                reads[t] = u
+            if min(s, default=0) >= 0 and sum(s) == step * total and not any(map(mod, s, steps)):
+                reads[t] = tuple(map(floordiv, s, steps))
         if not reads:
             return None
-        hi = [max(u[a] for u in reads.values()) for a in axes]
+        hi = [max(u[a] for u in reads.values()) for a in range(1, nvars)]
     kept = []
     for h, m in hs:
-        terms = [(e, c) for e, c in h.items() if all(map(le, e[axes.start:], hi))]
+        terms = [(e, c) for e, c in h.items() if all(map(le, e[1:], hi))]
         if not terms:
             return None
-        kept.append((max([e[axes.start] for e, _ in terms]) if axes else 0, terms, m, sum(map(abs, h.values()))))
+        kept.append((max([e[1] for e, _ in terms]) if nvars > 1 else 0, terms, m, sum(map(abs, h.values()))))
     # the runs that reach furthest on the outer slotted axis go first, so the rows below every read die soonest
     kept.sort(key=itemgetter(0), reverse=True)
-    later = [terms for j, (_, terms, m, _) in enumerate(kept) if j or m > 1]
-    pad = [max((e[a] for terms in later for e, _ in terms), default=0) if targets is not None else 0 for a in axes]
+    later = [terms for j, (_, terms, m, _) in enumerate(kept) if j or m > 1] if targets is not None else []
+    pad = [max((e[a] for terms in later for e, _ in terms), default=0) for a in range(1, nvars)]
     radix = [h + 1 + s for h, s in zip(hi, pad)]
     stride, nslots = [prod(radix[i + 1:]) for i in range(len(radix))], prod(radix)
     row = stride[0] if stride else 1
-    lo = min(map(itemgetter(axes.start), reads.values())) if axes and targets is not None else 0
+    lo = min(u[1] for u in reads.values()) if nvars > 1 and targets is not None else 0
     copies, bits, least, rest, left = 0, 0, 0, 0, 0
     for r, terms, m, norm in kept:
         b = norm.bit_length() - 1
@@ -341,37 +337,39 @@ def packed_layout(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
                 live = nslots - row * d
             widths.append(w)
             drops.append(d)
-    slotted = [([(sum(map(mul, e[axes.start:], stride)), c) for e, c in terms], m) for _, terms, m, _ in kept]
+    slotted = [([(sum(map(mul, e[1:], stride)), c) for e, c in terms], m) for _, terms, m, _ in kept]
     terms = [terms for terms, m in slotted for _ in range(m)]
     peak = 8 * most
     if work > MAX_WORK or peak > MAX_PEAK_BYTES:
         raise OutOfDomain(f"the packed product would take 10^{log10(work or 1):.1f} units of work and "
                           f"10^{log10(peak):.1f} bytes at its peak, above {MAX_WORK:.0e} or {MAX_PEAK_BYTES >> 20} MiB")
     signed = any(c < 0 for _, terms, _, _ in kept for _, c in terms)
-    return Layout(prod(c**m for c, m in singles), low, step, total, reads, terms, axes, hi, pad, radix, stride,
-                  nslots, widths, width, drops, signed, work, peak)
+    scalar = prod(c**m for f, m in singles for c in f.terms.values())
+    return Layout(scalar, low, step, total, reads, terms, hi, pad, radix, stride, nslots, widths, width, drops, signed,
+                  work, peak)
 
 
 def kronecker_product(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
                       targets: Sequence[ExponentVector] | None = None) -> dict[ExponentVector, int]:
-    """Coefficients of the product of the f^m over the pairs (f, m) at `targets`
-    (every nonzero one if None) by Kronecker substitution into one Python int,
-    on the box and widths that `packed_layout` plans and prices.  A monomial
-    x^u of the h's is a B-bit slot at offset index(u), and each kept term c*x^u
-    is planned once as (offset, c): the state S starts as 1, and each copy of h
-    maps it to the sum of c*S << B*offset, a bare shift where c is 1 and no
-    shift at offset 0.  The bias O of `Layout.masks` comes from the kept
-    coefficients: with none negative the slots are unsigned, O is 0, and the
-    clear is S & box; otherwise each slot is signed, the clear is ((S + O) &
-    box) - (O & box), and the repack and the decode add O.  The clear drops
-    what lands in the padding past hi, so a box without padding (an open
-    box) skips it.  Where `drops` grows, the clear also shifts the newly dead
-    rows out, cut = B * stride[0] rows: ((S + O) >> cut) & (box >> cut) -
-    ((O & box) >> cut), with O and box shifted along (a plain S >> cut would
-    floor a negative dropped row into the row above it).  The offsets do not
-    change; the repack and the decode take the live slots, and a read at u
-    takes slot index(u) - stride[0] * (rows dropped).  S is repacked where the
-    schedule widens."""
+    """Coefficients of the product of the f^m over the pairs (f, m) of
+    homogeneous factors at `targets` (every nonzero one if None) by Kronecker
+    substitution into one Python int, on the box and widths that
+    `packed_layout` plans and prices.  A monomial x^u of the h's is a B-bit
+    slot at offset index(u), and each kept term c*x^u is planned once as
+    (offset, c): the state S starts as 1, and each copy of h maps it to the
+    sum of c*S << B*offset, a bare shift where c is 1 and no shift at offset
+    0.  The bias O of `Layout.masks` comes from the kept coefficients: with
+    none negative the slots are unsigned and O is 0; otherwise each slot is
+    signed, and the repack and the decode add O.  After each copy one clear
+    drops what lands in the padding past hi and shifts out the rows newly
+    dead in `drops`: S + O, shifted right by cut = B * stride[0] * (rows newly
+    dead) with O, box and O & box, then & box, less O & box.  S is biased
+    before the shift, since a plain S >> cut would floor a negative dropped
+    row into the row above it; where O is 0 it is neither added nor
+    subtracted.  A box without padding (an open box) that drops no row skips
+    the clear.  The offsets do not change; the repack and the decode take the
+    live slots, and a read at u takes slot index(u) - stride[0] * (rows
+    dropped).  S is repacked where the schedule widens."""
     out = {} if targets is None else dict.fromkeys(targets, 0)
     layout = packed_layout(factors, nvars, targets)
     if layout is None:
@@ -404,43 +402,35 @@ def kronecker_product(factors: Sequence[tuple[SparsePoly, int]], nvars: int,
         # free the old state before the clear; the last term lives on until the next copy's first one, which
         # keeps glibc from trimming the heap's top and faulting it back in (cubic-ci -r 1000: 4.3x fewer faults)
         state = None
-        if drop > dropped:
-            # shift the dead rows out with the clear, the slots biased first: a negative dropped row would
-            # otherwise borrow from the row above it
-            cut = bits * row * (drop - dropped)
+        if clear or drop > dropped:
             if bias:
                 acc += bias
+            if drop > dropped:
+                cut = bits * row * (drop - dropped)
+                acc >>= cut
                 bias >>= cut
+                box >>= cut
                 inner >>= cut
-            acc >>= cut
-            box >>= cut
+                dropped = drop
             acc &= box
             if bias:
                 acc -= inner
-            dropped = drop
-        elif clear and bias:
-            acc += bias
-            acc &= box
-            acc -= inner
-        elif clear:
-            acc &= box
         state, acc = acc, None
     skip = row * dropped
     raw = (state + bias if bias else state).to_bytes((layout.nslots - skip) * w, "little")
     state = None
     half = 1 << (8 * w - 1) if layout.signed else 0
-    scalar, low, step, axes = layout.scalar, layout.low, layout.step, layout.axes
+    scalar, low, step = layout.scalar, layout.low, layout.step
     if targets is not None:
         return out | {t: scalar * (int.from_bytes(raw[(x := (index(u) - skip) * w):x + w], "little") - half)
                       for t, u in layout.reads.items()}
     zero = half.to_bytes(w, "little")
-    images = itertools.product(*(range(low[a], low[a] + step[a] * n, step[a]) for a, n in zip(axes, layout.radix)))
-    first = low[0] + step[0] * layout.total if axes.start else 0
+    images = itertools.product(*(range(x, x + step * n, step) for x, n in zip(low[1:], layout.radix)))
+    first = low[0] + step * layout.total if nvars else 0
     for x, (e, image) in enumerate(zip(itertools.product(*map(range, layout.radix)), images)):
         chunk = raw[x * w:(x + 1) * w]
         if chunk != zero:
-            key = (first - step[0] * sum(e),) + image if axes.start else image
-            out[key] = scalar * (int.from_bytes(chunk, "little") - half)
+            out[(first - step * sum(e),) + image if nvars else ()] = scalar * (int.from_bytes(chunk, "little") - half)
     return out
 
 

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from operator import mul, sub
 
 from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition, rank
-from .polynomial import MAX_WORK, SparsePoly, kronecker_product
+from .polynomial import MAX_PEAK_BYTES, MAX_WORK, SparsePoly, kronecker_product
 
 
 class DegenerateAlternant(ValueError):
@@ -58,6 +58,9 @@ def require_alternant_variables(k: int) -> None:
 # max(k!, C(b + k - 1, k - 1)) terms, b the quotient's degree in y = x^s; in process on a 2-vCPU VM 5,4,3,2,1,0
 # (2.3e5) took 0.04 s, 2,2,2,2,1,1,1,0 (1.1e6) 0.61 s, 6,5,4,3,2,1,0 (6.2e6) 0.87 s; 7,6,5,4,3,2,1,0 is 1.9e8
 MAX_DIVISION_TERMS = 10**7
+# the bytes each of the quotient's C(b + k - 1, k - 1) terms is priced at against polynomial.MAX_PEAK_BYTES: max-RSS
+# less the interpreter's read 340-380 bytes a term in fresh runs of 250000,0 to 2000000,0, 2000,0,0 and 200,0,0,0
+DIVISION_TERM_BYTES = 384
 
 
 def delta(k: int) -> tuple[int, ...]:
@@ -187,13 +190,17 @@ def schur_polynomial(regime: str, alpha: Partition) -> RootPolynomial:
     profile of alpha (real).  Less (x_1...x_k)^(gb_k), the numerator is an
     alternant in y = x^s, divided by V_{s delta} = prod_{i<j} (y_i - y_j)
     one binomial at a time.  A division that may touch more than
-    MAX_DIVISION_TERMS terms is refused (OutOfDomain) before it starts."""
+    MAX_DIVISION_TERMS terms, or whose quotient's terms would take more than
+    MAX_PEAK_BYTES at DIVISION_TERM_BYTES each, is refused (OutOfDomain)
+    before it starts."""
     ga, gb = _alternant_exponents(regime, alpha)
     k, s, low = len(ga), rank(regime, 1), min(gb, default=0)
     b = (sum(gb) - sum(ga) - k * low) // s
-    touched = math.comb(k, 2) * max(math.factorial(k), math.comb(b + k - 1, k - 1)) if k else 0
-    if touched > MAX_DIVISION_TERMS:
-        raise OutOfDomain(f"the Schur division of {alpha.parts} may touch {touched} terms, above {MAX_DIVISION_TERMS}")
+    held = math.comb(b + k - 1, k - 1) if k else 0
+    touched = math.comb(k, 2) * max(math.factorial(k), held)
+    if touched > MAX_DIVISION_TERMS or held * DIVISION_TERM_BYTES > MAX_PEAK_BYTES:
+        raise OutOfDomain(f"the Schur division of {alpha.parts} may touch {touched} terms and hold {held}, above "
+                          f"{MAX_DIVISION_TERMS} or {MAX_PEAK_BYTES >> 20} MiB at {DIVISION_TERM_BYTES} bytes a term")
     terms = vandermonde([(g - low) // s for g in gb], k).terms
     for i, j in itertools.combinations(range(k), 2):
         terms = _divide_binomial(terms, i, j)

@@ -532,6 +532,9 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
     # Schur polynomials whose division may touch more than schur.MAX_DIVISION_TERMS terms (39 s to hours)
     ("schur --alpha 7,6,5,4,3,2,1,0", 64),
     ("schur --alpha 8,7,6,5,4,3,2,1", 64),
+    # a quotient whose C(b + k - 1, k - 1) terms are priced above polynomial.MAX_PEAK_BYTES at
+    # schur.DIVISION_TERM_BYTES each (10^7 terms; 5 * 10^6 took 25 s and 1.6 GiB)
+    ("schur --alpha 9999999,0", 64),
     # packed products priced above polynomial.MAX_WORK or MAX_PEAK_BYTES are refused before they are built,
     # however large the exponent of a factor: incidence and cubic counts pass one power per factor
     ("incidence --regime complex -n 100000", 64),

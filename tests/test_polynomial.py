@@ -98,18 +98,16 @@ def test_product_of_wide_signed_rows():
     assert product_of_linear_forms([(2, -3), (0, 0), (1, 1)], 2).is_zero()
 
 
-def _random_factor(rng, nvars, homogeneous, size):
-    """Four terms of degree 2 (or up to 2 in each variable), coefficients
-    of either sign near `size`."""
+def _random_factor(rng, nvars, size):
+    """Four draws of a term of degree 2 in nvars >= 2 variables, redrawn until
+    at least two differ, with coefficients of either sign near `size`."""
     terms = {}
-    for _ in range(4):
-        if homogeneous:
+    while len(terms) < 2:
+        for _ in range(4):
             e = [0] * nvars
             for _ in range(2):
                 e[rng.randrange(nvars)] += 1
-        else:
-            e = [rng.randint(0, 2) for _ in range(nvars)]
-        terms[tuple(e)] = rng.choice((-1, 1)) * rng.randint(size - 1000, size)
+            terms[tuple(e)] = rng.choice((-1, 1)) * rng.randint(size - 1000, size)
     return SparsePoly(nvars, terms)
 
 
@@ -117,8 +115,8 @@ def test_kronecker_slot_width_grows_through_repacks():
     # l1 norms near 4*10^6 need 3, 6, 9, 12 and 14 bytes as the factors go in: the planned
     # slots double to 3, 6 and 12 bytes, hold at 12, and end capped at the final 14
     rng = random.Random(7)
-    for nvars, homogeneous in ((3, True), (3, False), (2, True), (1, False)):
-        factors = [_random_factor(rng, nvars, homogeneous, 10**6) for _ in range(5)]
+    for nvars in (3, 4, 2, 2):
+        factors = [_random_factor(rng, nvars, 10**6) for _ in range(5)]
         expected = _sequential_product(factors, nvars)
         assert max(abs(c) for c in expected.terms.values()).bit_length() > 96
         assert packed_layout(once(factors), nvars).widths == [3, 6, 12, 12, 14]
@@ -129,7 +127,7 @@ def test_kronecker_slot_width_grows_through_repacks():
         # boxes narrower than the steps of 2 on one slotted axis: hi of 0 or 1 there,
         # for all five factors and for the first two alone
         pair = (factors[:2], _sequential_product(factors[:2], nvars))
-        for axis in range(int(homogeneous), nvars):
+        for axis in range(1, nvars):
             for top in (0, 1):
                 for some, product in ((factors, expected), pair):
                     targets = [t for t in sorted(product.terms) if t[axis] <= top]
@@ -144,8 +142,8 @@ def test_unsigned_and_signed_slots_match_the_expansion(signed):
     # before the last factor, on signed ones.  Each set repacks at least once, in an open box (no padding,
     # no clear) and in a box of targets (padding, cleared after each factor)
     rng = random.Random(29)
-    for nvars, homogeneous in ((3, True), (3, False), (2, True), (1, False)):
-        factors = [_random_factor(rng, nvars, homogeneous, 10**6) for _ in range(5)]
+    for nvars in (3, 4, 2, 2):
+        factors = [_random_factor(rng, nvars, 10**6) for _ in range(5)]
         if not signed:
             factors = [P(nvars, {e: abs(c) for e, c in f.terms.items()}) for f in factors]
         partial = list(itertools.accumulate(factors, operator.mul))
@@ -162,10 +160,10 @@ def test_unsigned_and_signed_slots_match_the_expansion(signed):
 
 
 def test_a_negative_term_past_the_box_leaves_the_slots_unsigned():
-    # -5 x1^3 lies past the box of targets whose x1 exponent is at most 2, so no kept coefficient is negative
-    f, g = P(2, {(1, 0): 3, (0, 1): 2, (3, 0): -5}), P(2, {(1, 0): 1, (0, 1): 4})
+    # -5 x2^3 lies past the box of targets whose x2 exponent is at most 2, so no kept coefficient is negative
+    f, g = P(2, {(3, 0): 3, (2, 1): 2, (0, 3): -5}), P(2, {(1, 0): 1, (0, 1): 4})
     expected = (f * f * g).terms
-    targets = [t for t in sorted(expected) if t[0] <= 2]
+    targets = [t for t in sorted(expected) if t[1] <= 2]
     assert packed_layout([(f, 2), (g, 1)], 2, targets).signed is False
     assert packed_layout([(f, 2), (g, 1)], 2).signed is True
     assert kronecker_product([(f, 2), (g, 1)], 2, targets) == {t: expected[t] for t in targets}
@@ -179,12 +177,12 @@ def test_width_schedule(monkeypatch, size):
     from schubertcount import polynomial
 
     rng = random.Random(size)
-    for nvars, homogeneous in ((3, True), (3, False), (2, True), (1, False)):
-        factors = [_random_factor(rng, nvars, homogeneous, size) for _ in range(6)]
+    for nvars in (3, 4, 2, 2):
+        factors = [_random_factor(rng, nvars, size) for _ in range(6)]
         factors[2] = SparsePoly(nvars, {(1,) * nvars: -7})
         product = sorted(_sequential_product(factors, nvars).terms)
-        top = max(e[int(homogeneous)] for e in product)
-        for targets in (None, product[::3], [e for e in product if e[int(homogeneous)] >= top - 1]):
+        top = max(e[1] for e in product)
+        for targets in (None, product[::3], [e for e in product if e[1] >= top - 1]):
             layout = packed_layout(once(factors), nvars, targets)
             norms = [sum(map(abs, f.terms.values())) for f in factors if len(f.terms) > 1]
             needs = [(math.prod(norms[:i + 1]).bit_length() + 8) // 8 for i in range(len(norms))]
@@ -213,25 +211,24 @@ def _drop_cases():
     axes), coefficients near 10^6 (so the slots widen after rows are dropped), and targets on the top three
     rows of the outer slotted axis, the lowest of them read."""
     rng = random.Random(31)
-    for nvars, homogeneous in ((2, True), (3, True), (3, False)):
-        outer = int(homogeneous)
+    for nvars in (2, 3, 4):
         for signed in (False, True):
-            fs = [_random_factor(rng, nvars, homogeneous, 10**6) for _ in range(3)]
-            if nvars - outer > 1:
-                # x_outer appears in no term: its copies go in last and lift no row
-                inner = [a for a in range(nvars) if a != outer]
+            fs = [_random_factor(rng, nvars, 10**6) for _ in range(3)]
+            if nvars > 2:
+                # x2 appears in no term: its copies go in last and lift no row
+                inner = [a for a in range(nvars) if a != 1]
                 squares = {tuple(2 * (a == i) for a in range(nvars)): c for i, c in zip(inner, (5, 7))}
-                fs.append(P(nvars, {e: c for e, c in _random_factor(rng, nvars, homogeneous, 10**6).terms.items()
-                                    if not e[outer]} | squares))
+                fs.append(P(nvars, {e: c for e, c in _random_factor(rng, nvars, 10**6).terms.items()
+                                    if not e[1]} | squares))
             if not signed:
                 fs = [P(nvars, {e: abs(c) for e, c in f.terms.items()}) for f in fs]
             single = P(nvars, {(0,) * (nvars - 1) + (1,): -3 if signed else 3})
             pairs = [(fs[0], 2), (fs[1], 4), (single, 2), (fs[2], 3)] + [(f, 3) for f in fs[3:]]
             expected = _sequential_product([f for f, m in pairs for _ in range(m)], nvars).terms
-            top = max(e[outer] for e in expected)
-            targets = [e for e in sorted(expected) if e[outer] >= top - 2] + [(0,) * nvars]
+            top = max(e[1] for e in expected)
+            targets = [e for e in sorted(expected) if e[1] >= top - 2] + [(0,) * nvars]
             yield pytest.param(nvars, pairs, targets, {t: expected.get(t, 0) for t in targets},
-                               id=f"{nvars - outer}-axes-{'signed' if signed else 'unsigned'}")
+                               id=f"{nvars - 1}-axes-{'signed' if signed else 'unsigned'}")
 
 
 @pytest.mark.parametrize("nvars,pairs,targets,expected", _drop_cases())
@@ -242,7 +239,7 @@ def test_dropped_rows_match_the_expansion(monkeypatch, nvars, pairs, targets, ex
     from schubertcount import polynomial
 
     layout = packed_layout(pairs, nvars, targets)
-    lowest = min(u[layout.axes.start] for u in layout.reads.values())
+    lowest = min(u[1] for u in layout.reads.values())
     assert layout.drops == sorted(layout.drops) and 0 < layout.drops[-1] <= lowest
     live = [layout.nslots - layout.stride[0] * d for d in [0] + layout.drops[:-1]]
     assert layout.peak == 8 * max(map(operator.mul, live, layout.widths))
@@ -263,7 +260,7 @@ def test_the_drop_ladder_covers_its_cases():
     for case in _drop_cases():
         nvars, pairs, targets, _ = case.values
         layout = packed_layout(pairs, nvars, targets)
-        lowest = min(u[layout.axes.start] for u in layout.reads.values())
+        lowest = min(u[1] for u in layout.reads.values())
         seen.add("signed" if layout.signed else "unsigned")
         if layout.drops[-1] == lowest:
             seen.add("lowest row read")
@@ -282,14 +279,14 @@ def test_runs_go_in_by_their_reach():
 
 
 def _power_cases():
-    """(nvars, f, g): two factors of each shape above, f shifted by x1...xn so that
-    its least exponents are not 0, and two real orbit products."""
+    """(nvars, f, g): two random factors in 3, 4, 2 and 2 variables, f shifted by
+    x1...xn so that its least exponents are not 0, and two real orbit products."""
     from schubertcount.counts import linear_factors
 
     rng = random.Random(19)
-    for nvars, homogeneous in ((3, True), (3, False), (2, True), (1, False)):
-        f = _random_factor(rng, nvars, homogeneous, 10**6) * P(nvars, {(1,) * nvars: 1})
-        yield nvars, f, _random_factor(rng, nvars, homogeneous, 10**6)
+    for nvars in (3, 4, 2, 2):
+        f = _random_factor(rng, nvars, 10**6) * P(nvars, {(1,) * nvars: 1})
+        yield nvars, f, _random_factor(rng, nvars, 10**6)
     for d, k in ((5, 2), (5, 3)):
         f, g = [f for f, _ in linear_factors("real", d, k) if len(f.terms) > 1][-2:]
         yield k, f, g
@@ -334,7 +331,7 @@ def test_kronecker_empty_and_zero_factors():
     assert kronecker_product([], 3) == {(0, 0, 0): 1}
     assert kronecker_product([], 2, [(0, 0), (1, 0)]) == {(0, 0): 1, (1, 0): 0}
     rng = random.Random(13)
-    f, g = (_random_factor(rng, 3, True, 10**6) for _ in range(2))
+    f, g = (_random_factor(rng, 3, 10**6) for _ in range(2))
     assert kronecker_product(once([f, SparsePoly.zero(3), g]), 3) == {}
     targets = [(2, 1, 1), (1, 2, 1), (0, 0, 4)]
     assert kronecker_product(once([f, g, SparsePoly.zero(3)]), 3, targets) == dict.fromkeys(targets, 0)
@@ -346,12 +343,14 @@ def test_kronecker_empty_and_zero_factors():
 
 
 def test_kronecker_one_variable():
-    for factors in ([P(1, {(2,): 3}), P(1, {(1,): -5})] * 3,
-                    [P(1, {(2,): 10**6, (1,): -3, (0,): 7}), P(1, {(1,): -(10**6), (0,): 1})] * 3):
-        expected = _sequential_product(factors, 1)
-        assert kronecker_product(once(factors), 1) == expected.terms
-        targets = [(e,) for e in range(6)]
-        assert kronecker_product(once(factors), 1, targets) == {t: expected.terms.get(t, 0) for t in targets}
+    # one variable, where every factor is a single term, and one slotted axis: factors of degree 8 and 6
+    # over the common step 2, with least exponents (2, 2) and (4, 0)
+    u, v = P(2, {(2, 6): 10**6, (4, 4): -3, (6, 2): 7}), P(2, {(4, 2): -(10**6), (6, 0): 1})
+    for nvars, factors in ((1, [P(1, {(2,): 3}), P(1, {(1,): -5})] * 3), (2, [u, v] * 3)):
+        expected = _sequential_product(factors, nvars)
+        assert kronecker_product(once(factors), nvars) == expected.terms
+        targets = [(e,) for e in range(10)] if nvars == 1 else [(42 - e, e) for e in range(20)] + [(0, 8)]
+        assert kronecker_product(once(factors), nvars, targets) == {t: expected.terms.get(t, 0) for t in targets}
 
 
 def test_open_box_has_no_padding():
@@ -371,7 +370,7 @@ def test_open_box_has_no_padding():
 
 def test_kronecker_degree_mismatch_is_zero():
     rng = random.Random(17)
-    factors = [_random_factor(rng, 3, True, 50) for _ in range(3)]
+    factors = [_random_factor(rng, 3, 50) for _ in range(3)]
     expected = _sequential_product(factors, 3)
     assert all(sum(e) == 6 for e in expected.terms)
     targets = [(3, 2, 1), (2, 2, 1), (3, 2, 2), (0, 0, 0)]

@@ -41,6 +41,8 @@ def test_vandermonde_examples():
 
 
 X = SparsePoly(1, {(1,): 1})
+LINEAR = SparsePoly.linear_form((1, 2, 3))
+NOT_HOMOGENEOUS = SparsePoly(2, {(2, 0): 1, (1, 0): 1})
 
 
 @pytest.mark.parametrize("call,error,match", [
@@ -54,9 +56,15 @@ X = SparsePoly(1, {(1,): 1})
     (lambda: catalan(-1), ValueError, "n must be non-negative"),
     (lambda: numeric_schur_coefficient(X, Partition((1,))), TypeError, "expects a RootPolynomial"),
     (lambda: duality_pairing(Partition((1,)), Partition((1, 0)), 2, 2), InvalidLength, "length k"),
+    (lambda: kronecker_product([(LINEAR, 1)], 3, [(1, 0, 0), (1, 0, 0, 0)]), ArityMismatch, "must have 3 variables"),
+    (lambda: kronecker_product([(LINEAR, 1)], 3, [(1, 0)]), ArityMismatch, "must have 3 variables"),
+    (lambda: kronecker_product([(NOT_HOMOGENEOUS, 1)], 2), ValueError, "must be homogeneous"),
+    (lambda: schur_coefficient("complex", [(NOT_HOMOGENEOUS, 1)], Partition((2, 1))), ValueError,
+     "must be homogeneous"),
 ], ids=["sqrt-odd-leading-exponent", "sqrt-odd-residual", "poly-arity", "poly-negative-exponent", "poly-nvars",
         "vandermonde-negative-exponent", "compositions-negative-degree", "catalan-negative", "numeric-plain-poly",
-        "duality-unequal-lengths"])
+        "duality-unequal-lengths", "kronecker-long-target", "kronecker-short-target", "kronecker-not-homogeneous",
+        "schur-not-homogeneous"])
 def test_bad_arguments_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -398,12 +406,18 @@ def test_delta():
 
 @st.composite
 def factors_and_partition(draw, regime):
-    """Random short lists of small factors in 1-3 variables, and a partition
-    of the regime: length k (complex) or an even or odd 2k-partition (real)."""
-    k = draw(st.integers(1, 3))
-    exponent = st.tuples(*[st.integers(0, 3)] * k)
-    factor = st.dictionaries(exponent, st.integers(-4, 4), min_size=1, max_size=4)
-    factors = [SparsePoly(k, terms) for terms in draw(st.lists(factor, max_size=5))]
+    """Random short lists of small homogeneous factors in 1-3 variables, their
+    exponents of degree 0-3 times a common step of 1 or 2, and a partition of
+    the regime: length k (complex) or an even or odd 2k-partition (real)."""
+    k, step = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+    def factor(degree):
+        # a multiset of `degree` variables is an exponent of that degree
+        exponent = st.lists(st.integers(0, k - 1), min_size=degree, max_size=degree).map(
+            lambda xs: tuple(step * xs.count(i) for i in range(k)))
+        return st.dictionaries(exponent, st.integers(-4, 4), min_size=1, max_size=4)
+
+    factors = [SparsePoly(k, terms) for terms in draw(st.lists(st.integers(0, 3).flatmap(factor), max_size=5))]
     parts = sorted(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)), reverse=True)
     if regime == "complex":
         return factors, Partition(tuple(parts))
@@ -441,10 +455,13 @@ def test_engine_matches_expansion_real(case):
 def test_engine_slot_growth_against_expansion():
     # signed coefficients near 10^6 widen the slots several times inside a truncated box
     rng = random.Random(53)
-    for regime, k, alpha in (("complex", 3, Partition((6, 5, 2))), ("real", 2, Partition((7, 7, 3, 3)))):
+    # five homogeneous factors, whose degrees add up to the target's degree less the alternant's
+    for regime, k, alpha, degrees in (("complex", 3, Partition((6, 5, 2)), (3, 3, 3, 2, 2)),
+                                      ("real", 2, Partition((7, 7, 3, 3)), (2, 2, 2, 2, 2))):
         for _ in range(3):
-            terms = [{tuple(rng.randint(0, 2) for _ in range(k)): rng.choice((-1, 1)) * rng.randint(10**6 - 99, 10**6)
-                      for _ in range(3)} for _ in range(5)]
+            # an exponent of degree d counts the variables in d draws
+            terms = [{tuple(map([rng.randrange(k) for _ in range(d)].count, range(k))):
+                      rng.choice((-1, 1)) * rng.randint(10**6 - 99, 10**6) for _ in range(3)} for d in degrees]
             factors = [SparsePoly(k, t) for t in terms]
             assert schur_coefficient(regime, once(factors), alpha) == _expanded_coefficient(factors, alpha, regime)
 
@@ -457,15 +474,15 @@ def test_engine_degree_mismatch_and_empty_box():
     assert schur_coefficient("complex", once(factors), Partition((3, 2, 1))) != 0
     assert schur_coefficient("complex", once(factors), Partition((2, 2, 1))) == 0
     # no term of the alternant fits under the target: the shifted box is empty
-    factors = [SparsePoly(3, {(0, 0, 0): 5, (1, 0, 0): -2, (0, 1, 1): 3})] * 3
+    factors = [SparsePoly(3, {(2, 0, 0): 5, (1, 1, 0): -2, (0, 1, 1): 3})] * 3
     van = vandermonde((2, 1, 0), 3)
     product = factors[0] * factors[1] * factors[2]
     assert _alternant_coefficient(once(factors), (1, 1, 0), van) == (product * van).terms.get((1, 1, 0), 0) == 0
 
 
-# multi-term factors whose exponents step by 2 on the first axis only; v's least exponent is (2, 0, 0)
-STEP_TWO_U = SparsePoly(3, {(2, 1, 0): 1, (0, 0, 1): -2, (0, 1, 0): 3})
-STEP_TWO_V = SparsePoly(3, {(4, 0, 1): 3, (2, 1, 0): -1})
+# homogeneous multi-term factors whose exponents all step by 2, with least exponents (2, 0, 0) and (2, 0, 2)
+STEP_TWO_U = SparsePoly(3, {(2, 2, 0): 1, (2, 0, 2): -2, (4, 0, 0): 3})
+STEP_TWO_V = SparsePoly(3, {(4, 0, 2): 3, (2, 2, 2): -1})
 MONOMIAL = SparsePoly(3, {(3, 1, 0): -3})
 CONSTANT = SparsePoly(3, {(0, 0, 0): 5})
 
