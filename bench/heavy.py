@@ -20,7 +20,10 @@ checkout at PATH, paired with this one's: each rung runs in both trees
 before the next rung starts, and the pairs alternate which tree goes first,
 so that the machine's drift falls on both sides alike.  The plans, and so
 the predictions and the skips, are this tree's.  Each rung reports both
-trees' medians and their wall-time ratio, this tree's over PATH's.
+trees' medians and their wall-time ratio, this tree's over PATH's, the
+pairs run and the pairs this tree won (the faster wall time; a tie counts
+for neither), and with two or more repeats each tree's wall-time
+quartiles, so that a ratio can be read against the spread it comes from.
 
 The predicted time is the floor rung's wall time plus the work at
 NS_PER_UNIT; the peak is compared with max-RSS above the floor rung's.  The
@@ -155,7 +158,28 @@ def measure_rung(rung: tuple, repeats: int, roots: list, mismatches: list, turn:
             if (run["exit"], run["answer"]) != (code, pin):
                 mismatches.append(f"{command} ({root}): exit {run['exit']} and answer {run['answer']}, "
                                   f"expected exit {code} and answer {pin}")
-    return [{"exit": mine[0]["exit"], **{f: statistics.median(r[f] for r in mine) for f in FIELDS}} for mine in runs]
+    return [{"exit": mine[0]["exit"], "walls": [r["seconds"] for r in mine],
+             **{f: statistics.median(r[f] for r in mine) for f in FIELDS}} for mine in runs]
+
+
+def paired(mine: dict, other: dict) -> dict:
+    """The pairs run, the pairs won by this tree (a tie counts for neither) and, from 2 runs up, each tree's
+    wall-time quartiles, inclusive of the extremes."""
+    walls = mine["walls"], other["walls"]
+    record = {"pairs": len(walls[0]), "wins": sum(a < b for a, b in zip(*walls))}
+    if len(walls[0]) > 1:
+        record["quartiles_s"] = {side: [round(q, 3) for q in statistics.quantiles(w, n=4, method="inclusive")]
+                                 for side, w in zip(("this", "against"), walls)}
+    return record
+
+
+def pairing(record: dict) -> str:
+    """A `paired` record, as printed."""
+    text = f"this tree won {record['wins']} of {record['pairs']} pairs"
+    if "quartiles_s" in record:
+        text += "; wall quartiles " + ", ".join(f"{side} " + "/".join(f"{q:.3f}" for q in qs)
+                                                 for side, qs in record["quartiles_s"].items()) + " s"
+    return text
 
 
 def line(m: dict) -> str:
@@ -181,7 +205,7 @@ def main() -> int:
     floor = measure_rung(FLOOR, args.repeats, roots, mismatches)
     floor_s, floor_mib = floor[0]["seconds"], floor[0]["max_rss_mib"]
     print(f"floor ({FLOOR[0]}): {line(floor[0])}; {NS_PER_UNIT} ns per unit of work; medians of {args.repeats} "
-          f"run(s)" + (f"; against {roots[1]}: {line(floor[1])}" if args.against else ""))
+          f"run(s)" + (f"; against {roots[1]}: {line(floor[1])}; {pairing(paired(*floor))}" if args.against else ""))
     rows = []
     for turn, rung in enumerate(RUNGS, 1):
         command = rung[0]
@@ -203,7 +227,8 @@ def main() -> int:
             if other:
                 row["against"] = {"exit": other[0]["exit"], **{f: round(other[0][f], 3) for f in FIELDS}}
                 row["wall_ratio"] = round(mine["seconds"] / other[0]["seconds"], 3)
-                print(f"    against: {line(other[0])} | wall this/against {row['wall_ratio']}")
+                row.update(paired(mine, other[0]))
+                print(f"    against: {line(other[0])} | wall this/against {row['wall_ratio']} | {pairing(row)}")
         rows.append(row)
     for mismatch in mismatches:
         print(f"MISMATCH {mismatch}")
@@ -215,6 +240,7 @@ def main() -> int:
               "time": time.strftime("%Y-%m-%dT%H:%M:%S")}
     if args.against:
         record["floor"]["against"] = {f: round(floor[1][f], 3) for f in FIELDS}
+        record["floor"].update(paired(*floor))
     (out / "BENCH_heavy.json").write_text(json.dumps(record, indent=1) + "\n")
     return 1 if mismatches else 0
 

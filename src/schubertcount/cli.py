@@ -150,15 +150,12 @@ def _schur(args) -> tuple[dict, int]:
 
 
 def _lambda(args) -> tuple[dict, int]:
-    from .counts import linear_factors, root_poly
-    from .schur import numeric_schur_coefficient, require_quadrature_price, schur_coefficient
+    from .counts import linear_factors
+    from .schur import numeric_schur_coefficient, schur_coefficient
 
     factors = linear_factors(args.regime, args.d, args.k)
-    if args.numeric:
-        # the oracle's sweep is priced before f is built, and its open box is expanded, or refused by its
-        # own price, before the count
-        require_quadrature_price(args.regime, factors, args.alpha)
-    f = root_poly(args.regime, args.d, args.k) if args.numeric else None
+    # the oracle, which refuses its grid and its price before it builds f, runs before the count
+    num = numeric_schur_coefficient(args.regime, factors, args.alpha, grid=args.grid) if args.numeric else None
     value = schur_coefficient(args.regime, factors, args.alpha)
     # orientation conventions pin a real coefficient only up to a global sign
     sign_certain = args.regime == "complex"
@@ -171,7 +168,6 @@ def _lambda(args) -> tuple[dict, int]:
         "sign_certain": sign_certain,
     }
     if args.numeric:
-        num = numeric_schur_coefficient(f, args.alpha, grid=args.grid)
         signs = (1,) if sign_certain else (1, -1)
         err = min(abs(num - s * value) for s in signs)
         body["numeric"] = [num.real, num.imag]

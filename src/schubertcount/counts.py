@@ -151,8 +151,8 @@ def linear_factors(regime: str, d: int, k: int) -> list[tuple[SparsePoly, int]]:
 def root_poly(regime: str, d: int, k: int) -> RootPolynomial:
     """Root polynomial of the top Chern class of Sym^d (complex) or of its
     Euler class at rank 2k (real, leading coefficient positive by
-    convention), expanded for --dump-poly and the oracles from the factors
-    that the count reads."""
+    convention), expanded for --dump-poly and the tests from the factors
+    that the count and the quadrature oracle read."""
     return RootPolynomial(SparsePoly._raw(k, kronecker_product(linear_factors(regime, d, k), k)), regime)
 
 

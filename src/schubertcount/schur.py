@@ -8,14 +8,14 @@ product is antisymmetric and its coefficients at permuted exponents agree up
 to sign.  f is given as (factor, exponent) pairs, and never expanded:
 `polynomial.kronecker_product` reads the product's coefficients at the k!
 shifted targets from one packed int.  A floating trapezoidal quadrature
-of the same integral is kept as an independent oracle: on a uniform torus
-grid the rule is exact for trigonometric polynomials once the grid passes
-the bandwidth threshold, so the two routes must agree to rounding.  The
-oracle reads no exact coefficient: it sums the same nodes as products of
-one-dimensional node sums, one per axis of each monomial of
-f * V_a * conj(V_b).  Since f is symmetric, V_a * conj(V_b) is read as the
-k! shifts ga - eb over the terms of V_b alone, each sorted and weighted by
-k!, with equal shifts merged (`torus_quadrature`, in plain Python).
+of the same integral, from the same pairs, is an independent oracle: on a
+uniform torus grid the rule is exact for trigonometric polynomials once
+the grid passes the bandwidth threshold, so the two routes must agree to
+rounding.  The oracle reads no exact coefficient: it sums the same nodes
+as products of one-dimensional node sums, one per axis of each monomial
+of f * V_a * conj(V_b).  Since f is symmetric, V_a * conj(V_b) is read as
+the k! shifts ga - eb over the terms of V_b alone, each sorted and
+weighted by k!, with equal shifts merged (`torus_quadrature`, plain Python).
 """
 
 import itertools
@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from operator import mul, sub
 
 from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition, rank
-from .polynomial import MAX_PEAK_BYTES, MAX_WORK, SparsePoly, kronecker_product
+from .polynomial import MAX_PEAK_BYTES, MAX_WORK, ArityMismatch, SparsePoly, kronecker_product
 
 
 class DegenerateAlternant(ValueError):
@@ -253,20 +253,6 @@ def root_of_unity(e: int, grid: int) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def quadrature_threshold(f: RootPolynomial, alpha: Partition) -> int:
-    """Smallest grid at which the trapezoidal rule is provably exact.
-
-    The integrand is a Laurent polynomial whose per-axis frequencies lie in
-    [-gb_1, E + ga_1 - gb_k] with E the largest per-axis exponent of f and
-    ga, gb the two alternant exponent sequences; once the grid exceeds both
-    endpoints in absolute value, only the zero frequency survives the
-    periodic sum.
-    """
-    ga, gb = _alternant_exponents(f.regime, alpha, f.variables)
-    emax = max((x for e in f.poly.terms for x in e), default=0)
-    return max(gb[0], emax + ga[0] - gb[-1]) + 1
-
-
 def _sorted_shifts(ga, vb):
     """The monomials of V_a * conj(V_b) against a symmetric f, as the shifts
     ga - eb over the terms {exponents: sign} `vb` of V_b, each sorted, equal
@@ -317,53 +303,55 @@ def torus_quadrature(terms, shifts, grid):
 SWEEP_UNITS = 100
 
 
-def require_quadrature_price(regime: str, factors: Sequence[tuple[SparsePoly, int]], alpha: Partition) -> None:
-    """Refuse (OutOfDomain) a quadrature whose sweep is priced above MAX_WORK,
-    before f is built from its (factor, exponent) pairs: f is homogeneous of
-    degree D, the sum of m * deg over the pairs, with each exponent e_a at most
-    hi_a, the sum of m times the factor's largest e_a, so it has at most as
-    many terms as there are such exponent vectors (never more than
-    C(D + k - 1, k - 1)), and the sweep takes (sorted shifts) x (terms) x k
-    float products, SWEEP_UNITS units each."""
-    ga, gb = _alternant_exponents(regime, alpha, factors[0][0].nvars if factors else None)
-    k = len(ga)
-    # ways[t]: the exponent vectors on the axes so far that sum to t, each entry at most its hi_a
-    total = sum(m * f.degree() for f, m in factors)
-    ways = [1] + [0] * total
-    for a in range(k):
-        hi, run, sums = sum(m * max(e[a] for e in f.terms) for f, m in factors), 0, []
-        for t, w in enumerate(ways):
-            run += w - (ways[t - hi - 1] if t > hi else 0)
-            sums.append(run)
-        ways = sums
-    products = len(_sorted_shifts(ga, vandermonde(gb, k).terms)) * ways[total] * k
-    if products * SWEEP_UNITS > MAX_WORK:
-        raise OutOfDomain(f"the quadrature's sweep may take 10^{math.log10(products):.1f} float products, "
-                          f"{SWEEP_UNITS} units of work each, above {MAX_WORK:.0e}")
+def numeric_schur_coefficient(regime: str, factors: Sequence[tuple[SparsePoly, int]], alpha: Partition,
+                              grid: int | None = None) -> complex:
+    """Trapezoidal torus quadrature of the Schur-coefficient integral of f,
+    given as (factor, exponent) pairs in k variables, as in `schur_coefficient`.
 
-
-def numeric_schur_coefficient(f: RootPolynomial, alpha: Partition, grid: int | None = None) -> complex:
-    """Trapezoidal torus quadrature of the Schur-coefficient integral.
-
-    Sums over grid^k nodes; the rule is exact for the polynomial integrand
-    (up to floating rounding) whenever grid reaches `quadrature_threshold`,
-    which is the default grid.  `torus_quadrature` takes each node sum of a
-    monomial as the product of its one-dimensional node sums, so the grid
-    only sizes one table of those; grids above MAX_GRID are refused.  f is
-    symmetric and the grid is the same on every axis, so V_a * conj(V_b) is
-    read from the terms of V_b alone, each shift sorted, weighted by k! and
-    merged (`_sorted_shifts`: 16 of the 24 terms remain at k = 4).
+    The rule is exact for the integrand (up to floating rounding) once the
+    grid passes its per-axis frequencies [-gb_1, E + ga_1 - gb_k]: ga, gb the
+    alternant exponents, E = max hi_a, hi_a the sum of m times each factor's
+    largest exponent on axis a.  That threshold is the default grid; grids
+    below it or above MAX_GRID are refused.  f is symmetric and the grid is
+    the same on every axis, so V_a * conj(V_b) is read from the terms of V_b
+    alone (`_sorted_shifts`: 16 of the 24 remain at k = 4).  The sweep's
+    (shifts) x (terms of f) x k float products, SWEEP_UNITS units each, are
+    priced against MAX_WORK, f's terms bounded by the exponent vectors of its
+    degree D (the sum of m * deg) with each e_a at most hi_a (never more than
+    C(D + k - 1, k - 1)); an f whose lex-leading coefficient, the product of
+    each factor's to the m, is past the float range is refused.  All of this
+    runs before f is built as an open box, checked symmetric (complex) or in
+    the Euler-Pontryagin ring (real); any other coefficient past the float
+    range is refused after that.  A zero product gives 0j.
     """
-    if not isinstance(f, RootPolynomial):
-        raise TypeError("numeric_schur_coefficient expects a RootPolynomial")
-    ga, gb = _alternant_exponents(f.regime, alpha, f.variables)
-    sharp = quadrature_threshold(f, alpha)
-    if grid is None:
-        grid = sharp
+    ga, gb = _alternant_exponents(regime, alpha, factors[0][0].nvars if factors else None)
+    k, factors = len(ga), [(f, m) for f, m in factors if m]
+    if any(f.nvars != k for f, _ in factors):
+        raise ArityMismatch(f"factors must have {k} variables")
+    zero = not all(f for f, _ in factors)
+    hi = [0 if zero else sum(m * max(e[a] for e in f.terms) for f, m in factors) for a in range(k)]
+    sharp = max(gb[0], max(hi, default=0) + ga[0] - gb[-1]) + 1
+    grid = sharp if grid is None else grid
     if grid < sharp:
         raise OutOfDomain(f"grid {grid} below the exactness threshold {sharp}")
     if grid > MAX_GRID:
         raise OutOfDomain(f"grid {grid} above the largest accepted grid {MAX_GRID}")
-    if max(map(abs, f.poly.terms.values()), default=0) > sys.float_info.max:
+    if zero:
+        return 0j
+    shifts = _sorted_shifts(ga, vandermonde(gb, k).terms)
+    # ways[t]: the exponent vectors on the axes so far that sum to t, each entry at most its hi_a
+    total = sum(m * f.degree() for f, m in factors)
+    ways = [1] + [0] * total
+    for h in hi:
+        run = [0, *itertools.accumulate(ways)]
+        ways = [run[t + 1] - run[max(t - h, 0)] for t in range(total + 1)]
+    products = len(shifts) * ways[total] * k
+    if products * SWEEP_UNITS > MAX_WORK:
+        raise OutOfDomain(f"the quadrature's sweep may take 10^{math.log10(products):.1f} float products, "
+                          f"{SWEEP_UNITS} units of work each, above {MAX_WORK:.0e}")
+    if abs(math.prod(f.terms[max(f.terms)] ** m for f, m in factors)) > sys.float_info.max:
+        raise OutOfDomain("the leading coefficient of f exceeds the float range; the oracle cannot weigh it")
+    f = RootPolynomial(SparsePoly._raw(k, kronecker_product(factors, k)), regime).poly.terms
+    if max(map(abs, f.values()), default=0) > sys.float_info.max:
         raise OutOfDomain("a coefficient of f exceeds the float range; the oracle cannot weigh it")
-    return torus_quadrature(f.poly.terms, _sorted_shifts(ga, vandermonde(gb, f.variables).terms), grid)
+    return torus_quadrature(f, shifts, grid)

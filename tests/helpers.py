@@ -91,3 +91,14 @@ def is_symmetric_by_permutations(poly: SparsePoly) -> bool:
         {tuple(e[i] for i in perm): c for e, c in poly.terms.items()} == poly.terms
         for perm in itertools.permutations(range(poly.nvars))
     )
+
+
+def threshold_from_terms(regime: str, terms, parts) -> int:
+    """The quadrature's exactness threshold read from the terms of the expanded f: one past both ends of the
+    integrand's per-axis frequencies [-gb_1, E + ga_1 - gb_k], E the largest exponent of any term of f, with
+    ga = s * delta and gb = parts[::s] + ga at the regime's scale s (1 complex, 2 real)."""
+    s = 2 if regime == "real" else 1
+    beta = parts[::s]
+    ga = [s * (len(beta) - 1 - i) for i in range(len(beta))]
+    gb = [b + g for b, g in zip(beta, ga)]
+    return max(gb[0], max((x for e in terms for x in e), default=0) + ga[0] - gb[-1]) + 1

@@ -29,10 +29,8 @@ from schubertcount.counts import (
 )
 from schubertcount.polynomial import SparsePoly, exact_sqrt
 from schubertcount.schur import (
-    RootPolynomial,
     duality_pairing,
     numeric_schur_coefficient,
-    quadrature_threshold,
     schur_coefficient,
     schur_polynomial,
 )
@@ -160,42 +158,40 @@ def test_criterion_09():
 
 @criterion(10, "quadrature oracle agrees with every exact lambda in criteria 1-7 within 1e-6 relative")
 def test_criterion_10():
-    cases = []  # (root polynomial, 2k- or k-partition, exact value)
+    cases = []  # (regime, (factor, exponent) pairs, 2k- or k-partition, exact value)
 
     for d, expected in ((3, N3_COMPLEX), (5, N5_COMPLEX)):
         m = feasibility(d, 4, "complex").m
         root = root_poly("complex", d, 4)
         alpha = Partition.constant(m, 4)
         assert schur_coefficient("complex", [(root.poly, 1)], alpha) == expected
-        cases.append((root, alpha, expected))
+        cases.append(("complex", [(root.poly, 1)], alpha, expected))
 
     root = root_poly("complex", 3, 2)
-    cases.append((root, Partition.constant(2, 2), 27))
+    cases.append(("complex", [(root.poly, 1)], Partition.constant(2, 2), 27))
 
     for d, expected in ((3, N3_REAL), (5, N5_REAL)):
         m = feasibility(d, 2, "real").m
         root = root_poly("real", d, 2)
         alpha = Partition.constant(m, 4)
         assert abs(schur_coefficient("real", [(root.poly, 1)], alpha)) == expected
-        cases.append((root, alpha, expected))
+        cases.append(("real", [(root.poly, 1)], alpha, expected))
 
     for d, expected in ((3, 3), (5, 15), (7, 105)):
         m = feasibility(d, 1, "real").m
-        cases.append((root_poly("real", d, 1), Partition.constant(m, 2), expected))
+        cases.append(("real", [(root_poly("real", d, 1).poly, 1)], Partition.constant(m, 2), expected))
 
     base = SparsePoly(2, {(2, 0): 1, (0, 2): 1})
     for n in range(1, 9):
-        root = RootPolynomial(base ** (2 * n), "real")
-        cases.append((root, Partition.constant(2 * n, 4), catalan(n)))
+        cases.append(("real", [(base, 2 * n)], Partition.constant(2 * n, 4), catalan(n)))
 
     f3 = root_poly("real", 3, 2)
     for r in range(1, 5):
-        root = RootPolynomial(f3.poly**r, "real")
-        cases.append((root, Partition.constant(5 * r, 4), catalan_substitution(r)))
+        cases.append(("real", [(f3.poly, r)], Partition.constant(5 * r, 4), catalan_substitution(r)))
 
-    for root, alpha, exact in cases:
-        grid = quadrature_threshold(root, alpha)
-        numeric = numeric_schur_coefficient(root, alpha, grid=grid)
+    for regime, factors, alpha, exact in cases:
+        # the default grid is the exactness threshold
+        numeric = numeric_schur_coefficient(regime, factors, alpha)
         err = min(abs(numeric - exact), abs(numeric + exact))
         assert err <= 1e-6 * max(1.0, abs(exact)), (alpha.parts, exact, numeric)
 

@@ -549,6 +549,12 @@ def test_readme_example_bodies_round_trip_the_cache(tmp_path, capsys, example):
     ("lambda --regime complex -d 9 -k 4 --alpha 55,55,55,55 --numeric", 64),
     # the quadrature's sweep is priced before f is built: 231 shifts against f's 1,442,655 terms ran for minutes
     ("lambda --regime complex -d 3 -k 6 --alpha 5,5,5,5,5,5 --numeric", 64),
+    # a grid out of range, or a leading coefficient past the float range, is refused from the factors before f
+    # is built; each of these took 5-70 s while the checks waited for the built f
+    ("lambda --regime complex -d 7 -k 4 --alpha 30,30,30,30 --numeric --grid 4097", 64),
+    ("lambda --regime complex -d 7 -k 4 --alpha 30,30,30,30 --numeric --grid 57", 64),
+    ("lambda --regime real -d 45 -k 2 --alpha 1,1,1,1 --numeric", 64),
+    ("lambda --regime complex -d 30 -k 3 --alpha 60,60,60 --numeric", 64),
     # an even real degree is still reported before a rank too large for the alternant
     ("count --regime real -d 6 -k 10 --dump-poly", 2),
     # binomials past combinatorics.MAX_BINOMIAL_BITS (C(599999, 299999) took 2.5 s) are refused before they are taken

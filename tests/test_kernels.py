@@ -10,13 +10,13 @@ from operator import mul, sub
 
 import pytest
 
+from helpers import threshold_from_terms
 from schubertcount.combinatorics import Partition
-from schubertcount.counts import root_poly
+from schubertcount.counts import linear_factors, root_poly
 from schubertcount.schur import (
     _alternant_exponents,
     _sorted_shifts,
     numeric_schur_coefficient,
-    quadrature_threshold,
     root_of_unity,
     torus_quadrature,
     vandermonde,
@@ -89,7 +89,7 @@ def test_torus_quadrature_against_pointwise(k, spower, above):
     terms, gb, perm_data = _quadrature_case(k, spower, seed=47)  # every value nonzero, axes 1.. of unequal length
     max_exponents = tuple(max(e[i] for e in terms) for i in range(k))
     ga = tuple(spower * (k - 1 - i) for i in range(k))
-    # the threshold of `schur.quadrature_threshold`
+    # the exactness threshold, the default grid of `schur.numeric_schur_coefficient`
     g = max(gb[0], max(max_exponents) + ga[0] - gb[-1]) + 1 + above
     ref = _pointwise_quadrature(terms, gb, perm_data, spower, g)
     # f is not symmetric, so its shifts are passed unsorted
@@ -115,7 +115,7 @@ def test_sorted_shifts_match_expanded_shifts(regime, d, k, parts, grid):
     f, alpha = root_poly(regime, d, k), Partition(parts)
     ga, gb = _alternant_exponents(regime, alpha, k)
     va, vb = vandermonde(ga, k).terms, vandermonde(gb, k).terms
-    grid = grid or quadrature_threshold(f, alpha)
+    grid = grid or threshold_from_terms(regime, f.poly.terms, parts)
     sorted_shifts, expanded_shifts = _sorted_shifts(ga, vb), _expanded_shifts(va, vb)
     assert all(list(s) == sorted(s) for s in sorted_shifts)
     assert len(sorted_shifts) < len(expanded_shifts)
@@ -123,7 +123,7 @@ def test_sorted_shifts_match_expanded_shifts(regime, d, k, parts, grid):
     expanded = torus_quadrature(f.poly.terms, expanded_shifts, grid)
     assert abs(expanded) > 1.0
     assert abs(merged - expanded) <= 1e-12 * abs(expanded), (merged, expanded)
-    assert numeric_schur_coefficient(f, alpha, grid=grid) == merged
+    assert numeric_schur_coefficient(regime, linear_factors(regime, d, k), alpha, grid=grid) == merged
 
 
 # the alternants of every SORTED_SHIFT_CASES row (the grid plays no part), then complex k = 5 and 6 and real k = 3
@@ -176,7 +176,7 @@ def test_line_table_per_residue_matches_per_exponent(regime, d, k, parts):
     f, alpha = root_poly(regime, d, k), Partition(parts)
     ga, gb = _alternant_exponents(regime, alpha, k)
     shifts = _sorted_shifts(ga, vandermonde(gb, k).terms)
-    grid = quadrature_threshold(f, alpha)
+    grid = threshold_from_terms(regime, f.poly.terms, parts)
     span = max(max(e) for e in f.poly.terms) + max(map(max, shifts)) - min(map(min, shifts)) + 1
     assert span > grid
     assert torus_quadrature(f.poly.terms, shifts, grid) == _per_exponent_quadrature(f.poly.terms, shifts, grid)

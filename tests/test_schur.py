@@ -5,9 +5,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import is_symmetric_by_permutations, once, partitions_in_box, partitions_of, random_poly, symmetrize
+from helpers import (
+    is_symmetric_by_permutations,
+    once,
+    partitions_in_box,
+    partitions_of,
+    random_poly,
+    symmetrize,
+    threshold_from_terms,
+)
 from schubertcount.combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, catalan, compositions
-from schubertcount.counts import root_poly
+from schubertcount.counts import linear_factors, root_poly
 from schubertcount.polynomial import ArityMismatch, NotAPerfectSquare, SparsePoly, exact_sqrt, kronecker_product
 from schubertcount.schur import (
     MAX_GRID,
@@ -22,11 +30,11 @@ from schubertcount.schur import (
     in_euler_pontryagin,
     is_symmetric,
     numeric_schur_coefficient,
-    quadrature_threshold,
     schur_coefficient,
     schur_polynomial,
     vandermonde,
 )
+from test_kernels import SORTED_SHIFT_CASES
 
 
 def test_vandermonde_examples():
@@ -54,7 +62,10 @@ NOT_HOMOGENEOUS = SparsePoly(2, {(2, 0): 1, (1, 0): 1})
     (lambda: vandermonde((1, -1), 2), DegenerateAlternant, "negative exponent"),
     (lambda: compositions(-1, 2), OutOfDomain, "d must be non-negative"),
     (lambda: catalan(-1), ValueError, "n must be non-negative"),
-    (lambda: numeric_schur_coefficient(X, Partition((1,))), TypeError, "expects a RootPolynomial"),
+    (lambda: numeric_schur_coefficient("complex", [(SparsePoly(2, {(1, 0): 1}), 1)], Partition((1, 0))), ValueError,
+     "must be symmetric"),
+    (lambda: numeric_schur_coefficient("complex", [(LINEAR, 1), (X, 1)], Partition((1, 0, 0))), ArityMismatch,
+     "must have 3 variables"),
     (lambda: duality_pairing(Partition((1,)), Partition((1, 0)), 2, 2), InvalidLength, "length k"),
     (lambda: kronecker_product([(LINEAR, 1)], 3, [(1, 0, 0), (1, 0, 0, 0)]), ArityMismatch, "must have 3 variables"),
     (lambda: kronecker_product([(LINEAR, 1)], 3, [(1, 0)]), ArityMismatch, "must have 3 variables"),
@@ -62,9 +73,9 @@ NOT_HOMOGENEOUS = SparsePoly(2, {(2, 0): 1, (1, 0): 1})
     (lambda: schur_coefficient("complex", [(NOT_HOMOGENEOUS, 1)], Partition((2, 1))), ValueError,
      "must be homogeneous"),
 ], ids=["sqrt-odd-leading-exponent", "sqrt-odd-residual", "poly-arity", "poly-negative-exponent", "poly-nvars",
-        "vandermonde-negative-exponent", "compositions-negative-degree", "catalan-negative", "numeric-plain-poly",
-        "duality-unequal-lengths", "kronecker-long-target", "kronecker-short-target", "kronecker-not-homogeneous",
-        "schur-not-homogeneous"])
+        "vandermonde-negative-exponent", "compositions-negative-degree", "catalan-negative", "numeric-not-symmetric",
+        "numeric-arity", "duality-unequal-lengths", "kronecker-long-target", "kronecker-short-target",
+        "kronecker-not-homogeneous", "schur-not-homogeneous"])
 def test_bad_arguments_raise(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -320,35 +331,32 @@ def test_duality_pairing():
 
 def test_numeric_schur_coefficient_examples():
     s20 = schur_polynomial("complex", Partition((2, 0)))
-    num = numeric_schur_coefficient(s20, Partition((2, 0)), grid=16)
+    num = numeric_schur_coefficient("complex", [(s20.poly, 1)], Partition((2, 0)), grid=16)
     assert abs(num - 1.0) < 1e-9
 
-    f3 = root_poly("real", 3, 2)
-    num = numeric_schur_coefficient(f3, Partition((5, 5, 5, 5)), grid=64)
+    num = numeric_schur_coefficient("real", linear_factors("real", 3, 2), Partition((5, 5, 5, 5)), grid=64)
     assert min(abs(num - 189), abs(num + 189)) < 1e-6 * 189
 
-    f34 = root_poly("complex", 3, 4)
-    num = numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)))
+    num = numeric_schur_coefficient("complex", linear_factors("complex", 3, 4), Partition((5, 5, 5, 5)))
     assert abs(num - 321489) < 1e-6 * 321489
 
 
 def test_numeric_threshold_guard():
-    f34 = root_poly("complex", 3, 4)
-    thr = quadrature_threshold(f34, Partition((5, 5, 5, 5)))
+    f34, factors, alpha = root_poly("complex", 3, 4), linear_factors("complex", 3, 4), Partition((5, 5, 5, 5))
+    thr = threshold_from_terms("complex", f34.poly.terms, alpha.parts)
     assert thr <= 2 * f34.poly.degree() + 1
-    num = numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)), grid=thr)
+    num = numeric_schur_coefficient("complex", factors, alpha, grid=thr)
     assert abs(num - 321489) < 1e-6 * 321489
     with pytest.raises(ValueError):
-        numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)), grid=thr - 1)
-    num = numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)), grid=MAX_GRID)
+        numeric_schur_coefficient("complex", factors, alpha, grid=thr - 1)
+    num = numeric_schur_coefficient("complex", factors, alpha, grid=MAX_GRID)
     assert abs(num - 321489) < 1e-6 * 321489
     with pytest.raises(OutOfDomain, match=str(MAX_GRID)):
-        numeric_schur_coefficient(f34, Partition((5, 5, 5, 5)), grid=MAX_GRID + 1)
+        numeric_schur_coefficient("complex", factors, alpha, grid=MAX_GRID + 1)
 
 
 def test_numeric_zero_polynomial():
-    zero = RootPolynomial(SparsePoly.zero(2), "complex")
-    assert numeric_schur_coefficient(zero, Partition((1, 0))) == 0j
+    assert numeric_schur_coefficient("complex", [(SparsePoly.zero(2), 1)], Partition((1, 0))) == 0j
 
 
 NUMERIC_LADDER = [
@@ -366,13 +374,9 @@ NUMERIC_LADDER = [
 @pytest.mark.parametrize("regime,d,k,parts,grid", NUMERIC_LADDER,
                          ids=[f"{r}-{d}-{k}-{','.join(map(str, p))}-grid{g}" for r, d, k, p, g in NUMERIC_LADDER])
 def test_numeric_ladder_against_exact(regime, d, k, parts, grid):
-    alpha = Partition(parts)
-    if regime == "complex":
-        f, exact, signs = root_poly("complex", d, k), schur_coefficient, (1,)
-    else:
-        f, exact, signs = root_poly("real", d, k), schur_coefficient, (1, -1)
-    value = exact(regime, [(f.poly, 1)], alpha)
-    num = numeric_schur_coefficient(f, alpha, grid=grid)
+    alpha, signs = Partition(parts), (1,) if regime == "complex" else (1, -1)
+    value = schur_coefficient(regime, [(root_poly(regime, d, k).poly, 1)], alpha)
+    num = numeric_schur_coefficient(regime, linear_factors(regime, d, k), alpha, grid=grid)
     err = min(abs(num - s * value) for s in signs)
     assert err <= 1e-9 * (abs(value) or 1), (value, num)
 
@@ -383,7 +387,6 @@ def test_quadrature_price(monkeypatch, regime, d, k, parts):
     # its axis's largest exponent, which bound f's terms: at the price it runs, and one unit below it is
     # refused
     from schubertcount import schur
-    from schubertcount.counts import linear_factors
 
     alpha, factors, f = Partition(parts), linear_factors(regime, d, k), root_poly(regime, d, k)
     caps = [max(e[a] for e in f.poly.terms) for a in range(k)]
@@ -393,10 +396,52 @@ def test_quadrature_price(monkeypatch, regime, d, k, parts):
     shifts = schur._sorted_shifts(ga, vandermonde(gb, k).terms)
     price = len(shifts) * vectors * k * schur.SWEEP_UNITS
     monkeypatch.setattr(schur, "MAX_WORK", price)
-    schur.require_quadrature_price(regime, factors, alpha)
+    schur.numeric_schur_coefficient(regime, factors, alpha)
     monkeypatch.setattr(schur, "MAX_WORK", price - 1)
+    monkeypatch.setattr(schur, "kronecker_product", _unbuilt)
     with pytest.raises(OutOfDomain, match="quadrature"):
-        schur.require_quadrature_price(regime, factors, alpha)
+        schur.numeric_schur_coefficient(regime, factors, alpha)
+
+
+def _unbuilt(*args, **kwargs):
+    raise AssertionError("f was built")
+
+
+# the rows of both ladders, each once (the grid plays no part)
+THRESHOLD_CASES = list(dict.fromkeys(case[:4] for case in NUMERIC_LADDER + SORTED_SHIFT_CASES))
+
+
+@pytest.mark.parametrize("regime,d,k,parts", THRESHOLD_CASES,
+                         ids=[f"{r}-{d}-{k}-{','.join(map(str, p))}" for r, d, k, p in THRESHOLD_CASES])
+def test_threshold_from_factors_matches_expanded_terms(monkeypatch, regime, d, k, parts):
+    # the oracle reads its threshold from the factors, before f is built: the same one as f's terms give
+    from schubertcount import schur
+
+    thr = threshold_from_terms(regime, root_poly(regime, d, k).poly.terms, parts)
+    monkeypatch.setattr(schur, "kronecker_product", _unbuilt)
+    with pytest.raises(OutOfDomain, match=f"^grid {thr - 1} below the exactness threshold {thr}$"):
+        numeric_schur_coefficient(regime, linear_factors(regime, d, k), Partition(parts), grid=thr - 1)
+
+
+def test_quadrature_refusals_come_before_f_is_built(monkeypatch):
+    # a grid out of range, and a leading coefficient past the float range, are refused from the factors alone;
+    # any other coefficient past the float range is refused once f is built
+    from schubertcount import schur
+
+    factors, alpha = linear_factors("complex", 7, 4), Partition((30, 30, 30, 30))
+    big = [(SparsePoly(2, {(2, 0): 1, (1, 1): 10**309, (0, 2): 1}), 1)]
+    with pytest.raises(OutOfDomain, match="a coefficient of f exceeds the float range"):
+        numeric_schur_coefficient("complex", big, Partition((1, 0)))
+    monkeypatch.setattr(schur, "kronecker_product", _unbuilt)
+    for grid, match in ((MAX_GRID + 1, "above the largest accepted grid"), (57, "below the exactness threshold 58"),
+                        (3, "below the exactness threshold 58")):
+        with pytest.raises(OutOfDomain, match=match):
+            numeric_schur_coefficient("complex", factors, alpha, grid=grid)
+    lead = [(SparsePoly.linear_form((10**160, 10**160)), 2)]
+    with pytest.raises(OutOfDomain, match="leading coefficient of f exceeds the float range"):
+        numeric_schur_coefficient("complex", lead, Partition((1, 0)))
+    assert numeric_schur_coefficient("complex", [(SparsePoly.zero(2), 1), (SparsePoly.linear_form((1, 1)), 3)],
+                                     Partition((1, 0))) == 0j
 
 
 def test_delta():
