@@ -41,8 +41,6 @@ class TorusSample(namedtuple("TorusSample", "d grid min_modulus max_modulus sign
         step = 2.0 * math.pi / grid
         return [[i * step, j * step] for i in range(rows) for j in sorted((i - t) % grid for t in residues)][:count]
 
-    argmax_angles = property(argmax_head)
-
 
 class AsymptoteRow(namedtuple("AsymptoteRow", "parameter exact_log prediction ratio degenerate", defaults=(False,))):
     """Log of an exact count against a predicted leading term (`ratio` None where it has none)."""

@@ -95,7 +95,7 @@ def _count(args) -> tuple[dict, int]:
     # the dumped open box is priced and expanded before the count; an infeasible or even real degree has none
     feas = feasibility(args.d, args.k, args.regime)
     dump = args.dump_poly and feas.feasible and feas.odd_degree is not False
-    poly = root_poly(args.regime, args.d, args.k).poly.to_text() if dump else None
+    poly = root_poly(args.regime, args.d, args.k).to_text() if dump else None
     report = plane_count(args.regime, args.d, args.k)
     body = {"regime": args.regime, "d": args.d, "k": args.k, "m": report.m}
     if report.feasible:
@@ -142,9 +142,9 @@ def _schur(args) -> tuple[dict, int]:
     body = {
         "regime": args.regime,
         "alpha": list(args.alpha.parts),
-        "k": poly.variables,
+        "k": poly.nvars,
         "degree": poly.degree(),
-        "poly": poly.poly.to_text(),
+        "poly": poly.to_text(),
     }
     return body, 0
 
@@ -257,15 +257,13 @@ def _feasibility_rows(body: dict) -> list[dict]:
     return body["rows"]
 
 
-class Command(namedtuple("Command", "help arguments compute uncached_if csv_header csv_rows",
-                         defaults=(None, (), None))):
+class Command(namedtuple("Command", "help arguments compute csv_header csv_rows", defaults=((), None))):
     """One CLI command: its own flags and its body.
 
     `compute(args)` returns the body, without `command` and
     `engine_version`, and the exit code.  Every one of the command's own
-    `arguments` keys the result cache; `uncached_if` names a flag that keeps
-    a run out of the cache.  A command with a `csv_header` can print its
-    table rows, `csv_rows(body)`, as CSV.
+    `arguments` keys the result cache.  A command with a `csv_header` can
+    print its table rows, `csv_rows(body)`, as CSV.
     """
 
     __slots__ = ()
@@ -292,14 +290,13 @@ COMMANDS = {
         (_arg("--regime", default="complex", choices=REGIMES), ALPHA),
         _schur,
     ),
-    # --numeric reruns the quadrature oracle, whose purpose is to recompute: never served from the cache
     "lambda": Command(
         "Schur coefficient of a degree-d root polynomial",
         (REGIME, D, K, ALPHA,
          _arg("--numeric", action="store_true", help="also run the quadrature oracle"),
          _arg("--grid", type=int, default=None, help="quadrature nodes per axis"),
          _arg("--threads", type=_thread_count, default=1, help="kept for existing command lines; does nothing")),
-        _lambda, uncached_if="numeric",
+        _lambda,
     ),
     "scan": Command(
         "torus grid scan of F_d",
@@ -427,7 +424,8 @@ def _emit(command: Command, args) -> int:
         raise OutOfDomain(f"CSV output is only available for tables, not `{args.command}`")
     start = time.perf_counter()
     directory = args.cache_dir or os.environ.get("SCHUBERT_CACHE")
-    use_cache = directory and not args.no_cache and not (command.uncached_if and getattr(args, command.uncached_if))
+    # --numeric reruns the quadrature oracle, whose purpose is to recompute: never served from the cache, never stored
+    use_cache = directory and not args.no_cache and not getattr(args, "numeric", False)
     cache = ResultCache(directory) if use_cache else None
     key = cache_key(args.command, {n: _cache_text(v) for n, v in vars(args).items() if n not in FRONT_END}, __version__)
     text = cache.lookup(key) if cache else None

@@ -11,9 +11,11 @@ root polynomial, the product of one difference form from each pair
 {r, -r}, at rank 2k, taken as one product per sign-flip orbit of those
 forms, which is even in every variable; the exact square root of the signed
 product of all difference forms (`real_square_poly`) is its cross-check.  Incidence counts
-use the regime's (2,2,0,0) Schur polynomial at rank 4, to the power 2n.  All
-values are exact integers; real values are reported as absolute values
-because orientation conventions only pin them up to sign.
+use the regime's (2,2,0,0) Schur polynomial at rank 4, to the power 2n.  An
+expanded root polynomial is a plain `SparsePoly`, checked by
+`schur.root_class` where it is built.  All values are exact integers; real
+values are reported as absolute values because orientation conventions only
+pin them up to sign.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from operator import sub
 
 from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility, rank
 from .polynomial import SparsePoly, kronecker_product, product_of_linear_forms
-from .schur import RootPolynomial, require_alternant_variables, schur_coefficient, schur_polynomial
+from .schur import require_alternant_variables, root_class, schur_coefficient, schur_polynomial
 
 
 class EvenDegree(Infeasible):
@@ -148,12 +150,12 @@ def linear_factors(regime: str, d: int, k: int) -> list[tuple[SparsePoly, int]]:
     return factors
 
 
-def root_poly(regime: str, d: int, k: int) -> RootPolynomial:
+def root_poly(regime: str, d: int, k: int) -> SparsePoly:
     """Root polynomial of the top Chern class of Sym^d (complex) or of its
     Euler class at rank 2k (real, leading coefficient positive by
     convention), expanded for --dump-poly and the tests from the factors
     that the count and the quadrature oracle read."""
-    return RootPolynomial(SparsePoly._raw(k, kronecker_product(linear_factors(regime, d, k), k)), regime)
+    return root_class(regime, SparsePoly._raw(k, kronecker_product(linear_factors(regime, d, k), k)))
 
 
 def plane_count(regime: str, d: int, k: int) -> CountReport:
@@ -187,7 +189,7 @@ def real_square_poly(d: int, k: int) -> SparsePoly:
     return poly
 
 
-def factored_real_root_poly(d: int) -> RootPolynomial:
+def factored_real_root_poly(d: int) -> SparsePoly:
     """Closed factored form of the k=2 real root polynomial.
 
     prod_{i=0}^{(d-1)/2} [ (d-2i)^2 x1 x2 *
@@ -209,7 +211,7 @@ def factored_real_root_poly(d: int) -> RootPolynomial:
             q2 = SparsePoly(2, {(2, 0): l2 * l2, (0, 2): -(l1 * l1)})
             block = block * q1 * q2
         result = result * block ** (i + 1)
-    return RootPolynomial(result, "real")
+    return root_class("real", result)
 
 
 def cubic_ci_real(r: int) -> CountReport:
@@ -243,5 +245,5 @@ def incidence(regime: str, n: int) -> int:
     n-th Catalan number.  The engine's price refuses an n too large to run."""
     if n < 1:
         raise OutOfDomain("n must be >= 1")
-    factors = [(schur_polynomial(regime, Partition((2, 2, 0, 0))).poly, 2 * n)]
+    factors = [(schur_polynomial(regime, Partition((2, 2, 0, 0))), 2 * n)]
     return abs(schur_coefficient(regime, factors, Partition.constant(2 * n, 4)))

@@ -1,5 +1,7 @@
 """Vandermonde alternants, Schur polynomials and Schur coefficient
 extraction, in either regime: the regime, taken first, only picks the data.
+A class is a plain `SparsePoly`, checked once where it is built by
+`root_class`: symmetric (complex) or in the Euler-Pontryagin ring (real).
 
 Coefficient extraction is exact: the torus integral behind a Schur
 coefficient equals one coefficient of f multiplied by the plain (complex
@@ -104,45 +106,18 @@ def in_euler_pontryagin(poly: SparsePoly) -> bool:
     return is_symmetric(poly)
 
 
-class RootPolynomial:
-    """A cohomology class represented by its root polynomial.
-
-    Complex regime: symmetric polynomial in the Chern roots z_i.  Real
-    regime: member of the Euler-Pontryagin ring (symmetric, every monomial
-    with all exponents even or all odd).  Immutable, compared by value.
-    """
-
-    __slots__ = ("poly", "regime")
-
-    def __init__(self, poly: SparsePoly, regime: str) -> None:
-        rank(regime, 1)  # refuses a regime outside REGIMES
-        if regime == "real":
-            if not in_euler_pontryagin(poly):
-                raise NotEulerPontryagin(
-                    "real root polynomial must lie in the Euler-Pontryagin ring"
-                )
-        elif not is_symmetric(poly):
-            raise ValueError("complex root polynomial must be symmetric")
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "regime", regime)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootPolynomial is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootPolynomial):
-            return NotImplemented
-        return self.poly == other.poly and self.regime == other.regime
-
-    def __repr__(self) -> str:
-        return f"RootPolynomial(poly={self.poly!r}, regime={self.regime!r})"
-
-    @property
-    def variables(self) -> int:
-        return self.poly.nvars
-
-    def degree(self) -> int:
-        return self.poly.degree()
+def root_class(regime: str, poly: SparsePoly) -> SparsePoly:
+    """`poly`, unchanged, once checked to be a root polynomial of the regime:
+    symmetric in the Chern roots (complex), or in the Euler-Pontryagin ring
+    (real: symmetric, every monomial with all exponents even or all odd).
+    An unknown regime is refused (OutOfDomain) first."""
+    rank(regime, 1)  # refuses a regime outside REGIMES
+    if regime == "real":
+        if not in_euler_pontryagin(poly):
+            raise NotEulerPontryagin("real root polynomial must lie in the Euler-Pontryagin ring")
+    elif not is_symmetric(poly):
+        raise ValueError("complex root polynomial must be symmetric")
+    return poly
 
 
 def _alternant_exponents(regime: str, alpha: Partition, k: int | None = None):
@@ -183,7 +158,7 @@ def _divide_binomial(terms, i: int, j: int):
     return quotient
 
 
-def schur_polynomial(regime: str, alpha: Partition) -> RootPolynomial:
+def schur_polynomial(regime: str, alpha: Partition) -> SparsePoly:
     """Schur polynomial as a bialternant quotient: V_{alpha+delta} / V_delta
     in len(alpha) variables (complex), or, for an even or odd 2k-partition,
     V_{beta+2delta} / V_{2delta} in k variables with beta the half-length
@@ -204,7 +179,7 @@ def schur_polynomial(regime: str, alpha: Partition) -> RootPolynomial:
     terms = vandermonde([(g - low) // s for g in gb], k).terms
     for i, j in itertools.combinations(range(k), 2):
         terms = _divide_binomial(terms, i, j)
-    return RootPolynomial(SparsePoly._raw(k, {tuple(low + s * x for x in e): c for e, c in terms.items()}), regime)
+    return root_class(regime, SparsePoly._raw(k, {tuple(low + s * x for x in e): c for e, c in terms.items()}))
 
 
 def _alternant_coefficient(factors: Sequence[tuple[SparsePoly, int]], target: tuple[int, ...], van: SparsePoly) -> int:
@@ -236,7 +211,7 @@ def duality_pairing(alpha: Partition, beta: Partition, m: int, k: int) -> int:
         raise InvalidLength("both partitions must have length k")
     if (k and alpha[0] > m) or (k and beta[0] > m):
         raise NotInRectangle(f"partitions must fit in the {k}x{m} rectangle")
-    factors = [(schur_polynomial("complex", alpha).poly, 1), (schur_polynomial("complex", beta).poly, 1)]
+    factors = [(schur_polynomial("complex", alpha), 1), (schur_polynomial("complex", beta), 1)]
     return schur_coefficient("complex", factors, Partition.constant(m, k))
 
 
@@ -351,7 +326,7 @@ def numeric_schur_coefficient(regime: str, factors: Sequence[tuple[SparsePoly, i
                           f"{SWEEP_UNITS} units of work each, above {MAX_WORK:.0e}")
     if abs(math.prod(f.terms[max(f.terms)] ** m for f, m in factors)) > sys.float_info.max:
         raise OutOfDomain("the leading coefficient of f exceeds the float range; the oracle cannot weigh it")
-    f = RootPolynomial(SparsePoly._raw(k, kronecker_product(factors, k)), regime).poly.terms
+    f = root_class(regime, SparsePoly._raw(k, kronecker_product(factors, k))).terms
     if max(map(abs, f.values()), default=0) > sys.float_info.max:
         raise OutOfDomain("a coefficient of f exceeds the float range; the oracle cannot weigh it")
     return torus_quadrature(f, shifts, grid)

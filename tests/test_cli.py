@@ -364,6 +364,25 @@ def test_no_cache_bypasses(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_numeric_lambda_reads_no_cache_entry(tmp_path, capsys, monkeypatch):
+    # an entry planted under the very key of a --numeric run is never served: the oracle always recomputes
+    argv = ["lambda", "--regime", "complex", "-d", "3", "-k", "2", "--alpha", "2,2", "--numeric",
+            "--cache-dir", str(tmp_path)]
+    params = {"regime": "complex", "d": 3, "k": 2, "alpha": "2,2", "numeric": True, "grid": None, "threads": 1}
+    key = cache_key("lambda", params, __version__)
+    planted = '{"command": "lambda", "value": "planted"}'
+    ResultCache(str(tmp_path)).store(key, planted)
+    (entry,) = tmp_path.iterdir()
+    stored = entry.read_text()
+    keys = []
+    monkeypatch.setattr(cli, "cache_key", lambda *key_args: keys.append(cache_key(*key_args)) or keys[-1])
+    body = run_json(capsys, argv)
+    assert keys == [key]
+    assert body["cached"] is False
+    assert body["value"] == "27" and body["numeric_matches"] is True
+    assert list(tmp_path.iterdir()) == [entry] and entry.read_text() == stored
+
+
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SCHUBERT_CACHE", str(tmp_path))
     body = run_json(capsys, ["count", "--regime", "complex", "-d", "1", "-k", "2"])

@@ -115,12 +115,12 @@ def test_sorted_shifts_match_expanded_shifts(regime, d, k, parts, grid):
     f, alpha = root_poly(regime, d, k), Partition(parts)
     ga, gb = _alternant_exponents(regime, alpha, k)
     va, vb = vandermonde(ga, k).terms, vandermonde(gb, k).terms
-    grid = grid or threshold_from_terms(regime, f.poly.terms, parts)
+    grid = grid or threshold_from_terms(regime, f.terms, parts)
     sorted_shifts, expanded_shifts = _sorted_shifts(ga, vb), _expanded_shifts(va, vb)
     assert all(list(s) == sorted(s) for s in sorted_shifts)
     assert len(sorted_shifts) < len(expanded_shifts)
-    merged = torus_quadrature(f.poly.terms, sorted_shifts, grid)
-    expanded = torus_quadrature(f.poly.terms, expanded_shifts, grid)
+    merged = torus_quadrature(f.terms, sorted_shifts, grid)
+    expanded = torus_quadrature(f.terms, expanded_shifts, grid)
     assert abs(expanded) > 1.0
     assert abs(merged - expanded) <= 1e-12 * abs(expanded), (merged, expanded)
     assert numeric_schur_coefficient(regime, linear_factors(regime, d, k), alpha, grid=grid) == merged
@@ -176,7 +176,7 @@ def test_line_table_per_residue_matches_per_exponent(regime, d, k, parts):
     f, alpha = root_poly(regime, d, k), Partition(parts)
     ga, gb = _alternant_exponents(regime, alpha, k)
     shifts = _sorted_shifts(ga, vandermonde(gb, k).terms)
-    grid = threshold_from_terms(regime, f.poly.terms, parts)
-    span = max(max(e) for e in f.poly.terms) + max(map(max, shifts)) - min(map(min, shifts)) + 1
+    grid = threshold_from_terms(regime, f.terms, parts)
+    span = max(max(e) for e in f.terms) + max(map(max, shifts)) - min(map(min, shifts)) + 1
     assert span > grid
-    assert torus_quadrature(f.poly.terms, shifts, grid) == _per_exponent_quadrature(f.poly.terms, shifts, grid)
+    assert torus_quadrature(f.terms, shifts, grid) == _per_exponent_quadrature(f.terms, shifts, grid)

@@ -22,7 +22,6 @@ from schubertcount.schur import (
     DegenerateAlternant,
     NotEulerPontryagin,
     NotEvenOrOdd,
-    RootPolynomial,
     _alternant_coefficient,
     _divide_binomial,
     delta,
@@ -30,6 +29,7 @@ from schubertcount.schur import (
     in_euler_pontryagin,
     is_symmetric,
     numeric_schur_coefficient,
+    root_class,
     schur_coefficient,
     schur_polynomial,
     vandermonde,
@@ -91,12 +91,12 @@ def test_vandermonde_errors():
 
 
 def test_schur_polynomial_examples():
-    assert schur_polynomial("complex", Partition((1, 1))).poly.terms == {(1, 1): 1}
-    assert schur_polynomial("complex", Partition((2, 0))).poly.terms == {
+    assert schur_polynomial("complex", Partition((1, 1))).terms == {(1, 1): 1}
+    assert schur_polynomial("complex", Partition((2, 0))).terms == {
         (2, 0): 1, (1, 1): 1, (0, 2): 1}
     s22 = schur_polynomial("complex", Partition((2, 2, 0, 0)))
-    assert sum(s22.poly.terms.values()) == 20
-    assert s22.poly.degree() == 4
+    assert sum(s22.terms.values()) == 20
+    assert s22.degree() == 4
 
 
 def _bialternant_ladder():
@@ -119,7 +119,7 @@ def test_schur_polynomial_times_the_denominator_is_the_numerator(regime, parts):
     k = len(beta)
     ga = tuple(s * x for x in delta(k))
     gb = tuple(b + g for b, g in zip(beta, ga))
-    assert schur_polynomial(regime, Partition(parts)).poly * vandermonde(ga, k) == vandermonde(gb, k)
+    assert schur_polynomial(regime, Partition(parts)) * vandermonde(ga, k) == vandermonde(gb, k)
 
 
 def test_divide_binomial_exactness_check():
@@ -137,7 +137,7 @@ def test_schur_elementary_and_rectangular():
     for k in range(1, 5):
         for r in range(1, k + 1):
             alpha = Partition((1,) * r + (0,) * (k - r))
-            s = schur_polynomial("complex", alpha).poly
+            s = schur_polynomial("complex", alpha)
             expected = {}
             for combo in itertools.combinations(range(k), r):
                 e = [0] * k
@@ -147,16 +147,16 @@ def test_schur_elementary_and_rectangular():
             assert s.terms == expected
     for k in range(1, 5):
         for m in range(6):
-            s = schur_polynomial("complex", Partition.constant(m, k)).poly
+            s = schur_polynomial("complex", Partition.constant(m, k))
             assert s.terms == {(m,) * k: 1}
 
 
 def test_schur_coefficient_examples():
     s20 = schur_polynomial("complex", Partition((2, 0)))
-    assert schur_coefficient("complex", [(s20.poly, 1)], Partition((2, 0))) == 1
+    assert schur_coefficient("complex", [(s20, 1)], Partition((2, 0))) == 1
     c14 = SparsePoly(2, {(1, 0): 1, (0, 1): 1}) ** 4
     assert schur_coefficient("complex", [(c14, 1)], Partition((2, 2))) == 2
-    lam = schur_coefficient("complex", [(root_poly("complex", 3, 4).poly, 1)], Partition((5, 5, 5, 5)))
+    lam = schur_coefficient("complex", [(root_poly("complex", 3, 4), 1)], Partition((5, 5, 5, 5)))
     assert lam == 321489
     with pytest.raises(ArityMismatch):
         schur_coefficient("complex", once([SparsePoly.one(2), SparsePoly.one(3)]), Partition((1, 1)))
@@ -169,7 +169,7 @@ def test_orthonormality():
             schurs = {b.parts: schur_polynomial("complex", b) for b in parts}
             for a in parts:
                 for b in parts:
-                    lam = schur_coefficient("complex", [(schurs[b.parts].poly, 1)], a)
+                    lam = schur_coefficient("complex", [(schurs[b.parts], 1)], a)
                     assert lam == (1 if a == b else 0), (k, a.parts, b.parts)
 
 
@@ -194,15 +194,15 @@ def test_basis_reconstruction_complex():
         for p in partitions_of(deg, k):
             lam = schur_coefficient("complex", [(f, 1)], Partition(p))
             if lam:
-                recon = recon + schur_polynomial("complex", Partition(p)).poly * lam
+                recon = recon + schur_polynomial("complex", Partition(p)) * lam
         assert recon == f
 
 
 def test_real_schur_polynomial_examples():
-    assert schur_polynomial("real", Partition((5, 5, 5, 5))).poly.terms == {(5, 5): 1}
-    assert schur_polynomial("real", Partition((7, 7, 3, 3))).poly.terms == {
+    assert schur_polynomial("real", Partition((5, 5, 5, 5))).terms == {(5, 5): 1}
+    assert schur_polynomial("real", Partition((7, 7, 3, 3))).terms == {
         (7, 3): 1, (5, 5): 1, (3, 7): 1}
-    assert schur_polynomial("real", Partition((4, 4, 2, 2))).poly.terms == {
+    assert schur_polynomial("real", Partition((4, 4, 2, 2))).terms == {
         (4, 2): 1, (2, 4): 1}
     with pytest.raises(NotEvenOrOdd):
         schur_polynomial("real", Partition((3, 2, 1, 0)))
@@ -214,19 +214,19 @@ def test_real_complex_bridge():
         for n in range(0, 7):
             for beta in partitions_of(n, k):
                 alpha = Partition(tuple(x for b in beta for x in (2 * b, 2 * b)))
-                real = schur_polynomial("real", alpha).poly
-                cplx = schur_polynomial("complex", Partition(beta)).poly
+                real = schur_polynomial("real", alpha)
+                cplx = schur_polynomial("complex", Partition(beta))
                 squared = SparsePoly(k, {tuple(2 * x for x in e): c for e, c in cplx.terms.items()})
                 assert real == squared, (beta, k)
 
 
 def test_real_schur_coefficient_examples():
-    f3 = [(root_poly("real", 3, 2).poly, 1)]
+    f3 = [(root_poly("real", 3, 2), 1)]
     lam = schur_coefficient("real", f3, Partition((5, 5, 5, 5)))
     assert abs(lam) == 189
     assert abs(schur_coefficient("real", f3, Partition((7, 7, 3, 3)))) == 36
     s = schur_polynomial("real", Partition((4, 4, 2, 2)))
-    assert schur_coefficient("real", [(s.poly, 1)], Partition((4, 4, 2, 2))) == 1
+    assert schur_coefficient("real", [(s, 1)], Partition((4, 4, 2, 2))) == 1
     with pytest.raises(NotEvenOrOdd):
         schur_coefficient("real", f3, Partition((3, 2, 1, 0)))
 
@@ -254,7 +254,7 @@ def test_real_basis_reconstruction():
             alpha = Partition(tuple(x for b in beta for x in (b, b)))
             lam = schur_coefficient("real", [(f, 1)], alpha)
             if lam:
-                recon = recon + schur_polynomial("real", alpha).poly * lam
+                recon = recon + schur_polynomial("real", alpha) * lam
         assert recon == f, deg
 
 
@@ -274,30 +274,31 @@ def test_pullback_lands_in_euler_pontryagin():
 
 
 def test_root_polynomial_validation():
-    with pytest.raises(ValueError):
-        RootPolynomial(SparsePoly(2, {(1, 0): 1}), "complex")
-    with pytest.raises(NotEulerPontryagin):
-        RootPolynomial(SparsePoly(2, {(2, 1): 1, (1, 2): 1}), "real")
-    with pytest.raises(ValueError):
-        RootPolynomial(SparsePoly.one(2), "quaternionic")
+    with pytest.raises(ValueError, match="^complex root polynomial must be symmetric$"):
+        root_class("complex", SparsePoly(2, {(1, 0): 1}))
+    with pytest.raises(NotEulerPontryagin, match="^real root polynomial must lie in the Euler-Pontryagin ring$"):
+        root_class("real", SparsePoly(2, {(2, 1): 1, (1, 2): 1}))
+    with pytest.raises(OutOfDomain, match="unknown regime 'quaternionic'"):
+        root_class("quaternionic", SparsePoly(2, {(1, 0): 1}))  # the regime is refused before the symmetry
     assert is_symmetric(SparsePoly(2, {(1, 0): 2, (0, 1): 2}))
     assert not is_symmetric(SparsePoly(2, {(1, 0): 2, (0, 1): 3}))
 
 
 def test_root_polynomial_is_an_immutable_value():
     with pytest.raises(ValueError, match="must be symmetric"):
-        RootPolynomial(SparsePoly(2, {(2, 0): 1, (0, 2): 2}), "complex")
-    with pytest.raises(NotEulerPontryagin, match="Euler-Pontryagin ring"):
-        RootPolynomial(SparsePoly(2, {(2, 1): 1, (1, 2): 1}), "real")
+        root_class("complex", SparsePoly(2, {(2, 0): 1, (0, 2): 2}))
     f = SparsePoly(2, {(1, 0): 1, (0, 1): 1})
-    r = RootPolynomial(f, "complex")
-    assert r == RootPolynomial(SparsePoly(2, {(0, 1): 1, (1, 0): 1}), "complex")
-    assert r != RootPolynomial(f * f, "complex")
+    assert root_class("complex", f) is f
+    g = SparsePoly(2, {(2, 0): 1, (1, 1): 3, (0, 2): 1})
+    assert root_class("real", g) is g
+    r = schur_polynomial("complex", Partition((1, 0)))
+    assert r == SparsePoly(2, {(0, 1): 1, (1, 0): 1})
+    assert r != f * f
     with pytest.raises(AttributeError):
-        r.poly = f * f
+        r.terms = (f * f).terms
     with pytest.raises(AttributeError):
-        r.regime = "real"
-    assert r.poly == f and r.regime == "complex"
+        r.nvars = 3
+    assert r == f
 
 
 def test_is_symmetric_against_every_permutation():
@@ -312,7 +313,7 @@ def test_is_symmetric_against_every_permutation():
             g = symmetrize(f)
             cases += [f, g, g + SparsePoly(k, {tuple(rng.randint(0, 3) for _ in range(k)): 1})]
         for parts in partitions_of(4, k):
-            cases.append(schur_polynomial("complex", Partition(parts)).poly)
+            cases.append(schur_polynomial("complex", Partition(parts)))
     for f in cases:
         assert is_symmetric(f) == is_symmetric_by_permutations(f), f
     assert not is_symmetric(cases[0]) and not is_symmetric(cases[1])
@@ -331,7 +332,7 @@ def test_duality_pairing():
 
 def test_numeric_schur_coefficient_examples():
     s20 = schur_polynomial("complex", Partition((2, 0)))
-    num = numeric_schur_coefficient("complex", [(s20.poly, 1)], Partition((2, 0)), grid=16)
+    num = numeric_schur_coefficient("complex", [(s20, 1)], Partition((2, 0)), grid=16)
     assert abs(num - 1.0) < 1e-9
 
     num = numeric_schur_coefficient("real", linear_factors("real", 3, 2), Partition((5, 5, 5, 5)), grid=64)
@@ -343,8 +344,8 @@ def test_numeric_schur_coefficient_examples():
 
 def test_numeric_threshold_guard():
     f34, factors, alpha = root_poly("complex", 3, 4), linear_factors("complex", 3, 4), Partition((5, 5, 5, 5))
-    thr = threshold_from_terms("complex", f34.poly.terms, alpha.parts)
-    assert thr <= 2 * f34.poly.degree() + 1
+    thr = threshold_from_terms("complex", f34.terms, alpha.parts)
+    assert thr <= 2 * f34.degree() + 1
     num = numeric_schur_coefficient("complex", factors, alpha, grid=thr)
     assert abs(num - 321489) < 1e-6 * 321489
     with pytest.raises(ValueError):
@@ -375,7 +376,7 @@ NUMERIC_LADDER = [
                          ids=[f"{r}-{d}-{k}-{','.join(map(str, p))}-grid{g}" for r, d, k, p, g in NUMERIC_LADDER])
 def test_numeric_ladder_against_exact(regime, d, k, parts, grid):
     alpha, signs = Partition(parts), (1,) if regime == "complex" else (1, -1)
-    value = schur_coefficient(regime, [(root_poly(regime, d, k).poly, 1)], alpha)
+    value = schur_coefficient(regime, [(root_poly(regime, d, k), 1)], alpha)
     num = numeric_schur_coefficient(regime, linear_factors(regime, d, k), alpha, grid=grid)
     err = min(abs(num - s * value) for s in signs)
     assert err <= 1e-9 * (abs(value) or 1), (value, num)
@@ -389,9 +390,9 @@ def test_quadrature_price(monkeypatch, regime, d, k, parts):
     from schubertcount import schur
 
     alpha, factors, f = Partition(parts), linear_factors(regime, d, k), root_poly(regime, d, k)
-    caps = [max(e[a] for e in f.poly.terms) for a in range(k)]
-    vectors = sum(sum(e) == f.poly.degree() for e in itertools.product(*(range(c + 1) for c in caps)))
-    assert len(f.poly.terms) <= vectors <= math.comb(f.poly.degree() + k - 1, k - 1)
+    caps = [max(e[a] for e in f.terms) for a in range(k)]
+    vectors = sum(sum(e) == f.degree() for e in itertools.product(*(range(c + 1) for c in caps)))
+    assert len(f.terms) <= vectors <= math.comb(f.degree() + k - 1, k - 1)
     ga, gb = schur._alternant_exponents(regime, alpha, k)
     shifts = schur._sorted_shifts(ga, vandermonde(gb, k).terms)
     price = len(shifts) * vectors * k * schur.SWEEP_UNITS
@@ -417,7 +418,7 @@ def test_threshold_from_factors_matches_expanded_terms(monkeypatch, regime, d, k
     # the oracle reads its threshold from the factors, before f is built: the same one as f's terms give
     from schubertcount import schur
 
-    thr = threshold_from_terms(regime, root_poly(regime, d, k).poly.terms, parts)
+    thr = threshold_from_terms(regime, root_poly(regime, d, k).terms, parts)
     monkeypatch.setattr(schur, "kronecker_product", _unbuilt)
     with pytest.raises(OutOfDomain, match=f"^grid {thr - 1} below the exactness threshold {thr}$"):
         numeric_schur_coefficient(regime, linear_factors(regime, d, k), Partition(parts), grid=thr - 1)
