@@ -1,13 +1,19 @@
-"""Floating-point diagnostics: torus maxima, sign constancy, and log-scale
-asymptote tables for the exact counts, one function for every family.
+"""Floating-point diagnostics: torus maxima, sign constancy, the torus
+quadrature behind the Schur-coefficient oracle, and log-scale asymptote
+tables for the exact counts, one function for every family.
 
 Exact big integers carry the enumerative content; this module only takes
-logarithms and scans grids.  The closed-form torus maximum uses the
-corrected reading of the factored maximum (unordered pairs, double-factorial
-prefactor); the grid scan is the ground-truth oracle for it.  The scan takes
-F_d from its linear factors, as a product on one angle in plain Python
-complex arithmetic, so it never expands the root polynomial and never loads
-numpy.
+logarithms, scans grids and sums nodes.  The closed-form torus maximum uses
+the corrected reading of the factored maximum (unordered pairs,
+double-factorial prefactor); the grid scan is the ground-truth oracle for
+it.  The scan takes F_d from its linear factors, as a product on one angle
+in plain Python complex arithmetic, so it never expands the root
+polynomial and never loads numpy.  It reads the factor rows from
+`combinatorics`, and nothing else of the package: a scan loads no
+exact-engine module (`counts`, `polynomial`, `schur`).  `torus_quadrature`
+is the float sweep of `schur.numeric_schur_coefficient`, which checks its
+input and imports it when it runs; `asymptote_table` imports `counts` when
+it runs, for the exact values it takes logarithms of.
 """
 
 import math
@@ -15,10 +21,19 @@ import sys
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from functools import partial
+from operator import mul
 
-from .combinatorics import Infeasible, OutOfDomain
-from .counts import incidence, linear_factor_rows, plane_count, require_odd_degree
-from .schur import MAX_GRID, root_of_unity
+from .combinatorics import Infeasible, OutOfDomain, linear_factor_rows, require_odd_degree
+
+# largest quadrature or scan grid accepted; the grid sizes the oracle's table
+# of roots and the scan's values, one per node angle
+MAX_GRID = 4096
+
+
+def root_of_unity(e: int, grid: int) -> complex:
+    """exp(2 pi i e / grid), for an exponent already reduced mod grid."""
+    angle = 2.0 * math.pi * e / grid
+    return complex(math.cos(angle), math.sin(angle))
 
 
 class TorusSample(namedtuple("TorusSample", "d grid min_modulus max_modulus sign_constant argmax_residues")):
@@ -75,12 +90,14 @@ def torus_scan(d: int, grid: int) -> TorusSample:
     rows = linear_factor_rows("real", d, 2)
     if math.prod(abs(a) + abs(b) for a, b in rows) > sys.float_info.max:
         raise OutOfDomain(f"|F_{d}| can exceed the largest float on the torus; scan a smaller degree")
-    m, factors = len(rows) // 2, Counter(rows).items()  # a repeated factor is taken as one power
+    # a repeated factor is taken as one power; a and b as the complex(a, 0.0) that int * complex converts to
+    m, factors = len(rows) // 2, [(complex(a), complex(b), n) for (a, b), n in Counter(rows).items()]
     values = []
     for t in range(grid // 2 + 1):
         z, value = root_of_unity(t, grid), root_of_unity(-t * m % grid, grid)
-        for (a, b), n in factors:
-            value *= (a * z + b) ** n
+        for a, b, n in factors:
+            w = a * z + b
+            value *= w ** n if n > 1 else w  # w ** 1 is 1 * w, which differs from w only in the sign of a zero
         values.append(value)
     moduli = [abs(v) for v in values]
     top = max(moduli)
@@ -112,8 +129,9 @@ def closed_form_max(d: int) -> int:
 COMPLEX_BOUND = 2.7
 
 
-def _plane_value(regime: str, d: int, k: int) -> int:
-    report = plane_count(regime, d, k)
+def _plane_value(report) -> int:
+    """The value of a `counts.CountReport`, refused where it has no logarithm."""
+    regime, d, k = report.regime, report.d, report.k
     if not report.feasible:
         raise Infeasible(f"(d={d}, k={k}) is infeasible in the {regime} regime")
     if report.value == 0:
@@ -134,12 +152,14 @@ def asymptote_table(family: str, params: Sequence[int], k: int = 4) -> dict[str,
     prediction of 0 gives a degenerate row without a ratio.  The conjectural
     asymptotic equality is reported via the ratio column, never asserted.
     """
+    from .counts import incidence, plane_count  # the exact engine, loaded by tables only
+
     if family == "incidence":
         bases = {"complex": 20.0, "real": 2.0}
         tables = {r: (partial(incidence, r), lambda n, b=b: 2 * n * math.log(b)) for r, b in bases.items()}
     else:
         k, rank, half = (2, 4, 2) if family == "real" else (k, k, 1)
-        tables = {family: (partial(_plane_value, family, k=k),
+        tables = {family: (lambda d: _plane_value(plane_count(family, d, k)),
                            lambda d: d ** (rank - 1) / (half * math.factorial(rank - 1)) * math.log(d))}
     out = {}
     for regime, (value, predict) in tables.items():
@@ -151,3 +171,50 @@ def asymptote_table(family: str, params: Sequence[int], k: int = 4) -> dict[str,
             ratio = exact_log / prediction if prediction else None
             rows.append(AsymptoteRow(p, exact_log, prediction, ratio, degenerate=ratio is None))
     return out
+
+
+def torus_quadrature(terms, shifts, grid):
+    """Trapezoidal rule, on a grid^k torus lattice, for the integral of
+    f(z) * sum(weight * z^shift) / k!, with f = sum c z^e over `terms` and
+    `shifts` the table {shift: weight}.
+
+    Each node sum of z^(e + shift) is the product over the axes of the 1-D
+    node sums line[u] = sum_t z_t^u, taken in floating point from one table
+    of the grid's roots, with the angle reduced exactly, (t * u) mod grid, so
+    line[u] depends only on u mod grid and is summed once for each residue
+    that some u in the table's range reads.  One sweep per shift runs over
+    the per-axis exponent columns of f, weighed by its coefficients as
+    floats.  The shifts are swept in sorted order, and shifts that share a
+    prefix share its partial products c * line[e_0 + s_0] * ... *
+    line[e_j + s_j]: a prefix's products are kept as a list while the next
+    shift shares it, and streamed otherwise, so no list is built that is
+    read once.  Each term still multiplies in axis order, each shift sums
+    its terms in order, and the shifts' sums add up in the table's order, so
+    the sharing changes no bit of the result.
+    """
+    if not terms:
+        return 0j
+    columns = list(zip(*terms))
+    lo = min(map(min, shifts))
+    hi = max(map(max, columns)) + max(map(max, shifts))
+    roots = [root_of_unity(t, grid) for t in range(grid)]
+    residue = {r: sum(roots[t * r % grid] for t in range(grid)) for r in {u % grid for u in range(lo, hi + 1)}}
+    line = [residue[u % grid] for u in range(lo, hi + 1)]  # line[u - lo]
+    # prefix[j]: each term's product over the first j axes of the shifts in hand, prefix[0] its coefficient
+    ordered, prefix, sums = sorted(shifts), [[float(c) for c in terms.values()]], {}
+    for shift, after in zip(ordered, ordered[1:] + [None]):
+        shared = 0  # the axes this shift shares with the next one swept
+        while after and shift[shared] == after[shared]:
+            shared += 1
+        values = prefix[-1]
+        for axis in range(len(prefix) - 1, len(columns)):
+            values = map(mul, values, map(line[shift[axis] - lo:].__getitem__, columns[axis]))
+            if axis < shared:
+                values = list(values)
+                prefix.append(values)
+        sums[shift] = sum(values)
+        del prefix[shared + 1:]
+    total = 0j
+    for shift, weight in shifts.items():
+        total += weight * sums[shift]
+    return total / (math.factorial(len(columns)) * grid ** len(columns))

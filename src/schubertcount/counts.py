@@ -10,26 +10,25 @@ degree-d composition linear forms, at rank k.  Real counts use the real
 root polynomial, the product of one difference form from each pair
 {r, -r}, at rank 2k, taken as one product per sign-flip orbit of those
 forms, which is even in every variable; the exact square root of the signed
-product of all difference forms (`real_square_poly`) is its cross-check.  Incidence counts
-use the regime's (2,2,0,0) Schur polynomial at rank 4, to the power 2n.  An
-expanded root polynomial is a plain `SparsePoly`, checked by
-`schur.root_class` where it is built.  All values are exact integers; real
-values are reported as absolute values because orientation conventions only
-pin them up to sign.
+product of all difference forms (`real_square_poly`) is its cross-check.
+The coefficient rows of the linear factors, and the odd-degree and
+alternant-size checks, are integer combinatorics and live in
+`combinatorics`, where the float scan reads them too; this module builds
+the factors from them.  Incidence counts use the regime's (2,2,0,0) Schur
+polynomial at rank 4, to the power 2n.  An expanded root polynomial is a
+plain `SparsePoly`, checked by `schur.root_class` where it is built.  All
+values are exact integers; real values are reported as absolute values
+because orientation conventions only pin them up to sign.
 """
 
 import itertools
 from collections import Counter, namedtuple
 from math import comb
-from operator import sub
 
-from .combinatorics import Infeasible, OutOfDomain, Partition, catalan, compositions, feasibility, rank
+from .combinatorics import (OutOfDomain, Partition, _difference_forms, catalan, feasibility, linear_factor_rows, rank,
+                            require_odd_degree)
 from .polynomial import SparsePoly, kronecker_product, product_of_linear_forms
-from .schur import require_alternant_variables, root_class, schur_coefficient, schur_polynomial
-
-
-class EvenDegree(Infeasible):
-    """Real signed counts require odd degree; even degree is rejected."""
+from .schur import root_class, schur_coefficient, schur_polynomial
 
 
 class Orientability(namedtuple("Orientability", "grassmannian sym_power euler_defined")):
@@ -75,43 +74,6 @@ def _orientability(d: int, r: int, m: int | None) -> Orientability | None:
         sym_power=sym_power_orientable(d, r),
         euler_defined=euler_number_defined(d, r, m),
     )
-
-
-def require_odd_degree(d: int) -> None:
-    """Real signed counts need a degree d >= 1 (OutOfDomain otherwise) that
-    is odd (EvenDegree otherwise: even degree gives vanishing factors)."""
-    if d < 1:
-        raise OutOfDomain("d must be >= 1")
-    if d % 2 == 0:
-        raise EvenDegree(f"degree {d} is even; real signed counts need odd degree")
-
-
-def _difference_forms(d: int, k: int) -> list[tuple[int, ...]]:
-    """The real difference forms (l_1 - l_2, ..., l_{2k-1} - l_{2k}) over all
-    compositions l of an odd degree d into 2k parts, in composition order."""
-    require_odd_degree(d)
-    return [tuple(map(sub, c[0::2], c[1::2])) for c in compositions(d, 2 * k)]
-
-
-def linear_factor_rows(regime: str, d: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Coefficient rows of the linear factors of the degree-d root polynomial.
-
-    Complex: the forms l_1 z_1 + ... + l_k z_k over all compositions l of d
-    into k parts.  Real: the difference forms (l_1 - l_2) x_1 + ... +
-    (l_{2k-1} - l_{2k}) x_k over compositions of d into 2k parts come in
-    pairs {r, -r}, because swapping every l_{2i-1} with l_{2i} negates a form
-    and, for odd d, fixes no composition.  One form of each pair is kept, the
-    one whose first nonzero coefficient is positive; their product is the
-    exact square root of `real_square_poly`, sign included.  A k whose
-    alternant is too large to sum is refused before any row is built.
-    """
-    require_alternant_variables(k)
-    if regime == "real":
-        return tuple(r for r in _difference_forms(d, k) if next(x for x in r if x) > 0)
-    n = rank(regime, k)
-    if d < 1:
-        raise OutOfDomain("d must be >= 1")
-    return tuple(compositions(d, n))
 
 
 def linear_factors(regime: str, d: int, k: int) -> list[tuple[SparsePoly, int]]:

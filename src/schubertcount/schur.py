@@ -17,16 +17,19 @@ rounding.  The oracle reads no exact coefficient: it sums the same nodes
 as products of one-dimensional node sums, one per axis of each monomial
 of f * V_a * conj(V_b).  Since f is symmetric, V_a * conj(V_b) is read as
 the k! shifts ga - eb over the terms of V_b alone, each sorted and
-weighted by k!, with equal shifts merged (`torus_quadrature`, plain Python).
+weighted by k!, with equal shifts merged (`_sorted_shifts`).  This module
+checks the oracle's input and builds f and the shifts; the float sweep is
+`asymptotics.torus_quadrature`, imported only when the oracle runs.
 """
 
 import itertools
 import math
 import sys
 from collections.abc import Sequence
-from operator import mul, sub
+from operator import sub
 
-from .combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition, rank
+from .combinatorics import (InvalidLength, NotInRectangle, OutOfDomain, Partition, classify_partition, rank,
+                            require_alternant_variables)
 from .polynomial import MAX_PEAK_BYTES, MAX_WORK, ArityMismatch, SparsePoly, kronecker_product
 
 
@@ -40,20 +43,6 @@ class NotEvenOrOdd(OutOfDomain):
 
 class NotEulerPontryagin(ValueError):
     """Polynomial is outside the Euler-Pontryagin ring."""
-
-
-# the most variables an alternant may have: `vandermonde` sums k! terms, which
-# took 0.05 s at k = 8 and 0.5 s at k = 9 (in process, on a 2-vCPU VM)
-MAX_ALTERNANT_VARIABLES = 8
-
-
-def require_alternant_variables(k: int) -> None:
-    """Refuse (OutOfDomain) a count or class whose alternant has more than
-    MAX_ALTERNANT_VARIABLES variables, before anything of its size is built."""
-    if k > MAX_ALTERNANT_VARIABLES:
-        raise OutOfDomain(
-            f"an alternant in {k} variables sums {k}! terms; at most {MAX_ALTERNANT_VARIABLES} variables are accepted"
-        )
 
 
 # the most terms accepted for the division of a Schur polynomial: C(k, 2) binomials, each dividing at most
@@ -217,17 +206,6 @@ def duality_pairing(alpha: Partition, beta: Partition, m: int, k: int) -> int:
 
 # -- numeric quadrature oracle -------------------------------------------------
 
-# largest quadrature or scan grid accepted; the grid sizes the oracle's table
-# of roots and the scan's values, one per node angle
-MAX_GRID = 4096
-
-
-def root_of_unity(e: int, grid: int) -> complex:
-    """exp(2 pi i e / grid), for an exponent already reduced mod grid."""
-    angle = 2.0 * math.pi * e / grid
-    return complex(math.cos(angle), math.sin(angle))
-
-
 def _sorted_shifts(ga, vb):
     """The monomials of V_a * conj(V_b) against a symmetric f, as the shifts
     ga - eb over the terms {exponents: sign} `vb` of V_b, each sorted, equal
@@ -241,36 +219,6 @@ def _sorted_shifts(ga, vb):
         shift = tuple(sorted(map(sub, ga, eb)))
         shifts[shift] = shifts.get(shift, 0) + weight * sign
     return {shift: w for shift, w in shifts.items() if w}
-
-
-def torus_quadrature(terms, shifts, grid):
-    """Trapezoidal rule, on a grid^k torus lattice, for the integral of
-    f(z) * sum(weight * z^shift) / k!, with f = sum c z^e over `terms` and
-    `shifts` the table {shift: weight}.
-
-    Each node sum of z^(e + shift) is the product over the axes of the 1-D
-    node sums line[u] = sum_t z_t^u, taken in floating point from one table
-    of the grid's roots, with the angle reduced exactly, (t * u) mod grid, so
-    line[u] depends only on u mod grid and is summed once per residue.  One
-    sweep per shift runs over the per-axis exponent columns of f, weighed by
-    its coefficients as floats.
-    """
-    if not terms:
-        return 0j
-    columns = list(zip(*terms))
-    lo = min(map(min, shifts))
-    hi = max(map(max, columns)) + max(map(max, shifts))
-    roots = [root_of_unity(t, grid) for t in range(grid)]
-    residue = [sum(roots[t * r % grid] for t in range(grid)) for r in range(grid)]
-    line = [residue[u % grid] for u in range(lo, hi + 1)]  # line[u - lo]
-    coeffs = [float(c) for c in terms.values()]
-    total = 0j
-    for shift, weight in shifts.items():
-        values = coeffs
-        for column, s in zip(columns, shift):
-            values = map(mul, values, map(line[s - lo:].__getitem__, column))
-        total += weight * sum(values)
-    return total / (math.factorial(len(columns)) * grid ** len(columns))
 
 
 # a float product of the quadrature's sweep took 80-100 ns (in process, on a 2-vCPU VM), so each is priced at
@@ -299,6 +247,8 @@ def numeric_schur_coefficient(regime: str, factors: Sequence[tuple[SparsePoly, i
     the Euler-Pontryagin ring (real); any other coefficient past the float
     range is refused after that.  A zero product gives 0j.
     """
+    from .asymptotics import MAX_GRID, torus_quadrature  # the float module, loaded only by the oracle
+
     ga, gb = _alternant_exponents(regime, alpha, factors[0][0].nvars if factors else None)
     k, factors = len(ga), [(f, m) for f, m in factors if m]
     if any(f.nvars != k for f, _ in factors):

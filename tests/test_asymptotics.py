@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import schubertcount
-from schubertcount.asymptotics import TorusSample, asymptote_table, closed_form_max, torus_scan
-from schubertcount.combinatorics import catalan
-from schubertcount.counts import EvenDegree, linear_factor_rows, root_poly
+from schubertcount.asymptotics import TorusSample, asymptote_table, closed_form_max, root_of_unity, torus_scan
+from schubertcount.combinatorics import EvenDegree, catalan, linear_factor_rows
+from schubertcount.counts import root_poly
 
 
 def test_closed_form_max():
@@ -114,6 +115,32 @@ def test_torus_scan_against_every_residue(d, grid):
     assert abs(s.max_modulus - ref_max) <= 1e-12 * ref_max
     assert s.sign_constant is ref_sign
     assert s.argmax_residues == ref_residues
+
+
+def _reference_scan(d, grid):
+    """`torus_scan` with each factor's a and b left as ints and every factor
+    raised to its power, a simple one too: the float operations that
+    `torus_scan` saves, with the same results but for the sign of a zero."""
+    rows = linear_factor_rows("real", d, 2)
+    m, factors = len(rows) // 2, Counter(rows).items()
+    values = []
+    for t in range(grid // 2 + 1):
+        z, value = root_of_unity(t, grid), root_of_unity(-t * m % grid, grid)
+        for (a, b), n in factors:
+            value *= (a * z + b) ** n
+        values.append(value)
+    moduli = [abs(v) for v in values]
+    top = max(moduli)
+    reals = [v.real for v in values]
+    sign_constant = (min(reals) > 0.0 or max(reals) < 0.0) and max(abs(v.imag) for v in values) <= 1e-8 * top
+    hits = [t for t, r in enumerate(moduli) if r >= top * (1.0 - 1e-9)]
+    return TorusSample(d, grid, min(moduli), top, sign_constant, tuple(sorted({*hits, *(-t % grid for t in hits)})))
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9, 11, 13])
+def test_torus_scan_matches_the_reference_bit_for_bit(d):
+    for grid in (64, 65, 361, 720, 1440, 4096):
+        assert repr(torus_scan(d, grid)) == repr(_reference_scan(d, grid)), grid
 
 
 def test_torus_scan_matches_closed_form():

@@ -7,10 +7,17 @@ import pytest
 
 from helpers import naive_product_of_linear_forms, partitions_of
 from schubertcount import cli, counts, polynomial
-from schubertcount.combinatorics import OutOfDomain, Partition, catalan, feasibility, rank
+from schubertcount.combinatorics import (
+    EvenDegree,
+    OutOfDomain,
+    Partition,
+    catalan,
+    feasibility,
+    linear_factor_rows,
+    rank,
+)
 from schubertcount.counts import (
     CountReport,
-    EvenDegree,
     Orientability,
     catalan_substitution,
     cubic_ci_real,
@@ -18,7 +25,6 @@ from schubertcount.counts import (
     factored_real_root_poly,
     grassmannian_orientable,
     incidence,
-    linear_factor_rows,
     linear_factors,
     plane_count,
     real_square_poly,

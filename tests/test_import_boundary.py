@@ -11,8 +11,10 @@ The same probe guards the start-up cost of every command: no run loads
 command line is parsed from the command table, so `argparse` (and
 `gettext` and `locale`, which it pulls in) loads only for help and usage
 errors.  A run imports only the engine modules its command uses, and a
-cache hit none of them.  No JSON run loads `json`, computed or served from
-the cache: only a CSV cache hit does, to decode its rows.  The probe
+cache hit none of them: a computed `count` loads no `asymptotics`, and a
+computed `scan` none of the exact engine (`counts`, `polynomial`,
+`schur`).  No JSON run loads `json`, computed or served from the cache:
+only a CSV cache hit does, to decode its rows.  The probe
 reports every module that importing and running schubertcount added to
 `sys.modules`; the cases that check `tempfile` and `typing` run under
 `python -S`, because `site` may import them: no computed run and no cache
@@ -185,6 +187,14 @@ def test_scan_served_from_cache_skips_numpy(tmp_path, capsys):
     assert result["code"] == 0
     assert json.loads(result["stdout"])["cached"] is True
     assert result["loaded"] == []
+
+
+def test_computed_scan_skips_the_exact_engine():
+    # a scan reads the factor rows from combinatorics and takes its floats in asymptotics
+    result = probe(["scan", "-d", "3", "--grid", "64", "--no-cache"])
+    assert result["code"] == 0
+    assert "schubertcount.asymptotics" in result["added"]
+    assert added(result, ["schubertcount.counts", "schubertcount.polynomial", "schubertcount.schur"]) == []
 
 
 def test_computed_scan_skips_numpy():

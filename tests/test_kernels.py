@@ -1,6 +1,7 @@
-"""The torus quadrature kernel, `schur.torus_quadrature`, against a node by
-node sum and against a line table summed per exponent, and its sorted-shift
-table against the expanded one, unsorted and sorted."""
+"""The torus quadrature kernel, `asymptotics.torus_quadrature`, against a
+node by node sum and, bit for bit, against a sweep that sums the line table
+per exponent and multiplies every shift's products afresh; and its
+sorted-shift table against the expanded one, unsorted and sorted."""
 
 import cmath
 import itertools
@@ -11,14 +12,13 @@ from operator import mul, sub
 import pytest
 
 from helpers import threshold_from_terms
+from schubertcount.asymptotics import root_of_unity, torus_quadrature
 from schubertcount.combinatorics import Partition
 from schubertcount.counts import linear_factors, root_poly
 from schubertcount.schur import (
     _alternant_exponents,
     _sorted_shifts,
     numeric_schur_coefficient,
-    root_of_unity,
-    torus_quadrature,
     vandermonde,
 )
 
@@ -149,7 +149,10 @@ def test_sorted_shifts_match_pairwise_shifts(regime, parts):
 
 def _per_exponent_quadrature(terms, shifts, grid):
     """`torus_quadrature` with a grid-long sum of roots for every exponent u
-    in lo…hi of its line table, instead of one per residue u mod grid."""
+    in lo…hi of its line table, instead of one per residue u mod grid that
+    the table reads, and with each shift's products c * line * ... * line
+    taken afresh over every axis, in the table's order, instead of sharing
+    the products of a common prefix of sorted shifts."""
     columns = list(zip(*terms))
     lo = min(map(min, shifts))
     hi = max(map(max, columns)) + max(map(max, shifts))
@@ -180,3 +183,29 @@ def test_line_table_per_residue_matches_per_exponent(regime, d, k, parts):
     span = max(max(e) for e in f.terms) + max(map(max, shifts)) - min(map(min, shifts)) + 1
     assert span > grid
     assert torus_quadrature(f.terms, shifts, grid) == _per_exponent_quadrature(f.terms, shifts, grid)
+
+
+# complex k = 1…4 and real k = 1…3, each value nonzero: the sweep shares the prefixes of its sorted shifts
+PREFIX_CASES = [
+    ("complex", 3, 1, (1,)),
+    ("complex", 3, 2, (2, 2)),
+    ("complex", 3, 3, (4, 3, 3)),
+    ("complex", 3, 4, (5, 5, 5, 5)),
+    ("real", 3, 1, (2, 2)),
+    ("real", 3, 2, (5, 5, 5, 5)),
+    ("real", 3, 3, (10, 10, 10, 10, 8, 8)),
+]
+
+
+@pytest.mark.parametrize("grid", [None, 61, 4096])
+@pytest.mark.parametrize("regime,d,k,parts", PREFIX_CASES,
+                         ids=[f"{r}-{d}-{k}-{','.join(map(str, p))}" for r, d, k, p in PREFIX_CASES])
+def test_shared_prefix_sweep_matches_per_shift_sweep(regime, d, k, parts, grid):
+    f, alpha = root_poly(regime, d, k), Partition(parts)
+    ga, gb = _alternant_exponents(regime, alpha, k)
+    shifts = _sorted_shifts(ga, vandermonde(gb, k).terms)
+    grid = grid or threshold_from_terms(regime, f.terms, parts)
+    value = torus_quadrature(f.terms, shifts, grid)
+    assert value == _per_exponent_quadrature(f.terms, shifts, grid)
+    assert numeric_schur_coefficient(regime, linear_factors(regime, d, k), alpha, grid=grid) == value
+    assert abs(value) >= 1.0

@@ -357,7 +357,7 @@ def test_open_box_has_no_padding():
     # with no targets hi is the full degree along each axis, which no partial product passes,
     # so each slotted axis has radix hi + 1: complex root_poly(5, 4) has 35 forms with z_a, and
     # 5*z_a folds into the scalar and shift, so hi is 34 and the box has 35^3 slots, not 36^3
-    from schubertcount.counts import linear_factor_rows
+    from schubertcount.combinatorics import linear_factor_rows
 
     forms = [SparsePoly.linear_form(row) for row in linear_factor_rows("complex", 5, 4)]
     layout = packed_layout(once(forms), 4)

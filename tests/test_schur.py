@@ -14,11 +14,11 @@ from helpers import (
     symmetrize,
     threshold_from_terms,
 )
+from schubertcount.asymptotics import MAX_GRID
 from schubertcount.combinatorics import InvalidLength, NotInRectangle, OutOfDomain, Partition, catalan, compositions
 from schubertcount.counts import linear_factors, root_poly
 from schubertcount.polynomial import ArityMismatch, NotAPerfectSquare, SparsePoly, exact_sqrt, kronecker_product
 from schubertcount.schur import (
-    MAX_GRID,
     DegenerateAlternant,
     NotEulerPontryagin,
     NotEvenOrOdd,
